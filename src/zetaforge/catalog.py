@@ -19,12 +19,9 @@ from importlib import resources
 from .graphs import MixedGraph, normalize
 from .intpoly import IntPoly, exact_div
 from .rootfind import DEFAULT_MERGE, DEFAULT_TOL
-from .zeta import (STRONG, TRIVIAL, VIOLATED, WEAK, analyze,
-                   classify_moduli, zeta_inverse)
+from .zeta import _FLAGS, STRONG, analyze, classify_moduli
 
 ENV_CATALOG = "ZETAFORGE_CATALOG"
-
-_FLAG_BY_CLASS = {STRONG: "S", WEAK: "W", VIOLATED: "N", TRIVIAL: "T"}
 
 
 class CatalogError(ValueError):
@@ -199,17 +196,12 @@ DIMER_FLAG_ERRATA: dict[int, str] = {
 # reproduces the reference flag.
 
 
-def default_catalog_path() -> str | None:
-    """Environment override for the bundled catalog, if set."""
-    return os.environ.get(ENV_CATALOG)
-
-
 def load_catalog(path: str | None = None) -> list[CatalogRecord]:
     """Load catalog records from path, the ZETAFORGE_CATALOG override, or
     the bundled data file.  Raises CatalogError naming the failing record
     on any structural problem."""
     if path is None:
-        path = default_catalog_path()
+        path = os.environ.get(ENV_CATALOG)
     try:
         if path is None:
             raw = (resources.files("zetaforge") / "data" / "tilings41.json"
@@ -319,17 +311,14 @@ def verify_catalog(records: list[CatalogRecord], tol: float = DEFAULT_TOL,
     for rec in records:
         row = RowCheck(rec.id)
         valencies = list(rec.valencies)
-        dimer = dimer_graph(valencies)
-        engine = zeta_inverse(dimer)
-        closed = dimer_zeta_closed(valencies)
-        if engine != rec.dimer_zeta:
+        dimer_report = analyze(dimer_graph(valencies), tol, merge_tol)
+        if dimer_report.zeta_inverse != rec.dimer_zeta:
             row.issues.append("tiling zeta (determinant route) differs from "
                               "reference")
-        if closed != rec.dimer_zeta:
+        if dimer_zeta_closed(valencies) != rec.dimer_zeta:
             row.issues.append("tiling zeta (closed form) differs from "
                               "reference")
-        dimer_report = analyze(dimer, tol, merge_tol)
-        dimer_flag = _FLAG_BY_CLASS[dimer_report.classification]
+        dimer_flag = _FLAGS[dimer_report.classification]
         if dimer_rh(valencies) != (dimer_report.classification == STRONG):
             row.issues.append("valency inequality disagrees with the "
                               "annulus test")
@@ -341,18 +330,17 @@ def verify_catalog(records: list[CatalogRecord], tol: float = DEFAULT_TOL,
                 row.issues.append(
                     f"tiling flag {dimer_flag} differs from reference "
                     f"{rec.dimer_flag}")
-        quiver = normalize(quiver_to_graph(rec.quiver))
-        q_engine = zeta_inverse(quiver)
-        if q_engine != rec.quiver_zeta:
+        q_report = analyze(normalize(quiver_to_graph(rec.quiver)), tol,
+                           merge_tol)
+        if q_report.zeta_inverse != rec.quiver_zeta:
             row.issues.append("quiver zeta differs from reference")
-        q_report = analyze(quiver, tol, merge_tol)
-        q_flag = _FLAG_BY_CLASS[q_report.classification]
+        q_flag = _FLAGS[q_report.classification]
         if q_flag != rec.quiver_flag:
             strong_sides = (q_flag == "S") == (rec.quiver_flag == "S")
             alt_flag = None
             if strong_sides:
                 q_rowsum = max(sum(r) for r in rec.quiver) - 1
-                alt_flag = _FLAG_BY_CLASS[classify_moduli(
+                alt_flag = _FLAGS[classify_moduli(
                     q_report.poles.moduli(), q_report.r_g, q_rowsum)]
             if alt_flag == rec.quiver_flag:
                 row.notes.append(

@@ -21,11 +21,9 @@ from .catalog import (CatalogError, ade_graph, dimer_graph, load_catalog,
                       parse_ade_spec, verify_catalog)
 from .census import CensusError, enumerate_primes, pnt_ratios
 from .graphs import GraphFormatError, MixedGraph, normalize
-from .rootfind import DEFAULT_MERGE, DEFAULT_TOL, NumericalError
-from .zeta import (STRONG, TRIVIAL, VIOLATED, WEAK, adjacency_spectrum,
-                   analyze, plot_points, zeta_inverse)
-
-_FLAGS = {STRONG: "S", WEAK: "W", VIOLATED: "N", TRIVIAL: "T"}
+from .rootfind import DEFAULT_MERGE, DEFAULT_TOL, NumericalError, find_roots
+from .zeta import (_FLAGS, adjacency_spectrum, analyze, plot_points,
+                   zeta_inverse)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -110,10 +108,23 @@ def _parse_valencies(text: str) -> list[int]:
     try:
         vals = [int(part) for part in text.split(",") if part.strip() != ""]
     except ValueError:
-        raise _InputError(f"bad valency list {text!r}") from None
+        raise ValueError(f"bad valency list {text!r}") from None
     if not vals or any(v < 1 for v in vals):
-        raise _InputError(f"bad valency list {text!r}")
+        raise ValueError(f"bad valency list {text!r}")
     return vals
+
+
+def _spec_graph(kind: str, spec: str, loops: bool,
+                parser: _Parser) -> MixedGraph:
+    """Graph from an affine diagram spec (kind "ade") or a dimer valency
+    list (kind "dimer"); a bad spec is a usage error."""
+    try:
+        if kind == "ade":
+            family, index = parse_ade_spec(spec)
+            return ade_graph(family, index, with_loops=loops)
+        return dimer_graph(_parse_valencies(spec))
+    except ValueError as err:
+        parser.error(str(err))
 
 
 def _load_graph(args, parser: _Parser) -> MixedGraph:
@@ -130,15 +141,8 @@ def _load_graph(args, parser: _Parser) -> MixedGraph:
             raise _InputError(f"{args.graph}: {err}") from err
         return normalize(g)
     if args.ade is not None:
-        try:
-            family, index = parse_ade_spec(args.ade)
-            return ade_graph(family, index, with_loops=args.loops)
-        except ValueError as err:
-            parser.error(str(err))
-    try:
-        return dimer_graph(_parse_valencies(args.dimer))
-    except _InputError as err:
-        parser.error(str(err))
+        return _spec_graph("ade", args.ade, args.loops, parser)
+    return _spec_graph("dimer", args.dimer, False, parser)
 
 
 def _emit(text: str, out_path):
@@ -172,12 +176,12 @@ def _cmd_zeta(args, parser) -> int:
 
 
 def _cmd_rh(args, parser) -> int:
+    if args.format == "csv":
+        parser.error("rh does not support csv; use export-plot")
     g = _load_graph(args, parser)
     report = analyze(g, args.tol, args.merge)
     if args.format == "json":
         text = json.dumps(report.to_json_dict(), indent=2)
-    elif args.format == "csv":
-        parser.error("rh does not support csv; use export-plot")
     else:
         lines = [
             f"zeta_inverse: {report.zeta_inverse}",
@@ -209,9 +213,9 @@ def _cmd_primes(args, parser) -> int:
         parser.error("horizon -L must be in 1..12")
     g = _load_graph(args, parser)
     census = enumerate_primes(g, args.horizon)
-    report = analyze(g, args.tol, args.merge)
+    r_g = find_roots(zeta_inverse(g), args.tol, args.merge).min_modulus()
     try:
-        ratios = pnt_ratios(census, report.r_g)
+        ratios = pnt_ratios(census, r_g)
     except CensusError:
         ratios = {}
     rows = []
@@ -269,14 +273,8 @@ def _cmd_export_plot(args, parser) -> int:
 
 
 def _cmd_generate(args, parser) -> int:
-    if args.verb == "ade":
-        try:
-            family, index = parse_ade_spec(args.spec)
-            g = ade_graph(family, index, with_loops=args.loops)
-        except ValueError as err:
-            parser.error(str(err))
-    else:
-        g = dimer_graph(_parse_valencies(args.spec))
+    g = _spec_graph(args.verb, args.spec,
+                    args.verb == "ade" and args.loops, parser)
     _emit(json.dumps(g.to_dict(), indent=2), args.out)
     return EXIT_OK
 

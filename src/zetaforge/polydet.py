@@ -115,37 +115,30 @@ def _bareiss_det(rows, n):
     return d if sign == 1 else _neg(d)
 
 
-def det_poly(matrix: Sequence[Sequence[IntPoly]]) -> IntPoly:
-    """Exact determinant of a square matrix of IntPoly (or int) entries."""
-    n = len(matrix)
-    rows = []
-    for row in matrix:
-        if len(row) != n:
-            raise ValueError("matrix is not square")
-        rows.append(tuple(
-            e.coeffs if isinstance(e, IntPoly) else _norm((int(e),))
-            for e in row))
-    if n == 0:
-        return IntPoly((1,))
-    d = _frontier_det(rows, n, _STATE_CAP)
-    if d is None:
-        d = _bareiss_det(rows, n)
-    return IntPoly._raw(d)
-
-
-def char_poly(matrix: Sequence[Sequence[int]]) -> IntPoly:
-    """Monic characteristic polynomial det(x*I - M) of an integer matrix."""
+def _det(matrix, entry) -> IntPoly:
+    """Determinant of a square matrix whose (i, j) entry x becomes the
+    coefficient tuple entry(i, j, x): the sweep, or Bareiss past the cap."""
     n = len(matrix)
     rows = []
     for i, row in enumerate(matrix):
         if len(row) != n:
             raise ValueError("matrix is not square")
-        rows.append(tuple(
-            _norm((-int(row[j]), 1) if i == j else (-int(row[j]),))
-            for j in range(n)))
+        rows.append(tuple(entry(i, j, x) for j, x in enumerate(row)))
     if n == 0:
         return IntPoly((1,))
     d = _frontier_det(rows, n, _STATE_CAP)
     if d is None:
         d = _bareiss_det(rows, n)
     return IntPoly._raw(d)
+
+
+def det_poly(matrix: Sequence[Sequence[IntPoly]]) -> IntPoly:
+    """Exact determinant of a square matrix of IntPoly (or int) entries."""
+    return _det(matrix, lambda i, j, e: e.coeffs if isinstance(e, IntPoly)
+                else _norm((int(e),)))
+
+
+def char_poly(matrix: Sequence[Sequence[int]]) -> IntPoly:
+    """Monic characteristic polynomial det(x*I - M) of an integer matrix."""
+    return _det(matrix, lambda i, j, x: _norm((-int(x), 1) if i == j
+                                              else (-int(x),)))

@@ -26,6 +26,9 @@ WEAK = "Weak"
 VIOLATED = "Violated"
 TRIVIAL = "Trivial"
 
+# one-letter flags of the reference catalog and the CLI report
+_FLAGS = {STRONG: "S", WEAK: "W", VIOLATED: "N", TRIVIAL: "T"}
+
 _ANNULUS_EPS = 1e-9   # open-annulus slack: boundary poles do not violate
 _MODULUS_TOL = 1e-8
 
@@ -107,11 +110,14 @@ def xi_functional_check(g: MixedGraph) -> bool:
     q = profile.max_degree - 1
     if q < 1:
         raise ValueError("degree-1 regular graph: no functional equation")
-    n = g.node_count
-    m = g.edge_count
+    return _xi_holds(zeta_inverse(g), q, g.node_count, g.edge_count)
+
+
+def _xi_holds(denom: IntPoly, q: int, n: int, m: int) -> bool:
+    """xi functional equation for the reciprocal zeta polynomial denom of
+    a (q+1)-regular undirected graph with n nodes and m edges."""
     numer = (IntPoly((1, 1)) ** (m - n) * IntPoly((1, -1)) ** m
              * IntPoly((1, -q)) ** n)
-    denom = zeta_inverse(g)
     lhs = numer * _q_reversal(denom, q) * IntPoly.term(q, 1) ** numer.degree
     rhs = _q_reversal(numer, q) * denom * IntPoly.term(q, 1) ** denom.degree
     return lhs == rhs
@@ -177,12 +183,9 @@ def analyze(g: MixedGraph, tol: float = DEFAULT_TOL,
             merge_tol: float = DEFAULT_MERGE) -> ZetaReport:
     """Full zeta report: polynomial, poles, R, classification, verdicts."""
     zi = zeta_inverse(g)
-    if zi.degree >= 1:
-        poles = find_roots(zi, tol, merge_tol)
-    else:
-        poles = RootSet((), 0.0)
+    poles = find_roots(zi, tol, merge_tol)
     moduli = poles.moduli()
-    r_g = min(moduli, default=math.inf)
+    r_g = poles.min_modulus()
     profile = degree_profile(g)
     q = profile.max_degree - 1
     p = profile.min_degree - 1
@@ -202,7 +205,7 @@ def analyze(g: MixedGraph, tol: float = DEFAULT_TOL,
     if g.is_undirected and profile.is_regular:
         ramanujan = is_ramanujan(g, tol, merge_tol)
         if q >= 1:
-            xi_ok = xi_functional_check(g)
+            xi_ok = _xi_holds(zi, q, g.node_count, g.edge_count)
     return ZetaReport(zi, poles, r_g, p, q, classification, ramanujan,
                       ks_ok, xi_ok, is_connected(g))
 
@@ -210,10 +213,14 @@ def analyze(g: MixedGraph, tol: float = DEFAULT_TOL,
 def plot_points(g: MixedGraph, tol: float = DEFAULT_TOL,
                 merge_tol: float = DEFAULT_MERGE) -> list[tuple[float, float, str]]:
     """(re, im, kind) rows for poles and adjacency eigenvalues, suitable
-    for scatter plots; one row per multiplicity."""
+    for scatter plots; one row per multiplicity.
+
+    Computes only the poles and the spectrum, one pass each.  A caller
+    that already holds a ZetaReport has the polynomial in
+    ZetaReport.zeta_inverse and its poles in ZetaReport.poles, so it
+    needs no second zeta_inverse."""
     rows = []
-    report = analyze(g, tol, merge_tol)
-    for root, mult in report.poles:
+    for root, mult in find_roots(zeta_inverse(g), tol, merge_tol):
         rows.extend([(root.real, root.imag, "pole")] * mult)
     for lam, mult in adjacency_spectrum(g, tol, merge_tol):
         rows.extend([(lam.real, lam.imag, "eigenvalue")] * mult)

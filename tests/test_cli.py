@@ -105,6 +105,8 @@ class TestGenerateVerbs:
     def test_bad_spec_is_usage_error(self, capsys):
         assert run(capsys, "ade", "Q9")[0] == 1
         assert run(capsys, "zeta", "--dimer", "3,x")[0] == 1
+        assert run(capsys, "dimer", "0")[0] == 1
+        assert run(capsys, "dimer", "3,x")[0] == 1
 
 
 class TestExportPlot:
