@@ -19,7 +19,7 @@ from importlib import resources
 from .graphs import MixedGraph, normalize
 from .intpoly import IntPoly, exact_div
 from .rootfind import DEFAULT_MERGE, DEFAULT_TOL
-from .zeta import _FLAGS, STRONG, analyze, classify_moduli
+from .zeta import _FLAGS, STRONG, _verdict, classify_moduli
 
 ENV_CATALOG = "ZETAFORGE_CATALOG"
 
@@ -311,15 +311,16 @@ def verify_catalog(records: list[CatalogRecord], tol: float = DEFAULT_TOL,
     for rec in records:
         row = RowCheck(rec.id)
         valencies = list(rec.valencies)
-        dimer_report = analyze(dimer_graph(valencies), tol, merge_tol)
-        if dimer_report.zeta_inverse != rec.dimer_zeta:
+        dimer_zi, _, _, _, dimer_class = _verdict(dimer_graph(valencies),
+                                                  tol, merge_tol)
+        if dimer_zi != rec.dimer_zeta:
             row.issues.append("tiling zeta (determinant route) differs from "
                               "reference")
         if dimer_zeta_closed(valencies) != rec.dimer_zeta:
             row.issues.append("tiling zeta (closed form) differs from "
                               "reference")
-        dimer_flag = _FLAGS[dimer_report.classification]
-        if dimer_rh(valencies) != (dimer_report.classification == STRONG):
+        dimer_flag = _FLAGS[dimer_class]
+        if dimer_rh(valencies) != (dimer_class == STRONG):
             row.issues.append("valency inequality disagrees with the "
                               "annulus test")
         if dimer_flag != rec.dimer_flag:
@@ -330,18 +331,18 @@ def verify_catalog(records: list[CatalogRecord], tol: float = DEFAULT_TOL,
                 row.issues.append(
                     f"tiling flag {dimer_flag} differs from reference "
                     f"{rec.dimer_flag}")
-        q_report = analyze(normalize(quiver_to_graph(rec.quiver)), tol,
-                           merge_tol)
-        if q_report.zeta_inverse != rec.quiver_zeta:
+        q_zi, q_poles, q_r, _, q_class = _verdict(
+            normalize(quiver_to_graph(rec.quiver)), tol, merge_tol)
+        if q_zi != rec.quiver_zeta:
             row.issues.append("quiver zeta differs from reference")
-        q_flag = _FLAGS[q_report.classification]
+        q_flag = _FLAGS[q_class]
         if q_flag != rec.quiver_flag:
             strong_sides = (q_flag == "S") == (rec.quiver_flag == "S")
             alt_flag = None
             if strong_sides:
                 q_rowsum = max(sum(r) for r in rec.quiver) - 1
-                alt_flag = _FLAGS[classify_moduli(
-                    q_report.poles.moduli(), q_report.r_g, q_rowsum)]
+                alt_flag = _FLAGS[classify_moduli(q_poles.moduli(), q_r,
+                                                  q_rowsum)]
             if alt_flag == rec.quiver_flag:
                 row.notes.append(
                     f"quiver flag {q_flag} under the total-degree "

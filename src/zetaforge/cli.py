@@ -48,7 +48,7 @@ def _build_parser() -> _Parser:
                                  "multigraphs")
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def add_graph_options(p, horizon=False):
+    def add_graph_options(p, horizon=False, formats=("text", "json", "csv")):
         src = p.add_mutually_exclusive_group(required=True)
         src.add_argument("--graph", metavar="PATH",
                          help="JSON graph file with nodes/edges/arrows")
@@ -63,8 +63,7 @@ def _build_parser() -> _Parser:
                        help="root-iteration convergence tolerance")
         p.add_argument("--merge", type=float, default=DEFAULT_MERGE,
                        help="root merge distance")
-        p.add_argument("--format", choices=("text", "json", "csv"),
-                       default="text")
+        p.add_argument("--format", choices=formats, default="text")
         p.add_argument("--out", metavar="PATH",
                        help="write output to a file instead of stdout")
         if horizon:
@@ -74,7 +73,8 @@ def _build_parser() -> _Parser:
     add_graph_options(sub.add_parser("zeta",
                       help="reciprocal zeta polynomial coefficients"))
     add_graph_options(sub.add_parser("rh",
-                      help="pole analysis and Riemann-hypothesis verdicts"))
+                      help="pole analysis and Riemann-hypothesis verdicts"),
+                      formats=("text", "json"))
     add_graph_options(sub.add_parser("primes",
                       help="closed-walk and prime-class table"),
                       horizon=True)
@@ -176,8 +176,6 @@ def _cmd_zeta(args, parser) -> int:
 
 
 def _cmd_rh(args, parser) -> int:
-    if args.format == "csv":
-        parser.error("rh does not support csv; use export-plot")
     g = _load_graph(args, parser)
     report = analyze(g, args.tol, args.merge)
     if args.format == "json":

@@ -313,18 +313,89 @@ def poly_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
     return x
 
 
+# 61-bit primes for the square-free certificate, tried in order
+_CERT_PRIMES = (2**61 - 1, 2**61 - 31, 2**61 - 45)
+
+
+def _unit_root_split(a: tuple, root: int) -> tuple[int, tuple]:
+    """Multiplicity of the root +1 or -1 in a, and a with it divided out
+    (synthetic division until the remainder is nonzero)."""
+    mult = 0
+    while len(a) > 1:
+        quot = [0] * (len(a) - 1)
+        acc = 0
+        for k in range(len(a) - 1, 0, -1):
+            acc = a[k] + root * acc
+            quot[k - 1] = acc
+        if a[0] + root * acc:
+            break
+        a = tuple(quot)
+        mult += 1
+    return mult, a
+
+
+def _certified_squarefree(a: tuple) -> bool:
+    """True only if a (degree >= 1) is square-free: gcd(a, a') modulo a
+    prime p that does not divide lc(a) is a constant.  A repeated factor
+    g of a would keep its degree modulo p, since lc(g) divides lc(a), and
+    divide both a and a' there.  False means undecided."""
+    p = next((q for q in _CERT_PRIMES if a[-1] % q), None)
+    if p is None:
+        return False
+    x = _norm([c % p for c in a])
+    y = _norm([k * c % p for k, c in enumerate(a)][1:])
+    while y:
+        db = len(y) - 1
+        inv = pow(y[-1], -1, p)
+        rem = list(x)
+        for k in range(len(rem) - 1 - db, -1, -1):
+            q = rem[k + db] * inv % p
+            if q:
+                rem[k:k + db] = [(u - q * v) % p
+                                 for u, v in zip(rem[k:k + db], y)]
+        x, y = y, _norm(rem[:db])
+    return len(x) == 1
+
+
 def squarefree_factors(p: IntPoly) -> list[tuple[IntPoly, int]]:
-    """Yun splitting of a nonzero polynomial into pairwise-coprime
-    square-free factors with their multiplicities.
+    """Square-free splitting of a nonzero polynomial into pairwise-coprime
+    primitive factors with positive leading coefficients, each with its
+    multiplicity, in increasing multiplicity.
 
     The product of factor**multiplicity equals p up to a nonzero rational
     constant, so the root set with multiplicities is preserved exactly.
+    The factors z - 1 and z + 1 (the (1 - z^2) prefactor of a reciprocal
+    zeta polynomial puts them there with high multiplicity) are counted
+    by synthetic division first.  The remainder r is certified
+    square-free when gcd(r, r') modulo a 61-bit prime not dividing lc(r)
+    is constant; only otherwise does Yun's algorithm run, on r alone.
+    z - 1 and z + 1 then join the factor of their multiplicity, which
+    gives exactly the list that Yun's algorithm returns on p.
     """
     if p.is_zero:
         raise ValueError("zero polynomial has no square-free splitting")
     pp = primitive_part(p)
-    if pp.degree < 1:
-        return []
+    ones, rest = _unit_root_split(pp.coeffs, 1)
+    minus_ones, rest = _unit_root_split(rest, -1)
+    r = IntPoly._raw(rest)
+    if r.degree < 1:
+        parts = []
+    elif _certified_squarefree(rest):
+        parts = [(r, 1)]
+    else:
+        parts = _yun(r)
+    by_mult = {m: f for f, m in parts}
+    # products of primitive polynomials with positive leading
+    # coefficients are again such (Gauss's lemma)
+    for mult, linear in ((ones, (-1, 1)), (minus_ones, (1, 1))):
+        if mult:
+            by_mult[mult] = by_mult.get(mult, ONE) * IntPoly._raw(linear)
+    return [(by_mult[m], m) for m in sorted(by_mult)]
+
+
+def _yun(pp: IntPoly) -> list[tuple[IntPoly, int]]:
+    """Yun's square-free splitting of a primitive polynomial with
+    positive leading coefficient and degree >= 1."""
     d = pp.derivative()
     u = poly_gcd(pp, d)
     if u.degree == 0:

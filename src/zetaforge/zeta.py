@@ -179,17 +179,25 @@ def classify_moduli(moduli: list[float], r_g: float, q: int) -> str:
     return VIOLATED
 
 
+def _verdict(g: MixedGraph, tol: float, merge_tol: float):
+    """(zeta polynomial, poles, R, degree profile, classification) of g,
+    with no spectrum and no xi check."""
+    zi = zeta_inverse(g)
+    poles = find_roots(zi, tol, merge_tol)
+    r_g = poles.min_modulus()
+    profile = degree_profile(g)
+    classification = classify_moduli(poles.moduli(), r_g,
+                                      profile.max_degree - 1)
+    return zi, poles, r_g, profile, classification
+
+
 def analyze(g: MixedGraph, tol: float = DEFAULT_TOL,
             merge_tol: float = DEFAULT_MERGE) -> ZetaReport:
     """Full zeta report: polynomial, poles, R, classification, verdicts."""
-    zi = zeta_inverse(g)
-    poles = find_roots(zi, tol, merge_tol)
+    zi, poles, r_g, profile, classification = _verdict(g, tol, merge_tol)
     moduli = poles.moduli()
-    r_g = poles.min_modulus()
-    profile = degree_profile(g)
     q = profile.max_degree - 1
     p = profile.min_degree - 1
-    classification = classify_moduli(moduli, r_g, q)
 
     if moduli and g.is_undirected:
         # degree-bound theorem for undirected graphs: 1/q <= R <= 1/p;

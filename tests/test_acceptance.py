@@ -2,8 +2,10 @@
 line (run with `pytest -s tests/test_acceptance.py` to see them)."""
 
 import io
+import random
 import time
 from contextlib import redirect_stdout
+from fractions import Fraction
 
 from zetaforge.catalog import (DIMER_FLAG_ERRATA, ade_graph, dimer_graph,
                                dimer_zeta_closed, load_catalog,
@@ -13,7 +15,8 @@ from zetaforge.cli import main
 from zetaforge.graphs import (MixedGraph, bipartition, degree_profile,
                               normalize)
 from zetaforge.intpoly import (IntPoly, log_derivative_series,
-                               mobius_invert)
+                               mobius_invert, primitive_part,
+                               squarefree_factors)
 from zetaforge.zeta import (STRONG, adjacency_spectrum, analyze,
                             directed_zeta_inverse, is_ramanujan,
                             xi_functional_check, zeta_inverse)
@@ -260,3 +263,66 @@ def test_criterion_8_determinism_and_speed():
           and elapsed < 60.0)
     report(8, f"catalog-verify deterministic, two runs in {elapsed:.1f}s "
               f"< 60s", ok)
+
+
+def fraction_det(m):
+    """Determinant of a square matrix by Fraction Gaussian elimination."""
+    work = [[Fraction(x) for x in row] for row in m]
+    n = len(work)
+    det = Fraction(1)
+    for k in range(n):
+        pivot_row = next((i for i in range(k, n) if work[i][k]), None)
+        if pivot_row is None:
+            return Fraction(0)
+        if pivot_row != k:
+            work[k], work[pivot_row] = work[pivot_row], work[k]
+            det = -det
+        det *= work[k][k]
+        for i in range(k + 1, n):
+            factor = work[i][k] / work[k][k]
+            for j in range(k, n):
+                work[i][j] -= factor * work[k][j]
+    return det
+
+
+def test_criterion_9_size_floor():
+    # a random mixed multigraph with n = 40 nodes, 3n edges (loops and
+    # parallel edges allowed) and n arrows, none reciprocal
+    rng = random.Random(40)
+    n = 40
+    edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(3 * n)]
+    arrows = set()
+    while len(arrows) < n:
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i != j and (j, i) not in arrows:
+            arrows.add((i, j))
+    g = MixedGraph(n, edges=tuple(edges), arrows=tuple(sorted(arrows)))
+    adj = [[0] * n for _ in range(n)]
+    arr = [[0] * n for _ in range(n)]
+    degree = [0] * n
+    for i, j in edges:
+        adj[i][j] += 1
+        adj[j][i] += 1
+        degree[i] += 1
+        degree[j] += 1
+    for i, j in arrows:
+        adj[i][j] += 1
+        arr[i][j] += 1
+    start = time.time()
+    zi = zeta_inverse(g)
+    factors = squarefree_factors(zi)
+    ok = True
+    for z0 in (2, -3, 7):
+        walk = [[(i == j) - adj[i][j] * z0
+                 + (degree[i] - 1) * (i == j) * z0 ** 2 + arr[i][j] * z0 ** 3
+                 for j in range(n)] for i in range(n)]
+        expect = Fraction(1 - z0 * z0) ** (len(edges) - n) * fraction_det(walk)
+        ok = ok and zi(z0) == expect
+    recon = IntPoly((1,))
+    for f, mult in factors:
+        recon = recon * f ** mult
+    ok = ok and primitive_part(recon) == primitive_part(zi)
+    elapsed = time.time() - start
+    report(9, f"n=40 mixed multigraph: zeta at z0 in {{2, -3, 7}} and its "
+              f"square-free split ({elapsed:.1f}s < 8s)",
+           ok and elapsed < 8.0)

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from zetaforge.intpoly import (DivisibilityError, IntPoly, SeriesError,
+from zetaforge.intpoly import (_CERT_PRIMES, DivisibilityError, IntPoly,
+                               SeriesError, _certified_squarefree, _yun,
                                exact_div, log_derivative_series,
                                mobius_invert, poly_gcd, primitive_part,
                                squarefree_factors)
@@ -10,6 +11,12 @@ from zetaforge.intpoly import (DivisibilityError, IntPoly, SeriesError,
 
 def P(*coeffs):
     return IntPoly(coeffs)
+
+
+def yun_split(p):
+    """Yun's algorithm on the whole primitive part, with no shortcut."""
+    pp = primitive_part(p)
+    return _yun(pp) if pp.degree >= 1 else []
 
 
 class TestArithmetic:
@@ -102,6 +109,45 @@ class TestGcdSquarefree:
                 recon = recon * f ** m
             # equal up to a rational constant: cross-multiply primitives
             assert primitive_part(recon) == primitive_part(p)
+
+    def test_unit_roots_stripped_like_yun(self):
+        rng = random.Random(31)
+        for trial in range(20):
+            p = IntPoly((rng.choice((-2, 1, 3)),))
+            for _ in range(rng.randint(1, 3)):
+                base = IntPoly([rng.randint(-3, 3)
+                                for _ in range(rng.randint(2, 4))])
+                if base.degree >= 1:
+                    p = p * base ** (rng.randint(1, 3) if trial % 2 else 1)
+            p = p * P(-1, 1) ** rng.randint(0, 60)
+            p = p * P(1, 1) ** rng.randint(0, 60)
+            assert squarefree_factors(p) == yun_split(p)
+
+    def test_unit_roots_only(self):
+        zm1, zp1 = P(-1, 1), P(1, 1)
+        assert squarefree_factors(zm1 ** 5) == [(zm1, 5)]
+        assert squarefree_factors(-3 * zp1 ** 7) == [(zp1, 7)]
+        assert squarefree_factors(zm1 ** 3 * zp1 ** 3) == [(P(-1, 0, 1), 3)]
+        assert squarefree_factors(zm1 * zp1 ** 4) == [(zm1, 1), (zp1, 4)]
+
+    def test_constant_and_zero(self):
+        assert squarefree_factors(P(-6)) == []
+        with pytest.raises(ValueError):
+            squarefree_factors(P())
+
+    def test_leading_coefficient_divisible_by_first_prime(self):
+        rest = P(1, 3, _CERT_PRIMES[0])
+        assert _certified_squarefree(rest.coeffs)
+        for p in (rest, rest * P(2, 1, 1) ** 2):
+            p = p * P(-1, 1) ** 3 * P(1, 1) ** 2
+            assert squarefree_factors(p) == yun_split(p)
+
+    def test_certificate_undecided(self):
+        # a square, and a leading coefficient that every prime divides
+        assert not _certified_squarefree((P(2, 1, 1) ** 2 * P(5, 1)).coeffs)
+        assert not _certified_squarefree(
+            (P(1, 3, _CERT_PRIMES[0] * _CERT_PRIMES[1] * _CERT_PRIMES[2])
+             ).coeffs)
 
 
 class TestSeries:

@@ -3,7 +3,9 @@ import random
 import pytest
 
 from zetaforge.intpoly import IntPoly
-from zetaforge.polydet import _bareiss_det, _frontier_det, char_poly, det_poly
+from zetaforge import polydet
+from zetaforge.polydet import (_frontier_det, _interpolated_det, char_poly,
+                              det_poly)
 
 
 def P(*coeffs):
@@ -67,18 +69,60 @@ class TestDetPoly:
             assert det_poly(m) == det_cofactor(m)
 
     def test_frontier_and_bareiss_agree(self):
+        # the sweep against integer Bareiss at points plus interpolation
         rng = random.Random(13)
         for _ in range(40):
             n = rng.randint(2, 7)
             m = random_matrix(rng, n, density=0.5)
             rows = [tuple(e.coeffs for e in row) for row in m]
-            a = _frontier_det(rows, n, 1 << 20)
-            b = _bareiss_det(rows, n)
-            assert a == b
+            a = _frontier_det(rows, n)
+            b = _interpolated_det(rows, n)
+            assert a == b == det_cofactor(m).coeffs
+
+    def test_routes_agree_on_degenerate_matrices(self):
+        rng = random.Random(17)
+        z2_minus_z = P(0, -1, 1)  # vanishes at the points 0 and 1
+        for _ in range(30):
+            n = rng.randint(2, 7)
+            zero_row = random_matrix(rng, n)
+            zero_row[rng.randrange(n)] = [P() for _ in range(n)]
+            zero_col = random_matrix(rng, n)
+            col = rng.randrange(n)
+            for row in zero_col:
+                row[col] = P()
+            vanishing = random_matrix(rng, n, density=0.8, max_deg=1)
+            vanishing[0] = [e * z2_minus_z for e in vanishing[0]]
+            for m in (zero_row, zero_col, vanishing):
+                rows = [tuple(e.coeffs for e in row) for row in m]
+                expect = det_cofactor(m).coeffs
+                assert _frontier_det(rows, n) == expect
+                assert _interpolated_det(rows, n) == expect
+
+    def test_interpolation_matches_sweep_up_to_14(self):
+        rng = random.Random(23)
+        for n in range(8, 15):
+            m = random_matrix(rng, n, density=0.5)
+            rows = [tuple(e.coeffs for e in row) for row in m]
+            assert _interpolated_det(rows, n) == _frontier_det(rows, n)
+
+    def test_route_chosen_by_open_width(self, monkeypatch):
+        def refuse(rows, n):
+            raise AssertionError("route not expected for this shape")
+
+        rng = random.Random(29)
+        dense = [[P(rng.randint(1, 3), rng.randint(-3, 3)) for _ in range(12)]
+                 for _ in range(12)]
+        monkeypatch.setattr(polydet, "_frontier_det", refuse)
+        assert det_poly(dense).degree <= 12
+        monkeypatch.undo()
+        monkeypatch.setattr(polydet, "_interpolated_det", refuse)
+        band = [[P(1, 1) if abs(i - j) <= 1 else P() for j in range(40)]
+                for i in range(40)]
+        assert det_poly(band) == -(P(1, 1) ** 40)
 
     def test_dense_fallback_matches_fraction_elimination(self):
-        # 15x15 dense integers exceed the sweep's state cap, so this runs
-        # through the Bareiss path of the public function
+        # 15x15 dense integers are wider than the sweep's open-width
+        # limit, so this runs through evaluation and interpolation
         from fractions import Fraction
         rng = random.Random(19)
         n = 15

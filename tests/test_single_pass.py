@@ -107,6 +107,7 @@ def test_analyze_regular_graph(calls):
 def test_verify_catalog_one_zeta_per_graph(calls):
     assert verify_catalog(load_catalog()).ok
     assert calls["zeta_inverse"] == 82
+    assert calls["adjacency_spectrum"] == 0
 
 
 def test_export_plot(calls, capsys):
@@ -121,5 +122,5 @@ def test_primes_needs_no_spectrum(calls, capsys):
 
 def test_rh_csv_rejected_before_analysis(calls, capsys):
     assert cli.main(["rh", "--ade", "A5", "--format", "csv"]) == 1
-    assert "rh does not support csv" in capsys.readouterr().err
+    assert "invalid choice" in capsys.readouterr().err
     assert calls == {}
