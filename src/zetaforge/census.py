@@ -4,17 +4,31 @@ Walks are sequences of darts: an undirected edge contributes two mutually
 inverse darts, a loop two inverse darts at the same node, an arrow a
 single dart with no inverse.  A closed walk of length m is backtrackless
 and tailless when no dart is followed (cyclically, wrap-around included)
-by its own inverse.  Closed-walk counts come from powers of the dart
-transition matrix; prime classes are extracted by explicit search and
-grouped under cyclic rotation only, so a cycle and its reversal are
-distinct classes.
+by its own inverse.  Closed-walk counts N_m are traces of powers of the
+dart transition matrix.  Prime classes are grouped under cyclic rotation
+only, so a cycle and its reversal are distinct classes.
 
-This module is deliberately independent of the determinant machinery: it
-is the oracle that the zeta-derived series is checked against.
+A prime class of length m holds m distinct rotations of a primitive
+closed walk, and exactly one of them, read as a word of dart ids, is a
+Lyndon word (strictly smaller than each of its proper rotations).  The
+census counts those words in one depth-first pass over all lengths,
+extending a single dart word along the successor lists and carrying the
+period p of the Fredricksen-Kessler-Maiorana prenecklace generator
+(Cattell, Ruskey, Sawada, Serra & Miers 2000): a next dart below
+word[t - p] cannot lead to a least rotation and is pruned, one equal to
+it keeps p, and one above it makes the word Lyndon (p = t).  A Lyndon
+word is counted when its last dart ends at the first dart's tail and is
+not the first dart's inverse.  No class is stored.
+
+The counts are checked before they are returned: sum over d | m of
+d * pi(d) must equal N_m for every m (a CensusError otherwise).  This
+module is deliberately independent of the determinant machinery: it is
+the oracle that the zeta-derived series is checked against.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from math import gcd
 
@@ -61,6 +75,7 @@ def build_darts(g: MixedGraph) -> list[Dart]:
 
 
 def _successors(darts: list[Dart]) -> list[list[int]]:
+    """Darts that may follow each dart, in increasing id order."""
     by_tail: dict[int, list[int]] = {}
     for d in darts:
         by_tail.setdefault(d.tail, []).append(d.id)
@@ -81,86 +96,68 @@ def count_closed_paths(g: MixedGraph, horizon: int) -> list[int]:
     """Closed backtrackless tailless walk counts N_1..N_horizon, start
     position distinguished.  Exact integers via transition-matrix traces."""
     _check_horizon(horizon)
-    darts = build_darts(g)
-    size = len(darts)
-    if size == 0:
-        return [0] * horizon
-    succ = _successors(darts)
-    trans = [[0] * size for _ in range(size)]
+    succ = _successors(build_darts(g))
+    size = len(succ)
+    counts = [0] * horizon
+    # N_m = trace(T^m): row d of T^m is stepped along the successor
+    # lists, one dart's row at a time, up to the horizon-th power
     for d in range(size):
-        for e in succ[d]:
-            trans[d][e] = 1
-    counts = []
-    power = trans
-    for _ in range(horizon):
-        counts.append(sum(power[d][d] for d in range(size)))
-        power = _matmul(power, trans, size)
+        row = [0] * size
+        row[d] = 1
+        for m in range(horizon):
+            nxt = [0] * size
+            for e, v in enumerate(row):
+                if v:
+                    for f in succ[e]:
+                        nxt[f] += v
+            row = nxt
+            counts[m] += row[d]
     return counts
 
 
-def _matmul(a, b, size):
-    out = [[0] * size for _ in range(size)]
-    for i in range(size):
-        ai = a[i]
-        oi = out[i]
-        for k in range(size):
-            v = ai[k]
-            if v:
-                bk = b[k]
-                for j in range(size):
-                    if bk[j]:
-                        oi[j] += v * bk[j]
-    return out
+def _lyndon_closed_walks(darts: list[Dart], succ: list[list[int]],
+                         horizon: int) -> list[int]:
+    """Lyndon closed walks of each length 1..horizon: one per prime class."""
+    counts = [0] * horizon
+    word = [0] * horizon
 
+    def extend(t: int, p: int):
+        # word[:t] is a prenecklace walk with FKM period p; a next dart
+        # above word[t - p] makes a Lyndon word of length t + 1
+        last = word[t - 1]
+        floor = word[t - p]
+        ends = closing[last]
+        counts[t] += len(ends) - bisect_right(ends, floor)
+        if t + 1 < horizon:
+            for e in succ[last]:
+                if e >= floor:
+                    word[t] = e
+                    extend(t + 1, p if e == floor else t + 1)
 
-def _min_rotation(seq: tuple) -> tuple:
-    return min(tuple(seq[k:] + seq[:k]) for k in range(len(seq)))
-
-
-def _is_primitive(seq: tuple) -> bool:
-    m = len(seq)
-    for d in range(1, m):
-        if m % d == 0 and seq == seq[d:] + seq[:d]:
-            return False
-    return True
+    for d in darts:
+        # a single dart closes when it is a loop (never its own inverse)
+        if d.head == d.tail:
+            counts[0] += 1
+        if horizon > 1:
+            # successors of each dart that close a walk begun by d
+            closing = [[e for e in s if darts[e].head == d.tail
+                        and e != d.inverse] for s in succ]
+            word[0] = d.id
+            extend(1, 1)
+    return counts
 
 
 def enumerate_primes(g: MixedGraph, horizon: int) -> PrimeCensus:
     """Count primitive closed-walk classes per length by explicit search.
 
     Classes are rotations only; orientation reversal is not identified.
-    The derived closed-walk counts are cross-checked against the
-    transition-matrix counts before returning.
+    Each class is counted once, as its Lyndon rotation.  The derived
+    closed-walk counts are cross-checked against the transition-matrix
+    counts before returning.
     """
     _check_horizon(horizon)
     darts = build_darts(g)
-    succ = _successors(darts)
-    prime_counts = [0] * horizon
-    for m in range(1, horizon + 1):
-        classes: set[tuple] = set()
-        for start in range(len(darts)):
-            # only walks whose minimal dart id is the start: each rotation
-            # class is then generated a bounded number of times
-            stack = [(start,)]
-            while stack:
-                seq = stack.pop()
-                if len(seq) == m:
-                    last = darts[seq[-1]]
-                    if (last.head == darts[start].tail
-                            and seq[0] != last.inverse
-                            and _is_primitive(seq)):
-                        classes.add(_min_rotation(seq))
-                    continue
-                for nxt in succ[seq[-1]]:
-                    if nxt >= start:
-                        stack.append(seq + (nxt,))
-        for cls in classes:
-            rotations = {cls[k:] + cls[:k] for k in range(m)}
-            if len(rotations) != m:
-                raise CensusError(
-                    f"primitive class of length {m} has {len(rotations)} "
-                    "rotations")
-        prime_counts[m - 1] = len(classes)
+    prime_counts = _lyndon_closed_walks(darts, _successors(darts), horizon)
     closed = count_closed_paths(g, horizon)
     for m in range(1, horizon + 1):
         derived = sum(d * prime_counts[d - 1]

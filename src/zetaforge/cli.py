@@ -19,7 +19,7 @@ import sys
 
 from .catalog import (CatalogError, ade_graph, dimer_graph, load_catalog,
                       parse_ade_spec, verify_catalog)
-from .census import CensusError, enumerate_primes, pnt_ratios
+from .census import HORIZON_LIMIT, CensusError, enumerate_primes, pnt_ratios
 from .graphs import GraphFormatError, MixedGraph, normalize
 from .rootfind import DEFAULT_MERGE, DEFAULT_TOL, NumericalError, find_roots
 from .zeta import (_FLAGS, adjacency_spectrum, analyze, plot_points,
@@ -68,7 +68,7 @@ def _build_parser() -> _Parser:
                        help="write output to a file instead of stdout")
         if horizon:
             p.add_argument("-L", dest="horizon", type=int, default=6,
-                           help="series horizon (1..12)")
+                           help=f"series horizon (1..{HORIZON_LIMIT})")
 
     add_graph_options(sub.add_parser("zeta",
                       help="reciprocal zeta polynomial coefficients"))
@@ -207,8 +207,8 @@ def _cmd_rh(args, parser) -> int:
 
 
 def _cmd_primes(args, parser) -> int:
-    if not 1 <= args.horizon <= 12:
-        parser.error("horizon -L must be in 1..12")
+    if not 1 <= args.horizon <= HORIZON_LIMIT:
+        parser.error(f"horizon -L must be in 1..{HORIZON_LIMIT}")
     g = _load_graph(args, parser)
     census = enumerate_primes(g, args.horizon)
     r_g = find_roots(zeta_inverse(g), args.tol, args.merge).min_modulus()

@@ -326,3 +326,15 @@ def test_criterion_9_size_floor():
     report(9, f"n=40 mixed multigraph: zeta at z0 in {{2, -3, 7}} and its "
               f"square-free split ({elapsed:.1f}s < 8s)",
            ok and elapsed < 8.0)
+
+
+def test_criterion_10_census_reach():
+    g = ade_graph("E", 6, with_loops=True)
+    start = time.time()
+    census = enumerate_primes(g, 10)
+    ok = census.closed_counts == log_derivative_series(zeta_inverse(g), 10)
+    ok = ok and census.prime_counts == mobius_invert(census.closed_counts)
+    elapsed = time.time() - start
+    report(10, f"census of E6 with two loops per node to L=10 equals the "
+               f"series and its Moebius inversion ({elapsed:.1f}s < 10s)",
+           ok and elapsed < 10.0)

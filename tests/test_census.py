@@ -1,5 +1,9 @@
+import random
+from math import gcd
+
 import pytest
 
+from zetaforge import census as census_module
 from zetaforge.catalog import ade_graph, dimer_graph
 from zetaforge.census import (CensusError, CensusLimitError, build_darts,
                               count_closed_paths, enumerate_primes,
@@ -9,6 +13,68 @@ from zetaforge.intpoly import log_derivative_series, mobius_invert
 from zetaforge.zeta import analyze, zeta_inverse
 
 WORKED = MixedGraph(2, edges=((0, 1), (1, 1)), arrows=((1, 0),))
+
+
+def reference_census(g, horizon):
+    """(closed_counts, prime_counts) by the set-based search: a
+    fresh DFS per length over walks whose least dart is the start, each
+    closed primitive walk stored as its minimal rotation."""
+    darts = build_darts(g)
+    succ = [[e.id for e in darts if e.tail == d.head and e.id != d.inverse]
+            for d in darts]
+
+    def min_rotation(seq):
+        return min(seq[k:] + seq[:k] for k in range(len(seq)))
+
+    def is_primitive(seq):
+        m = len(seq)
+        return not any(m % d == 0 and seq == seq[d:] + seq[:d]
+                       for d in range(1, m))
+
+    prime_counts = []
+    for m in range(1, horizon + 1):
+        classes = set()
+        for start in range(len(darts)):
+            stack = [(start,)]
+            while stack:
+                seq = stack.pop()
+                if len(seq) == m:
+                    last = darts[seq[-1]]
+                    if (last.head == darts[start].tail
+                            and seq[0] != last.inverse
+                            and is_primitive(seq)):
+                        classes.add(min_rotation(seq))
+                    continue
+                stack.extend(seq + (nxt,) for nxt in succ[seq[-1]]
+                             if nxt >= start)
+        for cls in classes:
+            assert len({cls[k:] + cls[:k] for k in range(m)}) == m
+        prime_counts.append(len(classes))
+    closed = [sum(d * prime_counts[d - 1] for d in range(1, m + 1)
+                  if m % d == 0) for m in range(1, horizon + 1)]
+    return closed, prime_counts
+
+
+def random_mixed_graph(rng):
+    """A normalized mixed multigraph on at most 5 nodes with loops,
+    parallel edges and arrows (arrow loops and reciprocal arrow pairs fold
+    into edges).  Total degree stays at most 4 per node, which keeps the
+    reference search small at length 7."""
+    n = rng.randint(1, 5)
+    degree = [0] * n
+    edges, arrows = [], []
+    for _ in range(rng.randint(1, 2 * n + 2)):
+        i, j = rng.randrange(n), rng.randrange(n)
+        degree[i] += 1
+        degree[j] += 1
+        if max(degree) > 4:
+            degree[i] -= 1
+            degree[j] -= 1
+        elif rng.random() < 0.3:
+            arrows.append((i, j))
+        else:
+            edges.append((i, j))
+    return normalize(MixedGraph(n, tuple(edges), tuple(arrows)))
 
 
 class TestDarts:
@@ -79,6 +145,51 @@ class TestPrimes:
             series = log_derivative_series(zeta_inverse(g), 6)
             assert census.closed_counts == series
             assert census.prime_counts == mobius_invert(series)
+
+
+class TestAgainstReference:
+    def assert_matches(self, g, horizon):
+        closed, primes = reference_census(g, horizon)
+        for m in range(1, horizon + 1):
+            census = enumerate_primes(g, m)
+            delta = 0
+            for length in range(1, m + 1):
+                if primes[length - 1]:
+                    delta = gcd(delta, length)
+            assert (census.closed_counts, census.prime_counts,
+                    census.delta) == (closed[:m], primes[:m], delta), (g, m)
+        return primes
+
+    def test_random_mixed_graphs(self):
+        rng = random.Random(2000)
+        graphs = [random_mixed_graph(rng) for _ in range(200)]
+        assert sum(1 for g in graphs if g.arrows) > 50
+        assert sum(1 for g in graphs
+                   if any(i == j for i, j in g.edges)) > 50
+        assert sum(1 for g in graphs
+                   if len(set(g.edges)) < len(g.edges)) > 20
+        with_primes = sum(1 for g in graphs if any(self.assert_matches(g, 7)))
+        assert with_primes > 150
+
+    def test_forests_and_empty_graph(self):
+        for g in (MixedGraph(1), MixedGraph(4),
+                  MixedGraph(2, edges=((0, 1),)),
+                  MixedGraph(5, edges=((0, 1), (1, 2), (1, 3), (3, 4))),
+                  MixedGraph(5, edges=((0, 1), (2, 3), (2, 4)))):
+            self.assert_matches(g, 7)
+            assert enumerate_primes(g, 7).prime_counts == [0] * 7
+
+    def test_miscount_raises(self, monkeypatch):
+        true_counts = count_closed_paths(WORKED, 4)
+
+        def perturbed(g, horizon):
+            counts = list(true_counts[:horizon])
+            counts[-1] += 1
+            return counts
+
+        monkeypatch.setattr(census_module, "count_closed_paths", perturbed)
+        with pytest.raises(CensusError, match="closed-walk count mismatch"):
+            enumerate_primes(WORKED, 4)
 
 
 class TestRatios:
