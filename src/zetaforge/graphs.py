@@ -144,7 +144,10 @@ def matrices(g: MixedGraph) -> MatrixBundle:
     for i, j in g.arrows:
         adj[i][j] += 1
         arr[i][j] += 1
-    degrees = [sum(adj[i][j] - arr[i][j] for j in range(n)) for i in range(n)]
+    degrees = [0] * n  # undirected degree, loops twice
+    for i, j in g.edges:
+        degrees[i] += 1
+        degrees[j] += 1
     exponent = n - len(g.edges)
     assert exponent == -(sum(degrees) - 2 * n) // 2
     return MatrixBundle(tuple(tuple(r) for r in adj),

@@ -9,6 +9,7 @@ non-integral series coefficient) raises instead of rounding.
 from __future__ import annotations
 
 import math
+from operator import add, neg, sub
 from typing import Iterable, Iterator
 
 
@@ -35,9 +36,8 @@ def _norm(coeffs) -> tuple:
 def _add(a, b):
     if len(a) < len(b):
         a, b = b, a
-    out = list(a)
-    for i, x in enumerate(b):
-        out[i] += x
+    out = list(map(add, a, b))
+    out += a[len(b):]
     return _norm(out)
 
 
@@ -55,13 +55,29 @@ def _sub(a, b):
 
 
 def _mul(a, b):
-    if not a or not b:
+    """Product: the longer factor, scaled by each nonzero coefficient of
+    the shorter one, written or added into the output by slice; a
+    coefficient of 1 or -1 needs no multiply."""
+    if len(a) < len(b):
+        a, b = b, a
+    if not b:
         return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
+    la = len(a)
+    out = [0] * (la + len(b) - 1)
+    fresh = True  # nothing written yet: the slice still holds zeros
+    for i, y in enumerate(b):
+        if not y:
+            continue
+        j = i + la
+        if fresh:
+            out[i:j] = a if y == 1 else map(neg if y == -1 else y.__mul__, a)
+            fresh = False
+        elif y == 1:
+            out[i:j] = map(add, out[i:j], a)
+        elif y == -1:
+            out[i:j] = map(sub, out[i:j], a)
+        else:
+            out[i:j] = map(add, out[i:j], map(y.__mul__, a))
     return _norm(out)
 
 

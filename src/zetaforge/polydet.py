@@ -1,15 +1,19 @@
 """Exact determinants of matrices with integer-polynomial entries.
 
-``det_poly`` and ``char_poly`` pick one of two exact routes from the
-support pattern of the matrix, before any arithmetic:
+A matrix is held as one ``{column: coefficient tuple}`` dict per row with
+its nonzero entries only, so the work below follows the nonzeros, not
+n**2.  ``det_poly`` and ``char_poly`` take dense rows or rows given as
+mappings and pick one of two exact routes from the support pattern of
+the matrix, before any arithmetic:
 
 * a division-free expansion that sweeps the rows once and memoizes on the
-  set of used columns that are still "open" (nonzero in an earlier or the
-  current row and in a later row).  Its states are subsets of the open
-  columns, so a matrix whose open width never exceeds ``_SWEEP_WIDTH``
-  has at most 2**_SWEEP_WIDTH states per row.  Banded and otherwise
+  set of used columns.  Once a column's last nonzero row is passed, every
+  live state holds it, so the states differ only in the columns that are
+  still "open" (nonzero in an earlier or the current row and in a later
+  row).  A matrix whose open width never exceeds ``_SWEEP_WIDTH`` has at
+  most 2**_SWEEP_WIDTH states per row.  Banded and otherwise
   locally-connected matrices, long cycle graphs among them, stay nearly
-  linear in the matrix size on this route;
+  linear in the number of nonzeros on this route;
 * evaluation and interpolation for every wider matrix: integer
   fraction-free Bareiss elimination at deg+1 integer points, with deg the
   sum over rows of the largest entry degree, then exact Newton
@@ -21,58 +25,58 @@ against cofactor expansion.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
-from typing import Sequence
+from collections.abc import Mapping
+from itertools import compress
+from typing import Sequence, Union
 
 from .intpoly import DivisibilityError, IntPoly, _add, _mul, _neg, _norm
 
 _SWEEP_WIDTH = 11  # at most 2**11 sweep states per row
 
+Row = Union[Sequence, Mapping]
+
 
 def _frontier_det(rows, n):
-    """Division-free determinant sweep over the rows."""
-    support = [tuple(j for j in range(n) if rows[i][j]) for i in range(n)]
-    if any(not s for s in support):
-        return ()
+    """Division-free determinant sweep over the sparse rows.
+
+    A state is the bit mask of the columns used so far; every live state
+    after row i holds all columns whose last nonzero row is at most i, so
+    dropping the states that miss one of them is the only merge needed.
+    """
     last_row = [-1] * n
-    for i in range(n):
-        for j in support[i]:
-            last_row[j] = i
+    for i, row in enumerate(rows):
+        if not row:
+            return ()  # a zero row
+        for c in row:
+            last_row[c] = i
     if min(last_row) < 0:
         return ()  # an all-zero column
-    states = {frozenset(): (1,)}
-    closed: list[int] = []  # sorted columns already forced to be used
-    for i in range(n):
+    expiring = [0] * n  # bit mask of the columns whose last row is i
+    for c, i in enumerate(last_row):
+        expiring[i] |= 1 << c
+    states = {0: (1,)}
+    for row, need in zip(rows, expiring):
+        # (bit, mask of the columns below it, entry, negated entry)
+        entries = [(1 << c, (1 << c) - 1, e, _neg(e))
+                   for c, e in sorted(row.items())]
         nxt = {}
         for used, val in states.items():
-            for c in support[i]:
-                if c in used:
+            for bit, low, pos, neg in entries:
+                if used & bit:
                     continue
-                below = bisect_left(closed, c) + sum(1 for u in used if u < c)
-                term = _mul(val, rows[i][c])
-                if (c - below) & 1:
-                    term = _neg(term)
-                key = used | {c}
+                # sign of the column among the columns not yet used
+                term = _mul(val, neg if ((low & ~used).bit_count() & 1)
+                            else pos)
+                key = used | bit
                 cur = nxt.get(key)
                 nxt[key] = _add(cur, term) if cur is not None else term
-        expiring = frozenset(c for c in range(n) if last_row[c] == i)
-        if expiring:
-            merged = {}
-            for used, val in nxt.items():
-                if not expiring <= used:
-                    continue  # an expired column stayed unused: dead branch
-                key = used - expiring
-                cur = merged.get(key)
-                merged[key] = _add(cur, val) if cur is not None else val
-            nxt = merged
-            for c in expiring:
-                insort(closed, c)
-        states = {k: v for k, v in nxt.items() if v}
+        states = {k: v for k, v in nxt.items() if v and k & need == need}
         if not states:
             return ()
-    if set(states) != {frozenset()}:
+    full = (1 << n) - 1
+    if list(states) != [full]:
         raise AssertionError("determinant sweep left unresolved columns")
-    return states[frozenset()]
+    return states[full]
 
 
 def _open_width(rows, n):
@@ -80,10 +84,10 @@ def _open_width(rows, n):
     it and nonzero below it."""
     first, last = [n] * n, [-1] * n
     for i, row in enumerate(rows):
-        for j, e in enumerate(row):
-            if e:
-                first[j] = min(first[j], i)
-                last[j] = i
+        for c in row:
+            if first[c] > i:
+                first[c] = i
+            last[c] = i
     delta = [0] * (n + 1)
     for f, t in zip(first, last):
         if f < t:
@@ -116,24 +120,23 @@ def _int_det(m):
 
 
 def _interpolated_det(rows, n):
-    """Determinant by evaluation at the points 0, 1, -1, 2, -2, ... and
-    Newton interpolation; raises DivisibilityError if a divided
-    difference is not an integer."""
-    lengths = [max(len(e) for e in row) for row in rows]
-    if not min(lengths):
+    """Determinant of the sparse rows by evaluation at the points 0, 1,
+    -1, 2, -2, ... and Newton interpolation; raises DivisibilityError if
+    a divided difference is not an integer."""
+    if not all(rows):
         return ()  # a zero row
-    deg = sum(lengths) - n
+    deg = sum(max(len(e) for e in row.values()) for row in rows) - n
     xs = [(k + 1) // 2 * (1 if k & 1 else -1) for k in range(deg + 1)]
     coef = []
     for x in xs:
         m = []
         for row in rows:
-            vals = []
-            for e in row:
+            vals = [0] * n
+            for c, e in row.items():
                 acc = 0
-                for c in reversed(e):
-                    acc = acc * x + c
-                vals.append(acc)
+                for a in reversed(e):
+                    acc = acc * x + a
+                vals[c] = acc
             m.append(vals)
         coef.append(_int_det(m))
     # divided differences in place: coef[k] becomes f[x_0, ..., x_k]
@@ -152,16 +155,34 @@ def _interpolated_det(rows, n):
     return _norm(acc)
 
 
-def _det(matrix, entry) -> IntPoly:
-    """Determinant of a square matrix whose (i, j) entry x becomes the
-    coefficient tuple entry(i, j, x): the sweep when the open width
-    allows it, otherwise evaluation and interpolation."""
+def _sparse(matrix: Sequence[Row], entry) -> list[dict]:
+    """The matrix as one {column: coefficient tuple} dict per row, with the
+    entry x at column j given by entry(x) and zero entries left out.  A
+    row is a dense sequence of length n or a mapping from column indices
+    in [0, n) to entries."""
     n = len(matrix)
     rows = []
-    for i, row in enumerate(matrix):
-        if len(row) != n:
+    for row in matrix:
+        if isinstance(row, Mapping):
+            if not all(isinstance(j, int) and 0 <= j < n for j in row):
+                raise ValueError(f"column index outside [0, {n})")
+            items = row.items()
+        elif len(row) != n:
             raise ValueError("matrix is not square")
-        rows.append(tuple(entry(i, j, x) for j, x in enumerate(row)))
+        else:
+            items = zip(compress(range(n), row), compress(row, row))
+        out = {}
+        for j, x in items:
+            e = entry(x)
+            if e:
+                out[j] = e
+        rows.append(out)
+    return rows
+
+
+def _det(rows, n) -> IntPoly:
+    """Determinant of n sparse rows: the sweep when the open width allows
+    it, otherwise evaluation and interpolation."""
     if n == 0:
         return IntPoly((1,))
     if _open_width(rows, n) <= _SWEEP_WIDTH:
@@ -169,13 +190,18 @@ def _det(matrix, entry) -> IntPoly:
     return IntPoly._raw(_interpolated_det(rows, n))
 
 
-def det_poly(matrix: Sequence[Sequence[IntPoly]]) -> IntPoly:
-    """Exact determinant of a square matrix of IntPoly (or int) entries."""
-    return _det(matrix, lambda i, j, e: e.coeffs if isinstance(e, IntPoly)
-                else _norm((int(e),)))
+def det_poly(matrix: Sequence[Row]) -> IntPoly:
+    """Exact determinant of a square matrix of IntPoly (or int) entries,
+    given as dense rows or as {column: entry} rows."""
+    rows = _sparse(matrix, lambda e: e.coeffs if isinstance(e, IntPoly)
+                   else _norm((int(e),)))
+    return _det(rows, len(rows))
 
 
-def char_poly(matrix: Sequence[Sequence[int]]) -> IntPoly:
-    """Monic characteristic polynomial det(x*I - M) of an integer matrix."""
-    return _det(matrix, lambda i, j, x: _norm((-int(x), 1) if i == j
-                                              else (-int(x),)))
+def char_poly(matrix: Sequence[Row]) -> IntPoly:
+    """Monic characteristic polynomial det(x*I - M) of an integer matrix,
+    given as dense rows or as {column: entry} rows."""
+    rows = _sparse(matrix, lambda x: _norm((-int(x),)))
+    for i, row in enumerate(rows):
+        row[i] = (row.get(i, (0,))[0], 1)
+    return _det(rows, len(rows))

@@ -82,6 +82,20 @@ def _eval_floor(coeffs: list[float], x: float) -> float:
     return 4.0 * _EPS * acc
 
 
+def _converged(coeffs: list[float], scale: float, size: float,
+               x: float) -> bool:
+    """Whether size = |p(z)| at |z| = x is at most _eval_floor(coeffs, x),
+    with scale = 2 * sum|c|.  The floor is computed only when size is at
+    most 4*eps*sum|c|*max(1, x)^deg, an upper bound on it; the factor 2 in
+    scale covers the rounding of both and makes the bound overflow to inf
+    wherever the floor can."""
+    try:
+        cap = 4.0 * _EPS * (scale * max(1.0, x) ** (len(coeffs) - 1))
+    except OverflowError:
+        cap = float("inf")
+    return size <= cap and size <= _eval_floor(coeffs, x)
+
+
 def _aberth(coeffs: list[float], tol: float) -> list[complex]:
     """All roots of a square-free polynomial given by float coefficients."""
     deg = len(coeffs) - 1
@@ -92,6 +106,7 @@ def _aberth(coeffs: list[float], tol: float) -> list[complex]:
     if deg == 1:
         return [-coeffs[0] / coeffs[1]]
     done = [False] * deg
+    scale = 2.0 * sum(abs(c) for c in coeffs)
     worst = float("inf")
     for _ in range(_MAX_ITER):
         worst = 0.0
@@ -100,7 +115,7 @@ def _aberth(coeffs: list[float], tol: float) -> list[complex]:
                 continue
             zk = z[k]
             val, der = _horner2(coeffs, zk)
-            if abs(val) <= _eval_floor(coeffs, abs(zk)):
+            if _converged(coeffs, scale, abs(val), abs(zk)):
                 done[k] = True
                 continue
             if der == 0:
@@ -109,12 +124,16 @@ def _aberth(coeffs: list[float], tol: float) -> list[complex]:
                 continue
             w = val / der
             s = 0j
-            for j in range(deg):
-                if j != k:
-                    diff = zk - z[j]
-                    if diff == 0:
-                        diff = tol
-                    s += 1.0 / diff
+            for zj in z[:k]:
+                diff = zk - zj
+                if not diff:
+                    diff = tol
+                s += 1.0 / diff
+            for zj in z[k + 1:]:
+                diff = zk - zj
+                if not diff:
+                    diff = tol
+                s += 1.0 / diff
             denom = 1.0 - w * s
             step = w if denom == 0 else w / denom
             z[k] = zk - step

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 
 from .graphs import MixedGraph, degree_profile, is_connected, matrices
 from .intpoly import IntPoly, exact_div
@@ -38,14 +39,13 @@ _ONE_MINUS_Z2 = IntPoly((1, 0, -1))
 def zeta_inverse(g: MixedGraph) -> IntPoly:
     """Reciprocal zeta polynomial of a normalized graph; constant term 1."""
     b = matrices(g)
-    n = g.node_count
+    cols = range(g.node_count)
     rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            c0 = 1 if i == j else 0
-            c2 = b.degree_diag[i] if i == j else 0
-            row.append(IntPoly((c0, -b.adjacency[i][j], c2, b.arrows[i][j])))
+    for i, (adj, arr) in enumerate(zip(b.adjacency, b.arrows)):
+        # arrows count in the adjacency, so its support covers both
+        row = {j: IntPoly((0, -adj[j], 0, arr[j]))
+               for j in compress(cols, adj)}
+        row[i] = IntPoly((1, -adj[i], b.degree_diag[i], arr[i]))
         rows.append(row)
     det = det_poly(rows)
     e = b.exponent
@@ -62,10 +62,12 @@ def directed_zeta_inverse(g: MixedGraph) -> IntPoly:
     if g.edges:
         raise ValueError("graph has undirected edges; only fully directed "
                          "graphs admit the det(I - zA) form")
-    b = matrices(g)
-    n = g.node_count
-    rows = [[IntPoly(((1 if i == j else 0), -b.adjacency[i][j]))
-             for j in range(n)] for i in range(n)]
+    cols = range(g.node_count)
+    rows = []
+    for i, adj in enumerate(matrices(g).adjacency):
+        row = {j: IntPoly((0, -adj[j])) for j in compress(cols, adj)}
+        row[i] = IntPoly((1, -adj[i]))
+        rows.append(row)
     return det_poly(rows)
 
 

@@ -338,3 +338,13 @@ def test_criterion_10_census_reach():
     report(10, f"census of E6 with two loops per node to L=10 equals the "
                f"series and its Moebius inversion ({elapsed:.1f}s < 10s)",
            ok and elapsed < 10.0)
+
+
+def test_criterion_11_thousand_node_cycle():
+    start = time.time()
+    expect = [0] * 2001
+    expect[0], expect[1000], expect[2000] = 1, -2, 1
+    ok = zeta_inverse(ade_graph("A", 999)) == IntPoly(expect)
+    elapsed = time.time() - start
+    report(11, f"1000-node cycle closed form 1 - 2z^1000 + z^2000 "
+               f"({elapsed:.1f}s < 5s)", ok and elapsed < 5.0)

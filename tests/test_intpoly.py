@@ -3,7 +3,8 @@ import random
 import pytest
 
 from zetaforge.intpoly import (_CERT_PRIMES, DivisibilityError, IntPoly,
-                               SeriesError, _certified_squarefree, _yun,
+                               SeriesError, _add, _certified_squarefree,
+                               _mul, _norm, _yun,
                                exact_div, log_derivative_series,
                                mobius_invert, poly_gcd, primitive_part,
                                squarefree_factors)
@@ -17,6 +18,47 @@ def yun_split(p):
     """Yun's algorithm on the whole primitive part, with no shortcut."""
     pp = primitive_part(p)
     return _yun(pp) if pp.degree >= 1 else []
+
+
+def schoolbook_mul(a, b):
+    """The plain double loop over both factors: the reference for _mul."""
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return _norm(out)
+
+
+def random_coeffs(rng, max_len):
+    """A normalized coefficient tuple, rich in zeros and in +-1."""
+    pool = [0, 0, 0, 1, 1, -1, -1, 2, -3, 10 ** 30, -(2 ** 70)]
+    return _norm(tuple(rng.choice(pool) if rng.random() < 0.8
+                       else rng.randint(-10 ** 6, 10 ** 6)
+                       for _ in range(rng.randint(0, max_len))))
+
+
+class TestKernels:
+    def test_mul_matches_schoolbook(self):
+        rng = random.Random(31)
+        for _ in range(2000):
+            a = random_coeffs(rng, rng.choice([0, 1, 4, 40]))
+            b = random_coeffs(rng, rng.choice([0, 1, 4, 40]))
+            assert _mul(a, b) == _mul(b, a) == schoolbook_mul(a, b)
+
+    def test_add_matches_termwise_sum(self):
+        rng = random.Random(37)
+        for _ in range(1000):
+            a = random_coeffs(rng, 12)
+            b = random_coeffs(rng, 12)
+            long = max(len(a), len(b))
+            a0 = list(a) + [0] * (long - len(a))
+            b0 = list(b) + [0] * (long - len(b))
+            assert _add(a, b) == _norm([x + y for x, y in zip(a0, b0)])
+        # cancellation of the leading terms renormalizes
+        assert _add((1, 2, 3), (0, -2, -3)) == (1,)
 
 
 class TestArithmetic:

@@ -12,6 +12,12 @@ def P(*coeffs):
     return IntPoly(coeffs)
 
 
+def sparse(m):
+    """The private routes' input: one {column: coefficient tuple} dict per
+    row of an IntPoly matrix, nonzero entries only."""
+    return [{j: e.coeffs for j, e in enumerate(row) if e} for row in m]
+
+
 def det_cofactor(m):
     if len(m) == 1:
         return m[0][0]
@@ -74,7 +80,7 @@ class TestDetPoly:
         for _ in range(40):
             n = rng.randint(2, 7)
             m = random_matrix(rng, n, density=0.5)
-            rows = [tuple(e.coeffs for e in row) for row in m]
+            rows = sparse(m)
             a = _frontier_det(rows, n)
             b = _interpolated_det(rows, n)
             assert a == b == det_cofactor(m).coeffs
@@ -93,7 +99,7 @@ class TestDetPoly:
             vanishing = random_matrix(rng, n, density=0.8, max_deg=1)
             vanishing[0] = [e * z2_minus_z for e in vanishing[0]]
             for m in (zero_row, zero_col, vanishing):
-                rows = [tuple(e.coeffs for e in row) for row in m]
+                rows = sparse(m)
                 expect = det_cofactor(m).coeffs
                 assert _frontier_det(rows, n) == expect
                 assert _interpolated_det(rows, n) == expect
@@ -102,7 +108,7 @@ class TestDetPoly:
         rng = random.Random(23)
         for n in range(8, 15):
             m = random_matrix(rng, n, density=0.5)
-            rows = [tuple(e.coeffs for e in row) for row in m]
+            rows = sparse(m)
             assert _interpolated_det(rows, n) == _frontier_det(rows, n)
 
     def test_route_chosen_by_open_width(self, monkeypatch):
@@ -145,6 +151,34 @@ class TestDetPoly:
         assert det.denominator == 1
         got = det_poly([[P(x) for x in row] for row in m])
         assert got == P(int(det))
+
+    def test_mapping_rows_match_dense_rows_on_both_routes(self, monkeypatch):
+        rng = random.Random(43)
+        for n, density in ((1, 0.9), (5, 0.6), (8, 0.5), (10, 0.3)):
+            for _ in range(3):
+                m = random_matrix(rng, n, density=density)
+                mapped = [{j: e for j, e in enumerate(row) if e or
+                           rng.random() < 0.3} for row in m]
+                ints = [[rng.randint(-2, 2) if rng.random() < density else 0
+                         for _ in range(n)] for _ in range(n)]
+                int_mapped = [{j: x for j, x in enumerate(row) if x}
+                              for row in ints]
+                expect = det_poly(m)
+                for route in ("_frontier_det", "_interpolated_det"):
+                    # force each route by widening or closing the sweep
+                    monkeypatch.setattr(polydet, "_SWEEP_WIDTH",
+                                        n if route == "_frontier_det" else -1)
+                    assert det_poly(mapped) == det_poly(m) == expect
+                    assert det_poly(int_mapped) == det_poly(ints)
+                    assert char_poly(int_mapped) == char_poly(ints)
+                monkeypatch.undo()
+
+    def test_column_index_outside_range_rejected(self):
+        for bad in (3, -1, 7):
+            with pytest.raises(ValueError):
+                det_poly([{0: P(1)}, {1: P(1)}, {bad: P(1)}])
+            with pytest.raises(ValueError):
+                char_poly([{0: 1}, {bad: 2}, {}])
 
     def test_large_cycle_is_fast(self):
         # banded-plus-corner matrix: the frontier sweep must stay linear-ish

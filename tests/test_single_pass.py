@@ -14,6 +14,7 @@ import pytest
 
 from zetaforge import catalog, cli, zeta
 from zetaforge.catalog import ade_graph, load_catalog, verify_catalog
+from zetaforge.intpoly import IntPoly
 
 # F2 Hirzebruch quiver: a chiral quiver with arrows only
 HIRZ2 = {"nodes": 4, "arrows": [[0, 1], [0, 1], [0, 3], [0, 3], [1, 2], [1, 2],
@@ -124,3 +125,26 @@ def test_rh_csv_rejected_before_analysis(calls, capsys):
     assert cli.main(["rh", "--ade", "A5", "--format", "csv"]) == 1
     assert "invalid choice" in capsys.readouterr().err
     assert calls == {}
+
+
+def test_zeta_inverse_builds_entries_only_for_nonzeros(monkeypatch):
+    """The 400-cycle has 3n nonzero entries: at most 4n IntPoly objects,
+    not one per entry of the n x n matrix."""
+    built = Counter()
+    init, raw = IntPoly.__init__, IntPoly._raw.__func__
+
+    def counted_init(self, *args, **kwargs):
+        built["IntPoly"] += 1
+        init(self, *args, **kwargs)
+
+    def counted_raw(cls, coeffs):
+        built["IntPoly"] += 1
+        return raw(cls, coeffs)
+
+    g = ade_graph("A", 399)
+    monkeypatch.setattr(IntPoly, "__init__", counted_init)
+    monkeypatch.setattr(IntPoly, "_raw", classmethod(counted_raw))
+    result = zeta.zeta_inverse(g)
+    monkeypatch.undo()
+    assert result.coeffs == (1,) + (0,) * 399 + (-2,) + (0,) * 399 + (1,)
+    assert 0 < built["IntPoly"] <= 4 * g.node_count
