@@ -211,9 +211,13 @@ def _cmd_primes(args, parser) -> int:
         parser.error(f"horizon -L must be in 1..{HORIZON_LIMIT}")
     g = _load_graph(args, parser)
     census = enumerate_primes(g, args.horizon)
-    r_g = find_roots(zeta_inverse(g), args.tol, args.merge).min_modulus()
     try:
+        r_g = find_roots(zeta_inverse(g), args.tol, args.merge).min_modulus()
         ratios = pnt_ratios(census, r_g)
+    except NumericalError as err:
+        # the counts are exact; only the ratios need R_G
+        print(f"zetaforge: no pnt ratios: {err}", file=sys.stderr)
+        ratios = {}
     except CensusError:
         ratios = {}
     rows = []

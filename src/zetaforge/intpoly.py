@@ -333,8 +333,8 @@ def poly_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
 _CERT_PRIMES = (2**61 - 1, 2**61 - 31, 2**61 - 45)
 
 
-def _unit_root_split(a: tuple, root: int) -> tuple[int, tuple]:
-    """Multiplicity of the root +1 or -1 in a, and a with it divided out
+def _root_split(a: tuple, root: int) -> tuple[int, tuple]:
+    """Multiplicity of an integer root in a, and a with it divided out
     (synthetic division until the remainder is nonzero)."""
     mult = 0
     while len(a) > 1:
@@ -391,8 +391,8 @@ def squarefree_factors(p: IntPoly) -> list[tuple[IntPoly, int]]:
     if p.is_zero:
         raise ValueError("zero polynomial has no square-free splitting")
     pp = primitive_part(p)
-    ones, rest = _unit_root_split(pp.coeffs, 1)
-    minus_ones, rest = _unit_root_split(rest, -1)
+    ones, rest = _root_split(pp.coeffs, 1)
+    minus_ones, rest = _root_split(rest, -1)
     r = IntPoly._raw(rest)
     if r.degree < 1:
         parts = []

@@ -3,14 +3,25 @@
 The polynomial is first split into square-free factors (exact integer
 arithmetic), so the simultaneous Aberth-Ehrlich iteration only ever sees
 simple roots and converges quadratically; multiplicities come from the
-square-free splitting instead of from fragile numerical clustering.
-Initial guesses follow a fixed radius/angle schedule, so repeated runs
-are bit-for-bit identical.
+square-free splitting instead of from fragile numerical clustering.  A
+factor f(z) = g(z^k) whose exponents share a gcd k > 1 is solved as g,
+and each root of g is mapped to its k k-th roots.  The starting points
+lie on the radii of the Newton polygon of the integer coefficients, at a
+fixed angle schedule, so repeated runs are bit-for-bit identical.
+
+The float roots are checked: a non-finite root, or roots that miss the
+power sums that Newton's identities give exactly from the coefficients,
+raise NumericalError instead of reaching a verdict.  Each root is then
+refined by Newton's method on its factor in integer fixed point and
+rounded once, so the returned roots are the floats nearest to the exact
+roots, real roots have imaginary part exactly 0.0, and conjugate roots
+are exact conjugates.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 from .intpoly import IntPoly, squarefree_factors
@@ -19,10 +30,17 @@ DEFAULT_TOL = 1e-12
 DEFAULT_MERGE = 1e-8
 _MAX_ITER = 400
 _ANGLE_OFFSET = 0.39  # radians; keeps starting points off symmetry axes
+_PREC = 128  # initial fraction bits of _refine
+_MAX_PREC = 2048
+_STEPS = 8  # Newton steps of _refine per precision
+_SETTLED = 93  # bits: 53 of a double and 40 more
+_SUM_TOL = 1e-6  # relative miss allowed on a power sum
 
 
 class NumericalError(RuntimeError):
-    """Root iteration failed to converge within the iteration cap."""
+    """Root iteration failed to converge within the iteration cap, its
+    roots failed the finiteness or power-sum check, or their refinement
+    failed."""
 
 
 @dataclass(frozen=True)
@@ -49,13 +67,45 @@ class RootSet:
         return min(self.moduli(), default=float("inf"))
 
 
-def _float_coeffs(p: IntPoly) -> list[float]:
-    scale = max(abs(c) for c in p.coeffs)
+def _float_coeffs(coeffs: tuple[int, ...]) -> list[float]:
+    scale = max(abs(c) for c in coeffs)
     if scale < 10**280:
-        return [float(c) for c in p.coeffs]
+        return [float(c) for c in coeffs]
     # beyond float range: normalize by the largest coefficient (same roots;
     # residuals are then relative to that coefficient)
-    return [c / scale for c in p.coeffs]
+    return [c / scale for c in coeffs]
+
+
+def _starts(coeffs: tuple[int, ...]) -> list[complex]:
+    """Aberth starting points of a polynomial with integer coefficients
+    and a nonzero constant term (Bini 1996, Numer. Algorithms 13).
+
+    Each edge i -> j of the upper convex hull of the points
+    (i, log|c_i|) over the nonzero coefficients stands for j - i roots of
+    modulus about (|c_i| / |c_j|)^(1/(j - i)); that many points go on
+    that circle, at angles 2*pi*(t/(j - i) + i/deg) + _ANGLE_OFFSET.
+    Logarithms of the integers themselves keep any size in float range.
+    """
+    deg = len(coeffs) - 1
+    hull: list[tuple[int, float]] = []
+    for i, c in enumerate(coeffs):
+        if not c:
+            continue
+        x3, y3 = i, math.log(abs(c))
+        # drop the last vertex while it lies on or below the chord
+        while len(hull) >= 2:
+            (x1, y1), (x2, y2) = hull[-2], hull[-1]
+            if (y2 - y1) * (x3 - x1) > (y3 - y1) * (x2 - x1):
+                break
+            hull.pop()
+        hull.append((x3, y3))
+    z = []
+    for (i, yi), (j, yj) in zip(hull, hull[1:]):
+        count = j - i
+        radius = math.exp((yi - yj) / count)
+        z += [cmath.rect(radius, 2.0 * math.pi * (t / count + i / deg)
+                         + _ANGLE_OFFSET) for t in range(count)]
+    return z
 
 
 def _horner2(coeffs: list[float], x: complex) -> tuple[complex, complex]:
@@ -96,15 +146,14 @@ def _converged(coeffs: list[float], scale: float, size: float,
     return size <= cap and size <= _eval_floor(coeffs, x)
 
 
-def _aberth(coeffs: list[float], tol: float) -> list[complex]:
-    """All roots of a square-free polynomial given by float coefficients."""
+def _aberth(poly: tuple[int, ...], tol: float) -> list[complex]:
+    """All roots of a square-free polynomial given by integer
+    coefficients, with a nonzero constant term."""
+    coeffs = _float_coeffs(poly)
     deg = len(coeffs) - 1
-    lead = coeffs[-1]
-    radius = 1.0 + max(abs(c / lead) for c in coeffs[:-1])
-    z = [radius * cmath.exp(2j * cmath.pi * (k / deg) + 1j * _ANGLE_OFFSET)
-         for k in range(deg)]
     if deg == 1:
         return [-coeffs[0] / coeffs[1]]
+    z = _starts(poly)
     done = [False] * deg
     scale = 2.0 * sum(abs(c) for c in coeffs)
     worst = float("inf")
@@ -147,6 +196,178 @@ def _aberth(coeffs: list[float], tol: float) -> list[complex]:
         f"sweeps (degree {deg}, last correction {worst:.3e})")
 
 
+def _real_flags(roots: list[complex]) -> list[bool]:
+    """Which roots of a polynomial with real coefficients are taken as
+    real.  Non-real roots come in conjugate pairs, so the root nearest to
+    the conjugate of a non-real root is its partner, unless the iterates
+    are too rough to tell the two apart; a real root is its own nearest.
+    """
+    flags = []
+    for i, z in enumerate(roots):
+        reach = 2.0 * abs(z.imag)
+        c = z.conjugate()
+        flags.append(not any(abs(w - c) < reach
+                             for j, w in enumerate(roots) if j != i))
+    return flags
+
+
+def _kth_roots(w: complex, k: int, real: bool) -> list[complex]:
+    """Starting points for the k solutions of z^k = w != 0.  For real w
+    (real=True) those at angles that are multiples of pi/2 are put
+    exactly on the axes, which _refine keeps them on."""
+    r = abs(w) ** (1.0 / k)
+    if not real:
+        phase = cmath.phase(w)
+        return [cmath.rect(r, (phase + 2.0 * math.pi * t) / k)
+                for t in range(k)]
+    axes = ((r, 0.0), (0.0, r), (-r, 0.0), (0.0, -r))
+    odd = w.real < 0  # the angles are pi*a/k with a = 2t + odd
+    return [complex(*axes[2 * a // k % 4]) if not 2 * a % k
+            else cmath.rect(r, math.pi * a / k)
+            for a in range(odd, 2 * k, 2)]
+
+
+def _refine(g: tuple[int, ...], k: int, z: complex) -> complex:
+    """The root of f(z) = g(z^k) near z, rounded once to the nearest
+    complex float.
+
+    Newton's method, z <- z - f(z)/f'(z) = z (1 - g(u) / (k u g'(u)))
+    with u = z^k, runs in fixed-point complex arithmetic on Python ints
+    with _PREC fraction bits (more when |u| < 1), doubling them up to
+    _MAX_PREC, until a step is below 2^-_SETTLED of |z|: 40 bits beyond
+    a double, so both components round correctly unless the root lies
+    that close to a rounding boundary.  Exact zero components stay zero,
+    so real starting points give real roots, and the imaginary ones that
+    _kth_roots puts on the axis stay there.  Raises NumericalError when
+    the iteration wanders off or does not settle.
+    """
+    if not z:
+        raise NumericalError("Newton refinement cannot start at 0")
+    prec = _PREC
+    s = prec + max(0, math.ceil(-k * math.log2(abs(z))))
+    x, y = (_fixed(c, s) for c in (z.real, z.imag))
+    while True:
+        for _ in range(_STEPS):
+            ux, uy, px, py, e = x, y, x, y, k - 1  # u = z^k by squaring
+            while e:
+                if e & 1:
+                    ux, uy = (ux * px - uy * py) >> s, (ux * py + uy * px) >> s
+                e >>= 1
+                if e:
+                    px, py = (px * px - py * py) >> s, (px * py) >> (s - 1)
+            vx, vy, dx, dy = g[-1] << s, 0, 0, 0  # g(u) and g'(u), Horner
+            for c in g[-2::-1]:
+                dx, dy = (((dx * ux - dy * uy) >> s) + vx,
+                          ((dx * uy + dy * ux) >> s) + vy)
+                vx, vy = (((vx * ux - vy * uy) >> s) + (c << s),
+                          (vx * uy + vy * ux) >> s)
+            qx = k * ((ux * dx - uy * dy) >> s)  # k u g'(u)
+            qy = k * ((ux * dy + uy * dx) >> s)
+            nx, ny = (x * vx - y * vy) >> s, (x * vy + y * vx) >> s  # z g(u)
+            norm = qx * qx + qy * qy
+            if not norm:
+                raise NumericalError(
+                    f"Newton refinement hit a critical point near {z!r}")
+            sx = ((nx * qx + ny * qy) << s) // norm
+            sy = ((ny * qx - nx * qy) << s) // norm
+            size = abs(x) + abs(y)
+            if abs(sx) + abs(sy) > size:
+                raise NumericalError(
+                    f"Newton refinement left the root near {z!r}")
+            x, y = x - sx, y - sy
+            if (abs(sx) + abs(sy)) << _SETTLED <= size:
+                return complex(x / (1 << s), y / (1 << s))
+        if prec >= _MAX_PREC:
+            raise NumericalError(
+                f"Newton refinement of the root near {z!r} did not settle "
+                f"at {_MAX_PREC} bits")
+        x, y, s, prec = x << prec, y << prec, s + prec, 2 * prec
+
+
+def _fixed(x: float, s: int) -> int:
+    """x * 2^s rounded down to an integer, exactly."""
+    num, den = x.as_integer_ratio()
+    return (num << s) // den
+
+
+def _factor_roots(coeffs: tuple[int, ...], tol: float) -> list[complex]:
+    """Float roots of a square-free factor with a nonzero constant term;
+    a factor g(z^k) is solved as g, then mapped to k-th roots.  Roots
+    taken as real (_real_flags) have imaginary part exactly 0.0."""
+    k = math.gcd(*(i for i, c in enumerate(coeffs) if c))
+    ws = _aberth(coeffs[::k], tol)
+    bad = sum(not cmath.isfinite(w) for w in ws)
+    if bad:
+        raise NumericalError(
+            f"{bad * k} of {len(coeffs) - 1} roots are not finite")
+    flags = _real_flags(ws)
+    ws = [complex(w.real, 0.0) if real else w for w, real in zip(ws, flags)]
+    if k == 1:
+        return ws
+    return [z for w, real in zip(ws, flags) for z in _kth_roots(w, k, real)]
+
+
+def _refined(coeffs: tuple[int, ...], roots: list[complex]) -> list[complex]:
+    """_factor_roots' roots of a square-free factor f, refined by _refine.
+
+    f has real coefficients, f(-z) = f(z) when its exponent gcd k is
+    even and f(iz) = f(z) when 4 divides k, and rounding commutes with
+    conjugation and these turns.  So only the roots with an angle in
+    [0, pi/turns] are refined, and the others are their exact images.
+    When the images are not deg f distinct roots (iterates astride a
+    sector edge, or two roots refined to one), each root is refined on
+    its own; NumericalError is raised if two of them refine to the same
+    root.
+    """
+    k = math.gcd(*(i for i, c in enumerate(coeffs) if c))
+    g, turns = coeffs[::k], 4 if k % 4 == 0 else 2 if k % 2 == 0 else 1
+    images = set()
+    for z in roots:
+        if z.imag < 0 or (turns > 1 and z.real < 0) or (
+                turns == 4 and (not z.real or z.imag > z.real * (1 + 2**-40))):
+            continue
+        for p in (r := _refine(g, k, z), r.conjugate()):
+            for _ in range(turns):
+                images.add(complex(p.real + 0.0, p.imag + 0.0))  # no -0.0
+                p = complex(-p.imag, p.real) if turns == 4 else -p
+    if len(images) == len(roots):
+        return list(images)
+    out = [_refine(g, k, z) for z in roots]
+    if len(set(out)) < len(out):
+        raise NumericalError(
+            f"roots of a degree-{len(coeffs) - 1} factor refine to the "
+            "same point")
+    return out
+
+
+def _check_power_sums(p: IntPoly, roots) -> None:
+    """Raise NumericalError unless the (root, multiplicity) pairs meet
+    the power sums sum m*z^j, j = 1, 2, that Newton's identities give
+    exactly from the coefficients of p, and sum m*z^-j too when p(0) != 0,
+    each within _SUM_TOL * (1 + sum m*|z|^j)."""
+    c = p.coeffs
+    sides = [(c[::-1], 1)]  # leading coefficient first
+    if c[0]:
+        sides.append((c, -1))  # the reversed polynomial has roots 1/z
+    for a, sign in sides:
+        a0, a1, a2 = a[0], a[1], a[2] if len(a) > 2 else 0
+        try:
+            exact = (-a1 / a0, (a1 * a1 - 2 * a0 * a2) / (a0 * a0))
+            for j, want in enumerate(exact, 1):
+                power = sign * j
+                got = sum(m * z ** power for z, m in roots)
+                scale = sum(m * abs(z) ** power for z, m in roots)
+                if not abs(got - want) <= _SUM_TOL * (1.0 + scale):
+                    raise NumericalError(
+                        f"roots of the degree-{p.degree} polynomial miss "
+                        f"the power sum of z^{power}: {got:.6g} against "
+                        f"{want:.6g}")
+        except (OverflowError, ZeroDivisionError) as err:
+            raise NumericalError(
+                f"power sums of the degree-{p.degree} polynomial out of "
+                f"float range: {err}") from None
+
+
 def _merge(cands: list[tuple[complex, int]], merge_tol: float):
     """Greedy clustering of (root, multiplicity) pairs within merge_tol."""
     cands = sorted(cands, key=lambda rm: (rm[0].real, rm[0].imag))
@@ -167,7 +388,9 @@ def find_roots(p: IntPoly, tol: float = DEFAULT_TOL,
     """All complex roots of a nonzero integer polynomial.
 
     Returns a RootSet whose multiplicities sum to deg(p); roots closer
-    than merge_tol are merged.  Raises NumericalError on non-convergence.
+    than merge_tol are merged.  Raises NumericalError on non-convergence,
+    on a non-finite root, on roots that miss the exact power sums (see
+    _check_power_sums) and when Newton refinement fails (see _refine).
     """
     if p.is_zero:
         raise ValueError("zero polynomial has every point as a root")
@@ -180,14 +403,14 @@ def find_roots(p: IntPoly, tol: float = DEFAULT_TOL,
         p_reduced = IntPoly(p.coeffs[zero_mult:])
     else:
         p_reduced = p
-    cands: list[tuple[complex, int]] = []
-    if zero_mult:
-        cands.append((0j, zero_mult))
+    factors = []
     if p_reduced.degree > 0:
-        for factor, mult in squarefree_factors(p_reduced):
-            for root in _aberth(_float_coeffs(factor), tol):
-                cands.append((root, mult))
-    merged = tuple(_merge(cands, merge_tol))
-    fc = _float_coeffs(p)
+        factors = [(f.coeffs, m, _factor_roots(f.coeffs, tol))
+                   for f, m in squarefree_factors(p_reduced)]
+    head = [(0j, zero_mult)] if zero_mult else []
+    _check_power_sums(p, head + [(z, m) for _, m, zs in factors for z in zs])
+    merged = tuple(_merge(head + [(z, m) for f, m, zs in factors
+                                  for z in _refined(f, zs)], merge_tol))
+    fc = _float_coeffs(p.coeffs)
     residual = max((abs(_horner2(fc, r)[0]) for r, _ in merged), default=0.0)
     return RootSet(merged, residual)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import compress
 
 from .graphs import MixedGraph, degree_profile, is_connected, matrices
-from .intpoly import IntPoly, exact_div
+from .intpoly import IntPoly, _root_split, exact_div
 from .polydet import char_poly, det_poly
 from .rootfind import DEFAULT_MERGE, DEFAULT_TOL, RootSet, find_roots
 
@@ -80,18 +80,46 @@ def adjacency_spectrum(g: MixedGraph, tol: float = DEFAULT_TOL,
 def is_ramanujan(g: MixedGraph, tol: float = DEFAULT_TOL,
                  merge_tol: float = DEFAULT_MERGE) -> bool:
     """Whether a regular undirected graph has all nontrivial adjacency
-    eigenvalues within 2*sqrt(degree - 1) in absolute value."""
+    eigenvalues (those other than +-degree) within 2*sqrt(degree - 1) in
+    absolute value.
+
+    Decided exactly, with no eigenvalue computed: the eigenvalues of the
+    symmetric integer adjacency matrix are real, so Descartes' rule
+    counts those with lambda^2 > 4(k - 1) exactly (see _squares_above).
+    The graph is Ramanujan iff they are just the trivial eigenvalues +-k,
+    which exceed the bound unless k = 2.  tol and merge_tol are unused
+    and kept for compatibility.
+    """
     if not g.is_undirected:
         raise ValueError("Ramanujan test requires an undirected graph")
     profile = degree_profile(g)
     if not profile.is_regular:
         raise ValueError("Ramanujan test requires a regular graph")
     k = profile.max_degree
-    spec = adjacency_spectrum(g, tol, merge_tol)
-    bound = 2.0 * math.sqrt(k - 1) + _MODULUS_TOL
-    nontrivial = [abs(lam) for lam, _ in spec
-                  if abs(abs(lam) - k) > _MODULUS_TOL]
-    return max(nontrivial, default=0.0) <= bound
+    chi = char_poly(matrices(g).adjacency).coeffs
+    trivial = 0
+    if k != 2:
+        trivial = _root_split(chi, k)[0]
+        if k:
+            trivial += _root_split(chi, -k)[0]
+    return _squares_above(chi, 4 * (k - 1)) == trivial
+
+
+def _squares_above(chi: tuple, bound: int) -> int:
+    """Number of roots lambda of chi, all real, with lambda^2 > bound,
+    counted with multiplicity.
+
+    With chi(x) = E(x^2) + x O(x^2), H(y) = E(y)^2 - y O(y)^2 has the
+    roots lambda^2; the Taylor shift H(y + bound) has only real roots,
+    so its sign variations count its positive roots exactly.
+    """
+    even, odd = IntPoly(chi[0::2]), IntPoly(chi[1::2])
+    h = list((even * even - IntPoly.term(1, 1) * odd * odd).coeffs)
+    for i in range(len(h) - 1):
+        for j in range(len(h) - 2, i - 1, -1):
+            h[j] += bound * h[j + 1]
+    signs = [c > 0 for c in h if c]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
 def _q_reversal(p: IntPoly, q: int) -> IntPoly:

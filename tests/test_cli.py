@@ -63,6 +63,55 @@ class TestRhVerb:
         assert doc["ramanujan"] is True
 
 
+class TestNumericalVerdicts:
+    """Verdicts that used to rest on wrong or NaN float roots."""
+
+    def test_large_cycles_are_ramanujan(self, capsys):
+        for spec in ("A82", "A99"):
+            code, out, _ = run(capsys, "rh", "--ade", spec, "--format", "json")
+            assert code == 0
+            doc = json.loads(out)
+            assert doc["ramanujan"] is True and abs(doc["r_g"] - 1) < 1e-15
+
+    def test_edgeless_graph(self, capsys, tmp_path):
+        path = tmp_path / "edgeless.json"
+        path.write_text(json.dumps({"nodes": 2, "edges": [], "arrows": []}))
+        code, out, err = run(capsys, "rh", "--graph", str(path))
+        assert code == 0 and err == ""
+        assert "ramanujan: True" in out.splitlines()
+        assert "classification: Trivial (T)" in out.splitlines()
+
+    def test_unreliable_roots_exit_three(self, capsys):
+        """The 100-cycle's eigenvalues and the loop-decorated D_n poles are
+        beyond float64 Aberth: they fail the power-sum check."""
+        cases = [("spectrum", "--ade", "A99")] + [
+            ("rh", "--ade", f"D{n}", "--loops") for n in (20, 30, 40)]
+        for argv in cases:
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (3, ""), argv
+            assert "power sum" in err
+
+    def test_coarse_merge_is_not_a_failed_check(self, capsys):
+        """--merge 0.05 merges 2 with 2cos(pi/20) and -2 with its
+        neighbour on the 40-cycle; the roots are checked before that."""
+        code, out, err = run(capsys, "spectrum", "--ade", "A39",
+                             "--merge", "0.05")
+        assert (code, err) == (0, "")
+        mults = [int(line.split()[-1]) for line in out.splitlines()]
+        assert sum(mults) == 40 and len(mults) < 21 and max(mults) > 2
+
+    def test_primes_keeps_its_counts_when_the_roots_fail(self, capsys):
+        """D14 with loops fails the power-sum check: the exact counts are
+        still printed, without the pnt ratios that need R_G."""
+        code, out, err = run(capsys, "primes", "--ade", "D14", "--loops",
+                             "-L", "3")
+        assert code == 0
+        assert "no pnt ratios" in err and "power sum" in err
+        rows = [line.split() for line in out.splitlines()[2:]]
+        assert [row[-1] for row in rows] == ["-"] * 3
+        assert [int(row[2]) for row in rows] == [60, 60, 120]
+
+
 class TestPrimesVerb:
     def test_triangle_table(self, capsys):
         code, out, _ = run(capsys, "primes", "--ade", "A2", "-L", "6")

@@ -1,6 +1,8 @@
 import cmath
 import math
 import random
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import pytest
 
@@ -10,8 +12,8 @@ from zetaforge.graphs import matrices
 from zetaforge.intpoly import IntPoly
 from zetaforge.polydet import char_poly
 from zetaforge.rootfind import (_ANGLE_OFFSET, _MAX_ITER, NumericalError,
-                                _converged, _eval_floor, _horner2,
-                                find_roots)
+                                _converged, _eval_floor, _float_coeffs,
+                                _horner2, _kth_roots, _starts, find_roots)
 from zetaforge.zeta import zeta_inverse
 
 
@@ -106,16 +108,15 @@ class TestFindRoots:
         assert abs(abs(r1) - 1 / cmath.sqrt(5).real) < 1e-12
 
 
-def reference_aberth(coeffs, tol):
-    """The plain loop version of rootfind._aberth: the backward-error
-    floor at every iterate and an index test in the pairwise sum."""
+def reference_aberth(poly, tol):
+    """The plain loop version of rootfind._aberth, from the same starting
+    points: the backward-error floor at every iterate and an index test
+    in the pairwise sum."""
+    coeffs = _float_coeffs(poly)
     deg = len(coeffs) - 1
-    lead = coeffs[-1]
-    radius = 1.0 + max(abs(c / lead) for c in coeffs[:-1])
-    z = [radius * cmath.exp(2j * cmath.pi * (k / deg) + 1j * _ANGLE_OFFSET)
-         for k in range(deg)]
     if deg == 1:
         return [-coeffs[0] / coeffs[1]]
+    z = rootfind._starts(poly)
     done = [False] * deg
     worst = float("inf")
     for _ in range(_MAX_ITER):
@@ -209,9 +210,275 @@ def test_converged_decides_like_the_floor():
                 assert _converged(coeffs, scale, size, x) == (size <= floor)
 
 
+def outcome(p):
+    """repr of the roots, or the text of the NumericalError raised."""
+    try:
+        return repr(find_roots(p))
+    except NumericalError as err:
+        return f"NumericalError: {err}"
+
+
 @pytest.mark.parametrize("family", [banded_polys, random_polys])
 def test_aberth_matches_reference_bit_for_bit(family, monkeypatch):
     polys = family()
-    fast = [repr(find_roots(p)) for p in polys]
+    fast = [outcome(p) for p in polys]
     monkeypatch.setattr(rootfind, "_aberth", reference_aberth)
-    assert fast == [repr(find_roots(p)) for p in polys]
+    assert fast == [outcome(p) for p in polys]
+    if family is banded_polys:  # both kinds of outcome are compared
+        raised = sum(o.startswith("NumericalError") for o in fast)
+        assert 0 < raised < len(fast)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 201, 400])
+def test_starts_of_roots_of_unity_lie_on_the_unit_circle(n):
+    z = _starts((-1,) + (0,) * (n - 1) + (1,))
+    assert len(z) == n
+    for t, zt in enumerate(z):
+        assert abs(abs(zt) - 1.0) < 1e-15
+        assert abs(zt - cmath.exp(1j * (2 * math.pi * t / n + _ANGLE_OFFSET))
+                   ) < 1e-13
+
+
+def test_starts_follow_the_newton_polygon():
+    """(z - 10^6)^2 (z - 1)(10^6 z - 1)(z^2 + 5): one hull edge per scale,
+    with as many points as roots of that scale, each radius within a
+    small factor of the root moduli it stands for."""
+    p = P(-10 ** 6, 1) ** 2 * P(-1, 1) * P(-1, 10 ** 6) * P(5, 0, 1)
+    radii = sorted(abs(z) for z in _starts(p.coeffs))
+    moduli = [1e-6, 1.0, math.sqrt(5), math.sqrt(5), 1e6, 1e6]
+    assert len(radii) == p.degree
+    assert all(1 / 3 <= r / m <= 3 for r, m in zip(radii, moduli))
+
+
+def test_starts_never_overflow():
+    """Coefficients far beyond float range still give finite radii."""
+    p = P(-(10 ** 400), 0, 0, 1) * P(10 ** 300, 10 ** 350)
+    assert max(map(abs, p.coeffs)) > 10 ** 700
+    radii = sorted(abs(z) for z in _starts(p.coeffs))
+    assert len(radii) == p.degree
+    assert abs(math.log10(radii[0]) + 50) < 1e-9
+    assert all(abs(math.log10(r) - 400 / 3) < 1e-9 for r in radii[1:])
+
+
+@pytest.mark.parametrize("k", range(2, 10))
+def test_kth_roots_put_real_w_on_the_axes(k):
+    """Starting points solve z^k = w to float accuracy; for real w those
+    on the real and imaginary axes have the other component exactly 0."""
+    for w in (1.0, -1.0, 2.5, -3.0, 1e-30, 16 + 1e-30j, -2 - 3j):
+        real = not complex(w).imag
+        zs = _kth_roots(complex(w), k, real)
+        assert len(zs) == k
+        for z in zs:
+            assert abs(z ** k - w) <= 1e-14 * abs(w)
+        if real:
+            positive = w.real > 0
+            assert sum(z.imag == 0.0 for z in zs) == (
+                k % 2 or (2 if positive else 0))
+            assert sum(z.real == 0.0 for z in zs) == (
+                2 if k % 4 == (0 if positive else 2) else 0)
+
+
+def decimal_root(p, z):
+    """The root of p near z by Newton's method in 60-digit complex
+    decimal arithmetic, started slightly off z so that it owes nothing
+    to z's symmetries, and rounded to the nearest complex float; a
+    component below 1e-45 of the modulus is the exact 0 it stands for."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        off = Decimal(abs(z)) * Decimal("1e-13")
+        x, y = Decimal(z.real) + off, Decimal(z.imag) + off
+        for _ in range(200):
+            vx = vy = dx = dy = Decimal(0)
+            for c in reversed(p.coeffs):
+                dx, dy = dx * x - dy * y + vx, dx * y + dy * x + vy
+                vx, vy = vx * x - vy * y + c, vx * y + vy * x
+            norm = dx * dx + dy * dy
+            sx, sy = (vx * dx + vy * dy) / norm, (vy * dx - vx * dy) / norm
+            x, y = x - sx, y - sy
+            size = abs(x) + abs(y)
+            if abs(sx) + abs(sy) <= Decimal("1e-55") * size:
+                break
+        tiny = Decimal("1e-45") * size
+        return complex(0.0 if abs(x) < tiny else float(x),
+                       0.0 if abs(y) < tiny else float(y))
+
+
+def certified_real(p, x):
+    """Whether p changes sign between the midpoints next to the float x,
+    in exact rational arithmetic: then x is the float nearest to a real
+    root of p."""
+    below = (Fraction(x) + Fraction(math.nextafter(x, -math.inf))) / 2
+    above = (Fraction(x) + Fraction(math.nextafter(x, math.inf))) / 2
+    lo, hi = (sum(c * t ** i for i, c in enumerate(p.coeffs))
+              for t in (below, above))
+    return lo * hi <= 0
+
+
+def square_free_polys():
+    """Products of random integer linear and quadratic factors, and
+    random g(z^k): real, complex, purely imaginary and clustered roots."""
+    rng = random.Random(67)
+    polys = []
+    while len(polys) < 80:
+        if rng.random() < 0.5:
+            p = P(1)
+            for _ in range(rng.randint(1, 4)):
+                if rng.random() < 0.5:
+                    p = p * P(rng.randint(-30, 30), rng.randint(1, 9))
+                else:
+                    p = p * P(rng.randint(-20, 20), rng.randint(-9, 9), 1)
+        else:
+            k = rng.randint(2, 6)
+            g = [rng.randint(-9, 9) for _ in range(rng.randint(1, 3))]
+            g = [rng.choice([-3, -1, 1, 2])] + g + [rng.choice([-2, 1, 5])]
+            p = P(*(g[i // k] if i % k == 0 else 0
+                    for i in range((len(g) - 1) * k + 1)))
+        rs = find_roots(p) if p.degree else ()
+        if p.degree and p.coeffs[0] and all(m == 1 for _, m in rs):
+            polys.append(p)
+    return polys
+
+
+def test_roots_are_the_nearest_floats():
+    """Every root equals the 60-digit decimal root rounded to the nearest
+    float, component by component; real roots are certified by a sign
+    change and non-real ones have a nonzero reference imaginary part, so
+    a root is returned as real exactly when it is real, and no component
+    is -0.0."""
+    kinds = set()
+    for p in square_free_polys():
+        rs = find_roots(p)
+        assert rs.total_multiplicity == p.degree
+        for z, _ in rs:
+            assert decimal_root(p, z) == z, (p, z)
+            if z.imag == 0.0:
+                assert certified_real(p, z.real), (p, z)
+            kinds.add((z.real == 0.0, z.imag == 0.0))
+            assert z.conjugate() in [r for r, _ in rs]
+            assert all(c or math.copysign(1.0, c) > 0 for c in (z.real, z.imag))
+    assert kinds == {(False, False), (False, True), (True, False)}
+
+
+def newton_sums(p, count):
+    """Exact power sums s_1..s_count of the roots of p, from Newton's
+    identities over the rationals."""
+    d = p.degree
+    e = [Fraction((-1) ** i * p[d - i], p[d]) for i in range(d + 1)]
+    s = []
+    for j in range(1, count + 1):
+        v = (-1) ** (j - 1) * j * e[j] if j <= d else Fraction(0)
+        for i in range(1, j):
+            if i <= d:
+                v += (-1) ** (i - 1) * e[i] * s[j - i - 1]
+        s.append(v)
+    return s
+
+
+def test_lacunary_roots_match_the_power_sums():
+    """Roots of g(z^k), found through g, meet the exact power sums for
+    every j up to 2k + 1, including those not divisible by k."""
+    rng = random.Random(53)
+    for _ in range(60):
+        k = rng.randint(2, 7)
+        g = IntPoly([rng.choice([-1, 1]) * rng.randint(1, 9)]
+                    + [rng.randint(-9, 9) for _ in range(rng.randint(0, 4))]
+                    + [rng.choice([-2, -1, 1, 3])])
+        p = IntPoly(c if i % k == 0 else 0
+                    for i in range(g.degree * k + 1)
+                    for c in [g[i // k]])
+        rs = find_roots(p)
+        assert rs.total_multiplicity == p.degree
+        for j, want in enumerate(newton_sums(p, 2 * k + 1), 1):
+            got = sum(m * z ** j for z, m in rs)
+            scale = sum(m * abs(z) ** j for z, m in rs)
+            assert abs(got - complex(want)) <= 1e-9 * (1 + scale)
+
+
+def test_cycle_zeta_factors_are_the_roots_of_unity():
+    """z^n - 1, the square-free factor of a cycle's (1 - z^n)^2, is solved
+    as w - 1: its roots are the n-th roots of unity to 1e-13, with 1 (and
+    -1 for even n) exactly real."""
+    for n in range(3, 401):
+        roots = rootfind._factor_roots((-1,) + (0,) * (n - 1) + (1,),
+                                       rootfind.DEFAULT_TOL)
+        assert len(roots) == n
+        ts = sorted(round(cmath.phase(z) * n / (2 * math.pi)) % n
+                    for z in roots)
+        assert ts == list(range(n))
+        for z in roots:
+            t = round(cmath.phase(z) * n / (2 * math.pi))
+            assert abs(z - cmath.exp(2j * math.pi * t / n)) < 1e-13
+        assert (1 + 0j) in roots and ((-1 + 0j) in roots) == (n % 2 == 0)
+    for n in (3, 4, 6, 8, 12, 99, 100, 200, 401):
+        rs = find_roots(P(1, *([0] * (n - 1)), -1) ** 2)
+        roots = {z for z, _ in rs}
+        assert len(rs) == n and {m for _, m in rs} == {2}
+        for z in roots:
+            assert abs(abs(z) - 1) < 1e-15
+            assert z.conjugate() in roots
+            assert (-z in roots) == (n % 2 == 0)
+            assert (complex(-z.imag, z.real) in roots) == (n % 4 == 0)
+        assert 1 in roots and (-1 in roots) == (n % 2 == 0)
+        assert (1j in roots) == (n % 4 == 0)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "nan+infj"])
+def test_non_finite_roots_raise(monkeypatch, bad):
+    """Also on a lacunary factor, before any k-th root is taken."""
+    monkeypatch.setattr(rootfind, "_aberth",
+                        lambda poly, tol: [complex(bad)] * (len(poly) - 1))
+    for p in (P(-2, 3, 1), P(-2, 0, 1), P(-2, 0, 0, 1)):
+        with pytest.raises(NumericalError, match="not finite"):
+            find_roots(p)
+
+
+def test_refinement_uses_the_symmetries(monkeypatch):
+    """Only roots with an angle in [0, pi/turns] are refined; the others
+    are their exact conjugates, negatives and quarter turns."""
+    calls = []
+    refine = rootfind._refine
+    monkeypatch.setattr(rootfind, "_refine",
+                        lambda g, k, z: calls.append(z) or refine(g, k, z))
+    for coeffs, refined in (((-1,) + (0,) * 7 + (1,), 2),  # z^8 - 1
+                            ((1,) + (0,) * 5 + (1,), 2),  # z^6 + 1
+                            ((5, 0, 0, -3, 1), 3),  # z^4 - 3z^3 + 5
+                            ((1, 1, 1), 1)):
+        calls.clear()
+        roots = rootfind._refined(coeffs, rootfind._factor_roots(coeffs, 1e-12))
+        assert len(calls) == refined, coeffs
+        assert sorted(roots, key=repr) == sorted(
+            (p.conjugate() for p in roots), key=repr)
+
+
+def test_failed_refinement_raises(monkeypatch):
+    cubic = (-6, 11, -6, 1)  # roots 1, 2, 3
+    assert rootfind._refined(cubic, [1.01, 2.02, 2.97]) == [1.0, 2.0, 3.0]
+    with pytest.raises(NumericalError, match="same point"):
+        rootfind._refined(cubic, [1.01, 0.99, 2.97])
+    with pytest.raises(NumericalError, match="left the root"):
+        rootfind._refine(cubic, 1, 1.42 + 0j)  # next to a critical point
+    monkeypatch.setattr(rootfind, "_MAX_PREC", rootfind._PREC)
+    monkeypatch.setattr(rootfind, "_STEPS", 1)
+    with pytest.raises(NumericalError, match="did not settle"):
+        rootfind._refine((-2, 0, 1), 1, 1.41 + 0j)
+
+
+@pytest.mark.parametrize("shift", [1e-3, 1e-5])
+def test_roots_missing_the_power_sums_raise(monkeypatch, shift):
+    """Finite roots off by more than the tolerance: the forward sums catch
+    shifted roots, the reverse sums a small root off by 10 %."""
+    aberth = rootfind._aberth
+    monkeypatch.setattr(rootfind, "_aberth", lambda poly, tol: [
+        z + shift for z in aberth(poly, tol)])
+    with pytest.raises(NumericalError, match="power sum of z\\^1"):
+        find_roots(P(-6, 11, -6, 1))  # roots 1, 2, 3
+    monkeypatch.setattr(rootfind, "_aberth", lambda poly, tol: [
+        z * 1.1 if abs(z) < 1e-3 else z for z in aberth(poly, tol)])
+    with pytest.raises(NumericalError, match="power sum of z\\^-1"):
+        find_roots(P(-1, 10 ** 6) * P(-1, 1))  # roots 1e-6 and 1
+
+
+def test_zero_roots_need_only_the_forward_sums():
+    rs = find_roots(P(0, 0, -6, 11, -6, 1))
+    assert dict((round(z.real, 9), m) for z, m in rs) == {
+        0.0: 2, 1.0: 1, 2.0: 1, 3.0: 1}

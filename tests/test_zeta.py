@@ -1,12 +1,15 @@
 import math
+import random
 
 import pytest
 
 from zetaforge.catalog import ade_graph, dimer_graph
-from zetaforge.graphs import MixedGraph, normalize
+from zetaforge.graphs import MixedGraph, matrices, normalize
 from zetaforge.intpoly import IntPoly
-from zetaforge.zeta import (STRONG, TRIVIAL, VIOLATED, adjacency_spectrum,
-                            analyze, directed_zeta_inverse, is_ramanujan,
+from zetaforge.polydet import char_poly
+from zetaforge.zeta import (STRONG, TRIVIAL, VIOLATED, _squares_above,
+                            adjacency_spectrum, analyze,
+                            directed_zeta_inverse, is_ramanujan,
                             xi_functional_check, zeta_inverse)
 
 
@@ -144,6 +147,54 @@ class TestAnalyze:
         assert doc["connected"] is True
 
 
+def jacobi_eigenvalues(matrix):
+    """Eigenvalues of a real symmetric matrix by cyclic Jacobi rotations,
+    in ascending order."""
+    a = [[float(x) for x in row] for row in matrix]
+    n = len(a)
+    for _ in range(100):
+        off = sum(a[p][q] ** 2 for p in range(n) for q in range(p + 1, n))
+        if off <= 1e-30 * (1.0 + sum(a[p][p] ** 2 for p in range(n))):
+            break
+        for p in range(n):
+            for q in range(p + 1, n):
+                if not a[p][q]:
+                    continue
+                theta = (a[q][q] - a[p][p]) / (2.0 * a[p][q])
+                t = math.copysign(1.0, theta) / (abs(theta)
+                                                 + math.hypot(theta, 1.0))
+                c = 1.0 / math.hypot(t, 1.0)
+                s = t * c
+                for row in a:
+                    row[p], row[q] = c * row[p] - s * row[q], \
+                        s * row[p] + c * row[q]
+                a[p], a[q] = ([c * x - s * y for x, y in zip(a[p], a[q])],
+                              [s * x + c * y for x, y in zip(a[p], a[q])])
+    return sorted(a[i][i] for i in range(n))
+
+
+def reference_ramanujan(g):
+    """The definition on Jacobi eigenvalues, with a 1e-9 slack: every
+    eigenvalue other than +-k lies within 2 sqrt(k - 1)."""
+    k = max(sum(2 if i == j else 1 for i, j in g.edges if v in (i, j))
+            for v in range(g.node_count))
+    bound = 2.0 * math.sqrt(max(k - 1, 0)) + 1e-9
+    return all(abs(abs(lam) - k) <= 1e-9 or abs(lam) <= bound
+               for lam in jacobi_eigenvalues(matrices(g).adjacency))
+
+
+def random_regular_multigraph(rng):
+    """A k-regular multigraph from a random pairing of k stubs per node:
+    loops and parallel edges arise as they fall."""
+    while True:
+        n, k = rng.randint(1, 20), rng.randint(0, 7)
+        if n * k % 2 == 0:
+            break
+    stubs = [v for v in range(n) for _ in range(k)]
+    rng.shuffle(stubs)
+    return MixedGraph(n, edges=tuple(zip(stubs[::2], stubs[1::2])))
+
+
 class TestRamanujan:
     def test_plain_cycles(self):
         for n in (2, 5, 9):
@@ -167,6 +218,52 @@ class TestRamanujan:
         for g in (ade_graph("A", 3), dimer_graph([4]),
                   ade_graph("A", 8, with_loops=True)):
             assert is_ramanujan(g) == (analyze(g).classification == STRONG)
+
+    def test_edgeless_graph(self):
+        assert is_ramanujan(MixedGraph(2))
+        assert is_ramanujan(MixedGraph(1))
+
+    def test_exact_equality_is_ramanujan(self):
+        """One loop per node and 8 parallel edges: 10-regular with the
+        eigenvalues 10 and -6, and 6^2 = 4 * (10 - 1) exactly."""
+        g = MixedGraph(2, edges=((0, 0), (1, 1)) + ((0, 1),) * 8)
+        assert jacobi_eigenvalues(matrices(g).adjacency) == \
+            pytest.approx([-6, 10])
+        assert is_ramanujan(g)
+        # one parallel edge more: -7 against 2 sqrt(10); one fewer: -5
+        # against 2 sqrt(8)
+        for count, verdict in ((9, False), (7, True)):
+            g = MixedGraph(2, edges=((0, 0), (1, 1)) + ((0, 1),) * count)
+            assert is_ramanujan(g) is verdict is reference_ramanujan(g)
+
+    def test_matches_jacobi_on_random_regular_multigraphs(self):
+        rng = random.Random(59)
+        verdicts = []
+        for _ in range(320):
+            g = random_regular_multigraph(rng)
+            want = reference_ramanujan(g)
+            assert is_ramanujan(g) == want, g
+            verdicts.append(want)
+        assert 15 < sum(verdicts) < len(verdicts) - 15  # both verdicts occur
+
+    def test_every_cycle_up_to_400(self):
+        """Every cycle is Ramanujan.  The exact count runs on the closed
+        form chi_n = L_n - 2 (L_n(x) = x L_(n-1) - L_(n-2), L_0 = 2,
+        L_1 = x) for every n; is_ramanujan runs on the graphs up to 100
+        nodes and near 200 and 400, where char_poly must equal it."""
+        lucas = [(2,), (0, 1)]
+        for n in range(2, 401):
+            lucas.append(tuple(
+                (lucas[-1][i - 1] if i else 0)
+                - (lucas[-2][i] if i < len(lucas[-2]) else 0)
+                for i in range(n + 1)))
+        for n in range(3, 401):
+            chi = (lucas[n][0] - 2,) + lucas[n][1:]
+            assert _squares_above(chi, 4) == 0
+            if n <= 100 or n in (199, 200, 201, 398, 399, 400):
+                g = ade_graph("A", n - 1)
+                assert char_poly(matrices(g).adjacency).coeffs == chi
+                assert is_ramanujan(g)
 
 
 class TestXiFunctionalEquation:
