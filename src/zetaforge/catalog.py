@@ -16,9 +16,8 @@ import os
 from dataclasses import dataclass, field
 from importlib import resources
 
-from .graphs import MixedGraph, normalize
+from .graphs import MixedGraph, _is_int, normalize
 from .intpoly import IntPoly, exact_div
-from .rootfind import DEFAULT_MERGE, DEFAULT_TOL
 from .zeta import _FLAGS, STRONG, _verdict, classify_moduli
 
 ENV_CATALOG = "ZETAFORGE_CATALOG"
@@ -132,8 +131,7 @@ def dimer_rh(valencies: list[int]) -> bool:
 
 
 def _check_valencies(valencies):
-    if not valencies or any(not isinstance(r, int) or r < 1
-                            for r in valencies):
+    if not valencies or any(not _is_int(r) or r < 1 for r in valencies):
         raise ValueError("valencies must be a nonempty list of integers >= 1")
 
 
@@ -239,16 +237,17 @@ def _parse_record(pos: int, entry) -> CatalogRecord:
         raise CatalogError(f"{where}: missing field {err}") from None
     where = f"record {pos + 1} (id {rid})"
     if (not isinstance(quiver, list) or not quiver
-            or any(len(row) != len(quiver) for row in quiver)
-            or any(not isinstance(x, int) for row in quiver for x in row)):
+            or any(not isinstance(row, list) or len(row) != len(quiver)
+                   for row in quiver)
+            or any(not _is_int(x) for row in quiver for x in row)):
         raise CatalogError(f"{where}: quiver must be a square integer matrix")
     if (not isinstance(valencies, list) or not valencies
-            or any(not isinstance(r, int) or r < 1 for r in valencies)):
+            or any(not _is_int(r) or r < 1 for r in valencies)):
         raise CatalogError(f"{where}: bad valency list")
     for name, coeffs in (("dimer_zeta", dimer_zeta),
                          ("quiver_zeta", quiver_zeta)):
         if (not isinstance(coeffs, list) or not coeffs
-                or any(not isinstance(c, int) for c in coeffs)):
+                or any(not _is_int(c) for c in coeffs)):
             raise CatalogError(f"{where}: {name} must be an integer "
                                "coefficient list")
         if coeffs[0] != 1:
@@ -302,8 +301,7 @@ class CatalogVerification:
         return lines
 
 
-def verify_catalog(records: list[CatalogRecord], tol: float = DEFAULT_TOL,
-                   merge_tol: float = DEFAULT_MERGE) -> CatalogVerification:
+def verify_catalog(records: list[CatalogRecord]) -> CatalogVerification:
     """Recompute every zeta polynomial and flag and compare with the
     reference values.  Known data errata and documented convention notes
     are reported as notes, not failures."""
@@ -311,8 +309,7 @@ def verify_catalog(records: list[CatalogRecord], tol: float = DEFAULT_TOL,
     for rec in records:
         row = RowCheck(rec.id)
         valencies = list(rec.valencies)
-        dimer_zi, _, _, _, dimer_class = _verdict(dimer_graph(valencies),
-                                                  tol, merge_tol)
+        dimer_zi, _, _, _, dimer_class = _verdict(dimer_graph(valencies))
         if dimer_zi != rec.dimer_zeta:
             row.issues.append("tiling zeta (determinant route) differs from "
                               "reference")
@@ -332,7 +329,7 @@ def verify_catalog(records: list[CatalogRecord], tol: float = DEFAULT_TOL,
                     f"tiling flag {dimer_flag} differs from reference "
                     f"{rec.dimer_flag}")
         q_zi, q_poles, q_r, _, q_class = _verdict(
-            normalize(quiver_to_graph(rec.quiver)), tol, merge_tol)
+            normalize(quiver_to_graph(rec.quiver)))
         if q_zi != rec.quiver_zeta:
             row.issues.append("quiver zeta differs from reference")
         q_flag = _FLAGS[q_class]

@@ -21,7 +21,7 @@ from .catalog import (CatalogError, ade_graph, dimer_graph, load_catalog,
                       parse_ade_spec, verify_catalog)
 from .census import HORIZON_LIMIT, CensusError, enumerate_primes, pnt_ratios
 from .graphs import GraphFormatError, MixedGraph, normalize
-from .rootfind import DEFAULT_MERGE, DEFAULT_TOL, NumericalError, find_roots
+from .rootfind import NumericalError, find_roots
 from .zeta import (_FLAGS, adjacency_spectrum, analyze, plot_points,
                    zeta_inverse)
 
@@ -48,6 +48,11 @@ def _build_parser() -> _Parser:
                                  "multigraphs")
     sub = parser.add_subparsers(dest="verb", required=True)
 
+    def add_noop_options(p):
+        for flag in ("--tol", "--merge"):
+            p.add_argument(flag, type=float,
+                           help="no effect; accepted for compatibility")
+
     def add_graph_options(p, horizon=False, formats=("text", "json", "csv")):
         src = p.add_mutually_exclusive_group(required=True)
         src.add_argument("--graph", metavar="PATH",
@@ -59,10 +64,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--loops", action="store_true",
                        help="decorate an --ade diagram with two loops "
                             "per node")
-        p.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                       help="root-iteration convergence tolerance")
-        p.add_argument("--merge", type=float, default=DEFAULT_MERGE,
-                       help="root merge distance")
+        add_noop_options(p)
         p.add_argument("--format", choices=formats, default="text")
         p.add_argument("--out", metavar="PATH",
                        help="write output to a file instead of stdout")
@@ -97,8 +99,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--catalog", metavar="PATH",
                    help="catalog file (overrides ZETAFORGE_CATALOG and "
                         "the bundled data)")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p.add_argument("--merge", type=float, default=DEFAULT_MERGE)
+    add_noop_options(p)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--out", metavar="PATH")
     return parser
@@ -177,7 +178,7 @@ def _cmd_zeta(args, parser) -> int:
 
 def _cmd_rh(args, parser) -> int:
     g = _load_graph(args, parser)
-    report = analyze(g, args.tol, args.merge)
+    report = analyze(g)
     if args.format == "json":
         text = json.dumps(report.to_json_dict(), indent=2)
     else:
@@ -212,7 +213,7 @@ def _cmd_primes(args, parser) -> int:
     g = _load_graph(args, parser)
     census = enumerate_primes(g, args.horizon)
     try:
-        r_g = find_roots(zeta_inverse(g), args.tol, args.merge).min_modulus()
+        r_g = find_roots(zeta_inverse(g)).min_modulus()
         ratios = pnt_ratios(census, r_g)
     except NumericalError as err:
         # the counts are exact; only the ratios need R_G
@@ -248,7 +249,7 @@ def _cmd_primes(args, parser) -> int:
 
 def _cmd_spectrum(args, parser) -> int:
     g = _load_graph(args, parser)
-    spec = adjacency_spectrum(g, args.tol, args.merge)
+    spec = adjacency_spectrum(g)
     if args.format == "json":
         text = json.dumps({"eigenvalues": [
             {"re": lam.real, "im": lam.imag, "multiplicity": mult}
@@ -269,7 +270,7 @@ def _cmd_export_plot(args, parser) -> int:
     g = _load_graph(args, parser)
     lines = ["re,im,kind"]
     lines += [f"{re!r},{im!r},{kind}"
-              for re, im, kind in plot_points(g, args.tol, args.merge)]
+              for re, im, kind in plot_points(g)]
     _emit("\n".join(lines), args.out)
     return EXIT_OK
 
@@ -283,7 +284,7 @@ def _cmd_generate(args, parser) -> int:
 
 def _cmd_catalog_verify(args, parser) -> int:
     records = load_catalog(args.catalog)
-    result = verify_catalog(records, args.tol, args.merge)
+    result = verify_catalog(records)
     if args.format == "json":
         text = json.dumps({
             "ok": result.ok,

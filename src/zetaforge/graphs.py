@@ -18,6 +18,11 @@ class GraphFormatError(ValueError):
     """A graph document is malformed."""
 
 
+def _is_int(x) -> bool:
+    """Whether x is an int and not a bool (JSON true/false)."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class MixedGraph:
     node_count: int
@@ -25,7 +30,7 @@ class MixedGraph:
     arrows: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        if not isinstance(self.node_count, int) or self.node_count < 1:
+        if not _is_int(self.node_count) or self.node_count < 1:
             raise GraphFormatError("node_count must be a positive integer")
         canon_edges = []
         for pair in self.edges:
@@ -41,7 +46,7 @@ class MixedGraph:
         object.__setattr__(self, "arrows", tuple(sorted(canon_arrows)))
 
     def _check(self, i):
-        if not isinstance(i, int) or not 0 <= i < self.node_count:
+        if not _is_int(i) or not 0 <= i < self.node_count:
             raise GraphFormatError(
                 f"node index {i!r} outside [0, {self.node_count})")
 

@@ -9,7 +9,7 @@ non-integral series coefficient) raises instead of rounding.
 from __future__ import annotations
 
 import math
-from operator import add, neg, sub
+from operator import add, index, neg, sub
 from typing import Iterable, Iterator
 
 
@@ -117,7 +117,7 @@ class IntPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[int] = ()):
-        cs = _norm(tuple(int(c) for c in coeffs))
+        cs = _norm(tuple(map(index, coeffs)))
         object.__setattr__(self, "coeffs", cs)
 
     @classmethod
@@ -129,9 +129,10 @@ class IntPoly:
     @classmethod
     def term(cls, coeff: int, power: int) -> "IntPoly":
         """coeff * z**power"""
+        coeff = index(coeff)
         if coeff == 0:
             return ZERO
-        return cls._raw((0,) * power + (int(coeff),))
+        return cls._raw((0,) * power + (coeff,))
 
     # -- structure ----------------------------------------------------------
 

@@ -26,8 +26,7 @@ from dataclasses import dataclass
 
 from .intpoly import IntPoly, squarefree_factors
 
-DEFAULT_TOL = 1e-12
-DEFAULT_MERGE = 1e-8
+DEFAULT_TOL = 1e-12  # relative Aberth correction at which _aberth stops
 _MAX_ITER = 400
 _ANGLE_OFFSET = 0.39  # radians; keeps starting points off symmetry axes
 _PREC = 128  # initial fraction bits of _refine
@@ -45,7 +44,10 @@ class NumericalError(RuntimeError):
 
 @dataclass(frozen=True)
 class RootSet:
-    """Roots with multiplicities, plus the worst observed residual."""
+    """Roots with multiplicities, plus residual_bound = 2^-52 * max|z|:
+    a bound on the distance from each root to the exact root it rounds,
+    since rounding each component to nearest moves z by at most
+    2^-53 * |z|."""
 
     roots: tuple[tuple[complex, int], ...]
     residual_bound: float
@@ -368,29 +370,15 @@ def _check_power_sums(p: IntPoly, roots) -> None:
                 f"float range: {err}") from None
 
 
-def _merge(cands: list[tuple[complex, int]], merge_tol: float):
-    """Greedy clustering of (root, multiplicity) pairs within merge_tol."""
-    cands = sorted(cands, key=lambda rm: (rm[0].real, rm[0].imag))
-    out: list[tuple[complex, int]] = []
-    for root, mult in cands:
-        for i, (r0, m0) in enumerate(out):
-            if abs(root - r0) <= merge_tol:
-                total = m0 + mult
-                out[i] = ((r0 * m0 + root * mult) / total, total)
-                break
-        else:
-            out.append((root, mult))
-    return out
-
-
-def find_roots(p: IntPoly, tol: float = DEFAULT_TOL,
-               merge_tol: float = DEFAULT_MERGE) -> RootSet:
+def find_roots(p: IntPoly) -> RootSet:
     """All complex roots of a nonzero integer polynomial.
 
-    Returns a RootSet whose multiplicities sum to deg(p); roots closer
-    than merge_tol are merged.  Raises NumericalError on non-convergence,
-    on a non-finite root, on roots that miss the exact power sums (see
-    _check_power_sums) and when Newton refinement fails (see _refine).
+    Returns a RootSet whose multiplicities sum to deg(p), sorted by real
+    then imaginary part; each root is refined on its square-free factor
+    and rounded once (see _refined), and roots are never merged.  Raises
+    NumericalError on non-convergence, on a non-finite root, on roots
+    that miss the exact power sums (see _check_power_sums) and when
+    Newton refinement fails (see _refine).
     """
     if p.is_zero:
         raise ValueError("zero polynomial has every point as a root")
@@ -405,12 +393,12 @@ def find_roots(p: IntPoly, tol: float = DEFAULT_TOL,
         p_reduced = p
     factors = []
     if p_reduced.degree > 0:
-        factors = [(f.coeffs, m, _factor_roots(f.coeffs, tol))
+        factors = [(f.coeffs, m, _factor_roots(f.coeffs, DEFAULT_TOL))
                    for f, m in squarefree_factors(p_reduced)]
     head = [(0j, zero_mult)] if zero_mult else []
     _check_power_sums(p, head + [(z, m) for _, m, zs in factors for z in zs])
-    merged = tuple(_merge(head + [(z, m) for f, m, zs in factors
-                                  for z in _refined(f, zs)], merge_tol))
-    fc = _float_coeffs(p.coeffs)
-    residual = max((abs(_horner2(fc, r)[0]) for r, _ in merged), default=0.0)
-    return RootSet(merged, residual)
+    roots = sorted(head + [(z, m) for f, m, zs in factors
+                           for z in _refined(f, zs)],
+                   key=lambda rm: (rm[0].real, rm[0].imag))
+    bound = 2.0 ** -52 * max((abs(z) for z, _ in roots), default=0.0)
+    return RootSet(tuple(roots), bound)

@@ -20,7 +20,7 @@ from itertools import compress
 from .graphs import MixedGraph, degree_profile, is_connected, matrices
 from .intpoly import IntPoly, _root_split, exact_div
 from .polydet import char_poly, det_poly
-from .rootfind import DEFAULT_MERGE, DEFAULT_TOL, RootSet, find_roots
+from .rootfind import RootSet, find_roots
 
 STRONG = "Strong"
 WEAK = "Weak"
@@ -71,14 +71,12 @@ def directed_zeta_inverse(g: MixedGraph) -> IntPoly:
     return det_poly(rows)
 
 
-def adjacency_spectrum(g: MixedGraph, tol: float = DEFAULT_TOL,
-                       merge_tol: float = DEFAULT_MERGE) -> RootSet:
+def adjacency_spectrum(g: MixedGraph) -> RootSet:
     """Eigenvalues of the full adjacency matrix (complex for chiral graphs)."""
-    return find_roots(char_poly(matrices(g).adjacency), tol, merge_tol)
+    return find_roots(char_poly(matrices(g).adjacency))
 
 
-def is_ramanujan(g: MixedGraph, tol: float = DEFAULT_TOL,
-                 merge_tol: float = DEFAULT_MERGE) -> bool:
+def is_ramanujan(g: MixedGraph) -> bool:
     """Whether a regular undirected graph has all nontrivial adjacency
     eigenvalues (those other than +-degree) within 2*sqrt(degree - 1) in
     absolute value.
@@ -87,8 +85,7 @@ def is_ramanujan(g: MixedGraph, tol: float = DEFAULT_TOL,
     symmetric integer adjacency matrix are real, so Descartes' rule
     counts those with lambda^2 > 4(k - 1) exactly (see _squares_above).
     The graph is Ramanujan iff they are just the trivial eigenvalues +-k,
-    which exceed the bound unless k = 2.  tol and merge_tol are unused
-    and kept for compatibility.
+    which exceed the bound unless k = 2.
     """
     if not g.is_undirected:
         raise ValueError("Ramanujan test requires an undirected graph")
@@ -209,11 +206,11 @@ def classify_moduli(moduli: list[float], r_g: float, q: int) -> str:
     return VIOLATED
 
 
-def _verdict(g: MixedGraph, tol: float, merge_tol: float):
+def _verdict(g: MixedGraph):
     """(zeta polynomial, poles, R, degree profile, classification) of g,
     with no spectrum and no xi check."""
     zi = zeta_inverse(g)
-    poles = find_roots(zi, tol, merge_tol)
+    poles = find_roots(zi)
     r_g = poles.min_modulus()
     profile = degree_profile(g)
     classification = classify_moduli(poles.moduli(), r_g,
@@ -221,10 +218,9 @@ def _verdict(g: MixedGraph, tol: float, merge_tol: float):
     return zi, poles, r_g, profile, classification
 
 
-def analyze(g: MixedGraph, tol: float = DEFAULT_TOL,
-            merge_tol: float = DEFAULT_MERGE) -> ZetaReport:
+def analyze(g: MixedGraph) -> ZetaReport:
     """Full zeta report: polynomial, poles, R, classification, verdicts."""
-    zi, poles, r_g, profile, classification = _verdict(g, tol, merge_tol)
+    zi, poles, r_g, profile, classification = _verdict(g)
     moduli = poles.moduli()
     q = profile.max_degree - 1
     p = profile.min_degree - 1
@@ -241,15 +237,14 @@ def analyze(g: MixedGraph, tol: float = DEFAULT_TOL,
     ramanujan = None
     xi_ok = None
     if g.is_undirected and profile.is_regular:
-        ramanujan = is_ramanujan(g, tol, merge_tol)
+        ramanujan = is_ramanujan(g)
         if q >= 1:
             xi_ok = _xi_holds(zi, q, g.node_count, g.edge_count)
     return ZetaReport(zi, poles, r_g, p, q, classification, ramanujan,
                       ks_ok, xi_ok, is_connected(g))
 
 
-def plot_points(g: MixedGraph, tol: float = DEFAULT_TOL,
-                merge_tol: float = DEFAULT_MERGE) -> list[tuple[float, float, str]]:
+def plot_points(g: MixedGraph) -> list[tuple[float, float, str]]:
     """(re, im, kind) rows for poles and adjacency eigenvalues, suitable
     for scatter plots; one row per multiplicity.
 
@@ -258,9 +253,9 @@ def plot_points(g: MixedGraph, tol: float = DEFAULT_TOL,
     ZetaReport.zeta_inverse and its poles in ZetaReport.poles, so it
     needs no second zeta_inverse."""
     rows = []
-    for root, mult in find_roots(zeta_inverse(g), tol, merge_tol):
+    for root, mult in find_roots(zeta_inverse(g)):
         rows.extend([(root.real, root.imag, "pole")] * mult)
-    for lam, mult in adjacency_spectrum(g, tol, merge_tol):
+    for lam, mult in adjacency_spectrum(g):
         rows.extend([(lam.real, lam.imag, "eigenvalue")] * mult)
     return rows
 

@@ -196,6 +196,26 @@ class TestCatalogData:
         with pytest.raises(CatalogError, match="cannot read"):
             load_catalog(str(tmp_path / "missing.json"))
 
+    def test_booleans_and_bare_rows_rejected(self, tmp_path):
+        """JSON true is not an integer: not in the quiver, the valencies
+        or the zeta coefficients; a quiver row must be a list."""
+        good = {"id": 1, "quiver": [[6]], "valencies": [3],
+                "dimer_zeta": [1, 0, -6, 0, 9, 0, -4],
+                "quiver_zeta": [1, -6, 3, 12, -9, -6, 5],
+                "dimer_flag": "S", "quiver_flag": "S"}
+        path = tmp_path / "cat.json"
+        for field, value, message in (
+                ("quiver", [[True]], "quiver"),
+                ("quiver", [6], "quiver"),
+                ("valencies", [True], "valency"),
+                ("dimer_zeta", [True, 0, -1], "dimer_zeta"),
+                ("quiver_zeta", [1, True], "quiver_zeta")):
+            path.write_text(json.dumps([dict(good, **{field: value})]))
+            with pytest.raises(CatalogError, match=message):
+                load_catalog(str(path))
+        path.write_text(json.dumps([good]))
+        assert len(load_catalog(str(path))) == 1
+
     def test_env_override(self, tmp_path, monkeypatch):
         path = tmp_path / "cat.json"
         path.write_text(json.dumps([{

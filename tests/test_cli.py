@@ -3,6 +3,22 @@ import json
 from zetaforge.cli import main
 
 
+# a random mixed multigraph: 15 nodes, 45 edges, 15 arrows
+MIXED15 = {
+    "nodes": 15,
+    "edges": [[3, 6], [9, 5], [13, 14], [7, 7], [4, 11], [6, 5], [1, 0],
+              [6, 4], [5, 12], [7, 8], [4, 5], [4, 0], [1, 10], [11, 11],
+              [13, 5], [3, 12], [9, 2], [12, 6], [9, 2], [12, 7], [9, 11],
+              [1, 2], [8, 3], [4, 12], [2, 2], [11, 8], [5, 11], [10, 0],
+              [7, 14], [1, 8], [13, 11], [7, 7], [14, 13], [8, 10], [12, 5],
+              [10, 14], [3, 7], [7, 5], [2, 5], [7, 11], [10, 8], [6, 11],
+              [5, 10], [13, 9], [9, 4]],
+    "arrows": [[0, 1], [9, 8], [5, 14], [7, 6], [0, 2], [0, 2], [10, 6],
+               [13, 11], [4, 0], [8, 3], [10, 3], [9, 0], [8, 6], [3, 0],
+               [12, 5]],
+}
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -39,6 +55,16 @@ class TestZetaVerb:
     def test_missing_file_is_parse_error(self, capsys, tmp_path):
         code, _, _ = run(capsys, "zeta", "--graph", str(tmp_path / "no.json"))
         assert code == 2
+
+    def test_json_booleans_are_parse_errors(self, capsys, tmp_path):
+        path = tmp_path / "g.json"
+        for doc in ({"nodes": True, "edges": [[0, 0]]},
+                    {"nodes": 2, "edges": [[0, True]]},
+                    {"nodes": 2, "arrows": [[False, 1]]}):
+            path.write_text(json.dumps(doc))
+            code, out, err = run(capsys, "zeta", "--graph", str(path))
+            assert (code, out) == (2, ""), doc
+            assert "must be a positive integer" in err or "node index" in err
 
     def test_normalizes_input(self, capsys, tmp_path):
         path = tmp_path / "g.json"
@@ -91,14 +117,31 @@ class TestNumericalVerdicts:
             assert (code, out) == (3, ""), argv
             assert "power sum" in err
 
-    def test_coarse_merge_is_not_a_failed_check(self, capsys):
-        """--merge 0.05 merges 2 with 2cos(pi/20) and -2 with its
-        neighbour on the 40-cycle; the roots are checked before that."""
-        code, out, err = run(capsys, "spectrum", "--ade", "A39",
-                             "--merge", "0.05")
-        assert (code, err) == (0, "")
-        mults = [int(line.split()[-1]) for line in out.splitlines()]
-        assert sum(mults) == 40 and len(mults) < 21 and max(mults) > 2
+    def test_tol_and_merge_have_no_effect(self, capsys):
+        """--tol and --merge are accepted for compatibility and change
+        nothing: no roots are merged, however coarse the distance."""
+        for argv in (["spectrum", "--ade", "A39"], ["rh", "--dimer", "3,4"],
+                     ["export-plot", "--ade", "A5"], ["catalog-verify"]):
+            plain = run(capsys, *argv)
+            flagged = run(capsys, *argv, "--merge", "0.05", "--tol", "1e-3")
+            assert plain[0] == 0 and flagged == plain, argv
+
+    def test_json_floats_are_finite_near_a_large_pole(self, capsys, tmp_path):
+        """Degree 94 with a pole of modulus 5385: residual_bound used to
+        evaluate the whole polynomial at each pole in float and printed
+        NaN here."""
+        path = tmp_path / "mixed15.json"
+        path.write_text(json.dumps(MIXED15))
+        code, out, _ = run(capsys, "rh", "--graph", str(path),
+                           "--format", "json")
+        assert code == 0
+
+        def non_finite(name):
+            raise AssertionError(f"{name} in rh --format json")
+
+        doc = json.loads(out, parse_constant=non_finite)
+        assert len(doc["zeta_inverse"]) == 95
+        assert 0 < doc["residual_bound"] < 1e-11
 
     def test_primes_keeps_its_counts_when_the_roots_fail(self, capsys):
         """D14 with loops fails the power-sum check: the exact counts are

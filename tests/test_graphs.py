@@ -38,6 +38,12 @@ class TestConstruction:
             MixedGraph.from_dict({"nodes": 2, "edges": [[0]]})
         with pytest.raises(GraphFormatError):
             MixedGraph.from_dict([1, 2])
+        # JSON true/false are not node counts or indices
+        for doc in ({"nodes": True, "edges": [[0, 0]]},
+                    {"nodes": 2, "edges": [[0, True]]},
+                    {"nodes": 2, "arrows": [[False, 1]]}):
+            with pytest.raises(GraphFormatError):
+                MixedGraph.from_dict(doc)
 
 
 class TestNormalize:

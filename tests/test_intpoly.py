@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -66,6 +67,15 @@ class TestArithmetic:
         assert P(1, 2, 0, 0).coeffs == (1, 2)
         assert P(0, 0).coeffs == ()
         assert P().degree == -1
+
+    def test_non_integers_rejected(self):
+        """Nothing rounds: a float or Fraction coefficient raises."""
+        for bad in (1.9, 2.0, Fraction(5, 2), Fraction(4, 2)):
+            with pytest.raises(TypeError):
+                P(1, bad)
+            with pytest.raises(TypeError):
+                IntPoly.term(bad, 2)
+        assert IntPoly.term(3, 2).coeffs == (0, 0, 3)
 
     def test_ring_ops(self):
         a = P(1, 2)

@@ -55,6 +55,14 @@ class TestFindRoots:
             polished = newton_polish(p, root)
             assert abs(root - polished) < 1e-10
 
+    def test_residual_bound_is_the_rounding_bound(self):
+        """2^-52 * max|z|, finite however large the roots."""
+        assert find_roots(P(-10 ** 150, 1)).residual_bound == 2.0 ** -52 * 1e150
+        rs = find_roots(P(1, 0, 0, -27))
+        assert rs.residual_bound == 2.0 ** -52 * max(rs.moduli())
+        assert find_roots(P(0, 0, 3)).residual_bound == 0.0
+        assert find_roots(P(5)).residual_bound == 0.0
+
     def test_zero_roots_stripped(self):
         rs = find_roots(P(0, 0, 0, 1, -1))  # z^3 (1 - z)
         found = dict((round(r.real, 9), m) for r, m in rs)

@@ -6,7 +6,9 @@ digests pin the default stdout of the report verbs byte for byte.  The
 root-printing ones were re-baselined once, when every root came to be
 refined on its factor and rounded to the nearest float: each changed
 output is the one that 50-digit reference roots, rounded, give
-(CHANGES.md lists every line).  The catalog digests never changed.
+(CHANGES.md lists every line).  The rh --format json ones changed once
+more, only in residual_bound, when it became the a-priori rounding
+bound 2^-52 * max|z|.  The catalog digests never changed.
 """
 
 import hashlib
@@ -33,11 +35,11 @@ DIGESTS = {
     ("rh", "D5 --loops"): "95f29bc4b03a419810df1c61b5d2f5efa7d3ea0944dce6ee82f56579cf0343b0",
     ("rh", "dimer 3,4"): "d90f283e59e4362ec3fc6a5dadef27803b21ebf954ba1a770b4be1fb698c97ad",
     ("rh", "hirz2"): "a7bc4fc2662a33a687cc65773ff78c6267e6923aca4f040baf6bbbffe6990605",
-    ("rh --format json", "A5"): "75b422f4b418e7f5751d0ce1b65fa2499df6e17a0a30b6204ae9306dae43e561",
-    ("rh --format json", "A6 --loops"): "cb4e10670efedafff675489ecb2a496a3a40daa47fdff200682c678285b88004",
-    ("rh --format json", "D5 --loops"): "8debcf955504906d4926e6fe74d498aca8a467e6fb6738dbe7dc67158f091e69",
-    ("rh --format json", "dimer 3,4"): "6708f4500b7cc44c5afaa436d55e1fcd08ccb9b64e639ce5f9394a07580a4ad9",
-    ("rh --format json", "hirz2"): "68d413da515e7459af3edfc6e74293cb3ddb284672a7cf1536a68551b6d94b32",
+    ("rh --format json", "A5"): "e8f03c274553af4f7e9927dcafea26968015ef0cac5e607b4589d4e9ce54c8e6",
+    ("rh --format json", "A6 --loops"): "b1fea32dd4599b8189c63f1d79d9e6d2d7f5cb6b3cf87a2b3a23e975e7ae00f5",
+    ("rh --format json", "D5 --loops"): "3f98b7a5ad2afd1daa254ee04693f14ceb7ec86c1720b61569a333deb9d99bae",
+    ("rh --format json", "dimer 3,4"): "037d7f308fbdc4bcd1aee6b007b86212893591ad682b583c46d1af7f81fb58aa",
+    ("rh --format json", "hirz2"): "3f82c3f60d32138fa128ac51709ff6399663996605d13e3ad34bf3a30f0e2474",
     ("export-plot", "A5"): "04d61b2445d41c3a6ff7f3016d168e4eff7f7cfd1a4c2fbf02d74d2490590138",
     ("export-plot", "A6 --loops"): "1b4b578c6321d099b6943d6e85ff578915024ea923af72b5d765c478e8d67401",
     ("export-plot", "D5 --loops"): "a73be1daf7b786b849fbb8357506e27e97788db66ae10a9ecae2bb0de4547fb1",
