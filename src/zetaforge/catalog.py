@@ -215,13 +215,11 @@ def load_catalog(path: str | None = None) -> list[CatalogRecord]:
         raise CatalogError(f"catalog is not valid JSON: {err}") from err
     if not isinstance(doc, list):
         raise CatalogError("catalog must be a JSON list of records")
-    records = []
-    for pos, entry in enumerate(doc):
-        records.append(_parse_record(pos, entry))
-    return records
+    seen = set()
+    return [_parse_record(pos, entry, seen) for pos, entry in enumerate(doc)]
 
 
-def _parse_record(pos: int, entry) -> CatalogRecord:
+def _parse_record(pos: int, entry, seen: set) -> CatalogRecord:
     where = f"record {pos + 1}"
     if not isinstance(entry, dict):
         raise CatalogError(f"{where}: not an object")
@@ -235,6 +233,11 @@ def _parse_record(pos: int, entry) -> CatalogRecord:
         quiver_flag = entry["quiver_flag"]
     except KeyError as err:
         raise CatalogError(f"{where}: missing field {err}") from None
+    if not _is_int(rid):
+        raise CatalogError(f"{where}: id must be an integer")
+    if rid in seen:
+        raise CatalogError(f"{where}: duplicate id {rid}")
+    seen.add(rid)
     where = f"record {pos + 1} (id {rid})"
     if (not isinstance(quiver, list) or not quiver
             or any(not isinstance(row, list) or len(row) != len(quiver)

@@ -150,8 +150,12 @@ def _emit(text: str, out_path):
     if not text.endswith("\n"):
         text += "\n"
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as err:
+            sys.stderr.write(f"zetaforge: cannot write {out_path}: {err}\n")
+            raise SystemExit(EXIT_USAGE) from None
     else:
         sys.stdout.write(text)
 

@@ -297,41 +297,72 @@ def primitive_part(p: IntPoly) -> IntPoly:
     return IntPoly._raw(tuple(c // g for c in p.coeffs))
 
 
-def _pseudo_rem(a: tuple, b: tuple) -> tuple:
-    """Remainder of lc(b)^(da-db+1) * a modulo b; exact over Z."""
-    da, db = len(a) - 1, len(b) - 1
-    lead = b[-1]
-    rem = list(a)
-    for k in range(da - db, -1, -1):
-        scale_needed = rem[k + db]
-        for i in range(len(rem)):
-            rem[i] *= lead
-        for j in range(db + 1):
-            rem[k + j] -= scale_needed * b[j]
-        del rem[k + db:]
-        if not any(rem):
-            return ()
-    return _norm(rem)
+# exponents e >= 61 of the Mersenne primes 2^e - 1: poly_gcd's moduli
+_MERSENNE_EXPONENTS = (61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217,
+                       4253, 4423, 9689, 9941, 11213, 19937, 21701, 23209,
+                       44497)
+
+
+def _gcd_mod(a: tuple, b: tuple, p: int) -> tuple:
+    """Monic gcd modulo a prime p dividing neither leading coefficient, by
+    Euclid; a subtraction adds under p^2, so each step reduces once."""
+    x, y = [c % p for c in a], [c % p for c in b]
+    while y:
+        db = len(y) - 1
+        inv = pow(y[-1], -1, p)
+        for k in range(len(x) - 1 - db, -1, -1):
+            q = x[k + db] * inv % p
+            if q:
+                x[k:k + db] = map(sub, x[k:k + db], map(q.__mul__, y))
+        x, y = y, list(_norm([c % p for c in x[:db]]))
+    inv = pow(x[-1], -1, p)
+    return tuple(c * inv % p for c in x)
+
+
+def _gcd(a: tuple, b: tuple) -> tuple[tuple, tuple, tuple]:
+    """(g, a/g, b/g) for a nonzero a, where g = poly_gcd(a, b)."""
+    if not b:
+        g = primitive_part(IntPoly._raw(a)).coeffs
+        return g, _div_exact(a, g), ()
+    scale = math.gcd(a[-1], b[-1])
+    image = ()
+    for e in _MERSENNE_EXPONENTS:
+        p = (1 << e) - 1
+        if not a[-1] % p or not b[-1] % p:
+            continue
+        g = tuple(c * scale % p for c in _gcd_mod(a, b, p))
+        if len(g) == 1:
+            return (1,), a, b
+        if image and len(g) > len(image):
+            continue  # p divides a resultant: its image has extra factors
+        if not image or len(g) < len(image):
+            image, modulus = g, p
+        else:
+            inv = pow(modulus, -1, p)
+            image = tuple(u + modulus * ((c - u) * inv % p)
+                          for u, c in zip(image, g))
+            modulus *= p
+        g = primitive_part(IntPoly._raw(tuple(
+            u - modulus if 2 * u > modulus else u for u in image))).coeffs
+        try:
+            return g, _div_exact(a, g), _div_exact(b, g)
+        except DivisibilityError:
+            pass
+    raise ArithmeticError("gcd coefficients beyond every modulus")
 
 
 def poly_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
-    """Primitive gcd with positive leading coefficient (primitive
-    pseudo-remainder sequence)."""
-    x, y = primitive_part(a), primitive_part(b)
-    if x.is_zero:
-        return y
-    if y.is_zero:
-        return x
-    if x.degree < y.degree:
-        x, y = y, x
-    while not y.is_zero:
-        r = IntPoly._raw(_pseudo_rem(x.coeffs, y.coeffs))
-        x, y = y, primitive_part(r)
-    return x
-
-
-# 61-bit primes for the square-free certificate, tried in order
-_CERT_PRIMES = (2**61 - 1, 2**61 - 31, 2**61 - 45)
+    """Primitive gcd with positive leading coefficient (zero when both
+    are zero), by Brown's multi-modular algorithm: the monic gcd modulo
+    each Mersenne prime dividing neither leading coefficient, by Euclid,
+    times gcd(lc a, lc b), which the gcd's leading coefficient divides,
+    combined by the Chinese remainder theorem.  A prime can only raise
+    the degree: a lower image restarts, a constant one proves the gcd is
+    1.  The symmetric lift's primitive part is the gcd once it divides
+    both inputs exactly."""
+    if a.is_zero:
+        a, b = b, a
+    return IntPoly._raw(_gcd(a.coeffs, b.coeffs)[0]) if a else ZERO
 
 
 def _root_split(a: tuple, root: int) -> tuple[int, tuple]:
@@ -351,29 +382,6 @@ def _root_split(a: tuple, root: int) -> tuple[int, tuple]:
     return mult, a
 
 
-def _certified_squarefree(a: tuple) -> bool:
-    """True only if a (degree >= 1) is square-free: gcd(a, a') modulo a
-    prime p that does not divide lc(a) is a constant.  A repeated factor
-    g of a would keep its degree modulo p, since lc(g) divides lc(a), and
-    divide both a and a' there.  False means undecided."""
-    p = next((q for q in _CERT_PRIMES if a[-1] % q), None)
-    if p is None:
-        return False
-    x = _norm([c % p for c in a])
-    y = _norm([k * c % p for k, c in enumerate(a)][1:])
-    while y:
-        db = len(y) - 1
-        inv = pow(y[-1], -1, p)
-        rem = list(x)
-        for k in range(len(rem) - 1 - db, -1, -1):
-            q = rem[k + db] * inv % p
-            if q:
-                rem[k:k + db] = [(u - q * v) % p
-                                 for u, v in zip(rem[k:k + db], y)]
-        x, y = y, _norm(rem[:db])
-    return len(x) == 1
-
-
 def squarefree_factors(p: IntPoly) -> list[tuple[IntPoly, int]]:
     """Square-free splitting of a nonzero polynomial into pairwise-coprime
     primitive factors with positive leading coefficients, each with its
@@ -383,24 +391,17 @@ def squarefree_factors(p: IntPoly) -> list[tuple[IntPoly, int]]:
     constant, so the root set with multiplicities is preserved exactly.
     The factors z - 1 and z + 1 (the (1 - z^2) prefactor of a reciprocal
     zeta polynomial puts them there with high multiplicity) are counted
-    by synthetic division first.  The remainder r is certified
-    square-free when gcd(r, r') modulo a 61-bit prime not dividing lc(r)
-    is constant; only otherwise does Yun's algorithm run, on r alone.
-    z - 1 and z + 1 then join the factor of their multiplicity, which
-    gives exactly the list that Yun's algorithm returns on p.
+    by synthetic division first, and Yun's algorithm runs on the rest
+    alone (one gcd when it is square-free, decided by its first modular
+    image).  z - 1 and z + 1 then join the factor of their multiplicity,
+    which gives exactly the list that Yun's algorithm returns on p.
     """
     if p.is_zero:
         raise ValueError("zero polynomial has no square-free splitting")
     pp = primitive_part(p)
     ones, rest = _root_split(pp.coeffs, 1)
     minus_ones, rest = _root_split(rest, -1)
-    r = IntPoly._raw(rest)
-    if r.degree < 1:
-        parts = []
-    elif _certified_squarefree(rest):
-        parts = [(r, 1)]
-    else:
-        parts = _yun(r)
+    parts = _yun(IntPoly._raw(rest)) if len(rest) > 1 else []
     by_mult = {m: f for f, m in parts}
     # products of primitive polynomials with positive leading
     # coefficients are again such (Gauss's lemma)
@@ -413,21 +414,13 @@ def squarefree_factors(p: IntPoly) -> list[tuple[IntPoly, int]]:
 def _yun(pp: IntPoly) -> list[tuple[IntPoly, int]]:
     """Yun's square-free splitting of a primitive polynomial with
     positive leading coefficient and degree >= 1."""
-    d = pp.derivative()
-    u = poly_gcd(pp, d)
-    if u.degree == 0:
-        return [(pp, 1)]
-    v = exact_div(pp, u)
-    w = exact_div(d, u)
+    _, v, w = _gcd(pp.coeffs, pp.derivative().coeffs)
     out = []
     i = 1
-    while v.degree > 0:
-        y = w - v.derivative()
-        h = poly_gcd(v, y)
-        if h.degree > 0:
-            out.append((h, i))
-        v = exact_div(v, h)
-        w = exact_div(y, h)
+    while len(v) > 1:
+        h, v, w = _gcd(v, _sub(w, IntPoly._raw(v).derivative().coeffs))
+        if len(h) > 1:
+            out.append((IntPoly._raw(h), i))
         i += 1
     return out
 

@@ -216,6 +216,26 @@ class TestCatalogData:
         path.write_text(json.dumps([good]))
         assert len(load_catalog(str(path))) == 1
 
+    def test_ids_are_unique_integers(self, tmp_path):
+        """An id that is not an int (true counts as not an int) or that an
+        earlier record already has is a CatalogError."""
+        good = {"id": 1, "quiver": [[6]], "valencies": [3],
+                "dimer_zeta": [1, 0, -6, 0, 9, 0, -4],
+                "quiver_zeta": [1, -6, 3, 12, -9, -6, 5],
+                "dimer_flag": "S", "quiver_flag": "S"}
+        path = tmp_path / "cat.json"
+        for ids, message in (([True], "record 1: id"),
+                             (["x"], "record 1: id"),
+                             ([31.0], "record 1: id"),
+                             ([1, 2, True], "record 3: id"),
+                             ([1, 1], "record 2: duplicate id 1"),
+                             ([2, 1, 2], "record 3: duplicate id 2")):
+            path.write_text(json.dumps([dict(good, id=i) for i in ids]))
+            with pytest.raises(CatalogError, match=message):
+                load_catalog(str(path))
+        path.write_text(json.dumps([dict(good, id=i) for i in (3, 1, 2)]))
+        assert [r.id for r in load_catalog(str(path))] == [3, 1, 2]
+
     def test_env_override(self, tmp_path, monkeypatch):
         path = tmp_path / "cat.json"
         path.write_text(json.dumps([{

@@ -219,6 +219,17 @@ class TestExportPlot:
         assert code == 0 and out == ""
         assert path.read_text().startswith("re,im,kind")
 
+    def test_unwritable_out_is_usage_error(self, capsys, tmp_path):
+        """--out into a missing directory: exit 1, a one-line message on
+        stderr, nothing on stdout, for a computation verb and for ade."""
+        target = str(tmp_path / "missing" / "x")
+        for argv in (("zeta", "--ade", "A2"), ("export-plot", "--dimer", "3"),
+                     ("ade", "A2")):
+            code, out, err = run(capsys, *argv, "--out", target)
+            assert code == 1 and out == ""
+            assert err.startswith(f"zetaforge: cannot write {target}: ")
+            assert "Traceback" not in err
+
 
 class TestCatalogVerify:
     def test_ok_exit_zero(self, capsys):
@@ -241,6 +252,19 @@ class TestCatalogVerify:
         code, out, _ = run(capsys, "catalog-verify", "--catalog", str(path))
         assert code == 4
         assert "MISMATCH" in out
+
+    def test_bad_ids_are_input_errors(self, capsys, tmp_path):
+        record = {"quiver": [[6]], "valencies": [3],
+                  "dimer_zeta": [1, 0, -6, 0, 9, 0, -4],
+                  "quiver_zeta": [1, -6, 3, 12, -9, -6, 5],
+                  "dimer_flag": "S", "quiver_flag": "S"}
+        path = tmp_path / "cat.json"
+        for ids in ([True, 1, 2, 3], [1, 2, 1], ["x"]):
+            path.write_text(json.dumps([dict(record, id=i) for i in ids]))
+            code, out, err = run(capsys, "catalog-verify", "--catalog",
+                                 str(path))
+            assert code == 2 and out == ""
+            assert "id" in err
 
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, "catalog-verify", "--format", "json")

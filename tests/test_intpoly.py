@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from zetaforge.intpoly import (_CERT_PRIMES, DivisibilityError, IntPoly,
-                               SeriesError, _add, _certified_squarefree,
-                               _mul, _norm, _yun,
+import zetaforge.intpoly as intpoly
+from zetaforge.intpoly import (_MERSENNE_EXPONENTS, DivisibilityError,
+                               IntPoly, SeriesError, _add, _mul, _norm, _yun,
                                exact_div, log_derivative_series,
                                mobius_invert, poly_gcd, primitive_part,
                                squarefree_factors)
@@ -19,6 +19,64 @@ def yun_split(p):
     """Yun's algorithm on the whole primitive part, with no shortcut."""
     pp = primitive_part(p)
     return _yun(pp) if pp.degree >= 1 else []
+
+
+def _pseudo_rem(a, b):
+    """Remainder of lc(b)^(da-db+1) * a modulo b; exact over Z."""
+    da, db = len(a) - 1, len(b) - 1
+    rem = list(a)
+    for k in range(da - db, -1, -1):
+        top = rem[k + db]
+        rem = [c * b[-1] for c in rem]
+        for j in range(db + 1):
+            rem[k + j] -= top * b[j]
+        del rem[k + db:]
+    return _norm(rem)
+
+
+def prs_gcd(a, b):
+    """The primitive pseudo-remainder sequence: an oracle for poly_gcd
+    that shares no code with its modular images."""
+    x, y = primitive_part(a), primitive_part(b)
+    if x.degree < y.degree:
+        x, y = y, x
+    while not y.is_zero:
+        x, y = y, primitive_part(IntPoly(_pseudo_rem(x.coeffs, y.coeffs)))
+    return x
+
+
+def oracle_split(p):
+    """Yun's algorithm over prs_gcd on the whole primitive part."""
+    v = primitive_part(p)
+    if v.degree < 1:
+        return []
+    u = prs_gcd(v, v.derivative())
+    w = exact_div(v.derivative(), u)
+    v = exact_div(v, u)
+    out, i = [], 1
+    while v.degree > 0:
+        y = w - v.derivative()
+        h = prs_gcd(v, y)
+        if h.degree > 0:
+            out.append((h, i))
+        v, w, i = exact_div(v, h), exact_div(y, h), i + 1
+    return out
+
+
+def lucas_lehmer(e):
+    """Whether 2^e - 1 is prime, for an odd prime e."""
+    m, s = (1 << e) - 1, 4
+    for _ in range(e - 2):
+        s = (s * s - 2) % m
+    return s == 0
+
+
+def random_poly(rng, max_deg, big=False):
+    """A random polynomial of degree at most max_deg; big asks for
+    coefficients of about 200 bits, beyond the first two moduli."""
+    size = 2 ** 200 if big else 9
+    return IntPoly(rng.randint(-size, size)
+                   for _ in range(rng.randint(1, max_deg + 1)))
 
 
 def schoolbook_mul(a, b):
@@ -188,18 +246,119 @@ class TestGcdSquarefree:
             squarefree_factors(P())
 
     def test_leading_coefficient_divisible_by_first_prime(self):
-        rest = P(1, 3, _CERT_PRIMES[0])
-        assert _certified_squarefree(rest.coeffs)
+        """The first modulus 2^61 - 1 is skipped; the split still agrees
+        with Yun's algorithm and the oracle."""
+        m61 = (1 << _MERSENNE_EXPONENTS[0]) - 1
+        rest = P(1, 3, m61)
+        assert squarefree_factors(rest) == [(rest, 1)]
+        assert poly_gcd(rest, rest.derivative()) == P(1)
         for p in (rest, rest * P(2, 1, 1) ** 2):
             p = p * P(-1, 1) ** 3 * P(1, 1) ** 2
-            assert squarefree_factors(p) == yun_split(p)
+            assert squarefree_factors(p) == yun_split(p) == oracle_split(p)
 
     def test_certificate_undecided(self):
-        # a square, and a leading coefficient that every prime divides
-        assert not _certified_squarefree((P(2, 1, 1) ** 2 * P(5, 1)).coeffs)
-        assert not _certified_squarefree(
-            (P(1, 3, _CERT_PRIMES[0] * _CERT_PRIMES[1] * _CERT_PRIMES[2])
-             ).coeffs)
+        """A square, whose gcd with its derivative is not constant, and a
+        leading coefficient that the first three moduli all divide."""
+        square = P(2, 1, 1) ** 2 * P(5, 1)
+        assert poly_gcd(square, square.derivative()) == P(2, 1, 1)
+        assert squarefree_factors(square) == [(P(5, 1), 1), (P(2, 1, 1), 2)]
+        lead = 1
+        for e in _MERSENNE_EXPONENTS[:3]:
+            lead *= (1 << e) - 1
+        rest = P(1, 3, lead)
+        assert poly_gcd(rest, rest.derivative()) == P(1)
+        assert squarefree_factors(rest) == [(rest, 1)]
+        p = rest ** 2 * P(3, 0, 1)
+        assert squarefree_factors(p) == yun_split(p) == oracle_split(p) \
+            == [(P(3, 0, 1), 1), (rest, 2)]
+
+    def test_random_splits_match_oracle(self):
+        rng = random.Random(11)
+        for _ in range(150):
+            p = IntPoly((rng.choice((-2, 1, 3)),))
+            for _ in range(rng.randint(1, 3)):
+                base = random_poly(rng, 4, big=rng.random() < 0.2)
+                if base.degree >= 1:
+                    p = p * base ** rng.randint(1, 3)
+            p = p * P(-1, 1) ** rng.randint(0, 3) * P(1, 1) ** rng.randint(0, 3)
+            assert squarefree_factors(p) == yun_split(p) == oracle_split(p)
+
+
+class TestPolyGcd:
+    def test_matches_prs_oracle_on_random_products(self):
+        """Products g*u, g*v, with a 200-bit g in every fourth trial (three
+        moduli) and lc(a) divisible by 2^61 - 1 in every ninth."""
+        m61 = (1 << _MERSENNE_EXPONENTS[0]) - 1
+        rng = random.Random(5)
+        for trial in range(1200):
+            g = random_poly(rng, 4, big=trial % 4 == 0)
+            a = g * random_poly(rng, 5) * (1 if trial % 9 else P(1, m61))
+            b = g * random_poly(rng, 5, big=trial % 7 == 0)
+            assert poly_gcd(a, b) == poly_gcd(b, a) == prs_gcd(a, b)
+
+    def test_zero_and_constants(self):
+        a = P(6, -4, 2)
+        assert poly_gcd(a, P()) == poly_gcd(P(), a) == P(3, -2, 1)
+        assert poly_gcd(-a, P()) == P(3, -2, 1)
+        assert poly_gcd(P(), P()) == P()
+        assert poly_gcd(P(-6), P()) == P(1)
+        assert poly_gcd(a, P(4)) == poly_gcd(P(7), P(21)) == P(1)
+
+    def test_coprime_pairs(self):
+        assert poly_gcd(P(1, 0, 1), P(-1, 0, 1)) == P(1)
+        assert poly_gcd(P(2, 3) ** 5, P(3, 2) ** 4) == P(1)
+        assert poly_gcd(P(1, 1) * 10 ** 40, P(1, 2) * 7) == P(1)
+
+    def test_leading_coefficients_scale_the_images(self):
+        g = P(-5, 0, 6)
+        a, b = g * P(1, 4), g * P(3, 0, 9) * P(2, 1)
+        assert poly_gcd(a, b) == g
+        assert poly_gcd(-a, b) == g
+
+    def test_first_modulus_dividing_a_leading_coefficient(self):
+        m61 = (1 << _MERSENNE_EXPONENTS[0]) - 1
+        g = P(2, 1, 1)
+        for a, b in ((g * P(1, m61), g * P(2, 3)),
+                     (g * P(1, 1), g * P(3, 4 * m61)),
+                     (P(1, m61), P(7, m61 * 3))):
+            assert poly_gcd(a, b) == prs_gcd(a, b)
+
+    def test_unlucky_moduli(self):
+        """Modulo m = 2^e - 1 the cofactors z - 1 and z - 1 - m share a
+        root, so that image has an extra factor.  After an unlucky first
+        modulus a constant image still proves coprimality and a lower one
+        restarts; an unlucky second modulus is skipped."""
+        m61, m89 = ((1 << e) - 1 for e in _MERSENNE_EXPONENTS[:2])
+        assert poly_gcd(P(-1, 1), P(-1 - m61, 1)) == P(1)
+        a, b = P(2, 1) * P(-1, 1), P(2, 1) * P(-1 - m61, 1)
+        assert poly_gcd(a, b) == prs_gcd(a, b) == P(2, 1)
+        a, b = a * P(-1, 3) ** 2, b * P(-1, 3) ** 2 * P(5, 0, 1)
+        assert poly_gcd(a, b) == prs_gcd(a, b)
+        g = P(3 ** 63, 1, -(7 ** 35))  # two moduli: 61 bits are too few
+        a, b = g * P(-1, 1), g * P(-1 - m89, 1)
+        assert poly_gcd(a, b) == prs_gcd(a, b) == -g
+
+    def test_large_coefficients_need_three_moduli(self, monkeypatch):
+        moduli = []
+        real = intpoly._gcd_mod
+
+        def counting(a, b, p):
+            moduli.append(p)
+            return real(a, b, p)
+
+        monkeypatch.setattr(intpoly, "_gcd_mod", counting)
+        g = P(3 ** 130 + 1, -(5 ** 70), 2 ** 170 + 3)  # up to 207 bits
+        a, b = g * P(1, 1, 3), g * P(-2, 7)
+        assert poly_gcd(a, b) == prs_gcd(a, b) == g
+        assert len(moduli) == 3  # 257 bits cover the lift, 150 do not
+
+    def test_moduli_are_mersenne_primes(self):
+        exponents = [e for e in _MERSENNE_EXPONENTS if e <= 4423]
+        assert exponents == [61, 89, 107, 127, 521, 607, 1279, 2203, 2281,
+                             3217, 4253, 4423]
+        assert all(lucas_lehmer(e) for e in exponents)
+        assert not lucas_lehmer(67) and not lucas_lehmer(4421)
+        assert list(_MERSENNE_EXPONENTS) == sorted(set(_MERSENNE_EXPONENTS))
 
 
 class TestSeries:
