@@ -14,22 +14,30 @@ the matrix, before any arithmetic:
   most 2**_SWEEP_WIDTH states per row.  Banded and otherwise
   locally-connected matrices, long cycle graphs among them, stay nearly
   linear in the number of nonzeros on this route;
-* evaluation and interpolation for every wider matrix: integer
-  fraction-free Bareiss elimination at deg+1 integer points, with deg the
-  sum over rows of the largest entry degree, then exact Newton
-  interpolation over Z.
+* evaluation and interpolation for every wider matrix, modulo one prime
+  p = 2**e - c just above twice B, the product over rows of the sum of
+  the absolute coefficients, which bounds every coefficient of the
+  determinant.  The matrix is evaluated at the points 0, 1, ..., deg,
+  with deg the sum over rows of the largest entry degree, and each row
+  is one Python int of n fixed-width slots, so an elimination step is a
+  handful of big-int operations per row rather than one per entry.  The
+  values are interpolated by Newton divided differences mod p, and each
+  coefficient is read back from (-p/2, p/2).
 
 Both are exact over Z[z]; they are property-tested against each other and
-against cofactor expansion.
+against cofactor expansion.  Entries must be ints or IntPolys: a float or
+a Fraction raises TypeError instead of being truncated.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
+from functools import cache
 from itertools import compress
+from operator import index
 from typing import Sequence, Union
 
-from .intpoly import DivisibilityError, IntPoly, _add, _mul, _neg, _norm
+from .intpoly import IntPoly, _add, _mul, _neg, _norm
 
 _SWEEP_WIDTH = 11  # at most 2**11 sweep states per row
 
@@ -100,59 +108,123 @@ def _open_width(rows, n):
     return best
 
 
-def _int_det(m):
-    """Determinant of a square integer matrix (a list of row lists) by
-    fraction-free Bareiss elimination; every division is exact."""
-    sign, prev = 1, 1
-    while len(m) > 1:
-        if not m[0][0]:
-            swap = next((i for i, row in enumerate(m) if row[0]), None)
-            if swap is None:
-                return 0
-            m[0], m[swap] = m[swap], m[0]
-            sign = -sign
-        pivot, *top = m[0]
-        m = [[(pivot * a - row[0] * b) // prev for a, b in zip(row[1:], top)]
-             if row[0] else [pivot * a // prev for a in row[1:]]
-             for row in m[1:]]
-        prev = pivot
-    return sign * m[0][0]
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_probable_prime(m):
+    """Miller-Rabin to the first twelve prime bases: a proof below
+    3.3e24, a strong probable-prime test above."""
+    for a in _BASES:
+        if m % a == 0:
+            return m == a
+    d, s = m - 1, 0
+    while not d & 1:
+        d, s = d >> 1, s + 1
+    for a in _BASES:
+        x = pow(a, d, m)
+        if x == 1 or x == m - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    return True
+
+
+@cache
+def _prime_below(e):
+    """(p, c) with p = 2**e - c the largest probable prime below 2**e."""
+    c = 1
+    while not _is_probable_prime((1 << e) - c):
+        c += 2
+    return (1 << e) - c, c
 
 
 def _interpolated_det(rows, n):
-    """Determinant of the sparse rows by evaluation at the points 0, 1,
-    -1, 2, -2, ... and Newton interpolation; raises DivisibilityError if
-    a divided difference is not an integer."""
+    """Determinant of the sparse rows by evaluation at the points
+    0, 1, ..., deg modulo one prime p > 2B, with B a bound on every
+    coefficient, and Newton interpolation mod p lifted to (-p/2, p/2)."""
     if not all(rows):
         return ()  # a zero row
-    deg = sum(max(len(e) for e in row.values()) for row in rows) - n
-    xs = [(k + 1) // 2 * (1 if k & 1 else -1) for k in range(deg + 1)]
+    lengths = [max(map(len, row.values())) for row in rows]
+    deg = sum(lengths) - n
+    # B: each term of the Leibniz sum has a coefficient 1-norm at most the
+    # product of its entries' 1-norms, so the product over rows of their
+    # summed absolute coefficients bounds every determinant coefficient
+    bound = 1
+    for row in rows:
+        bound *= sum(abs(a) for ent in row.values() for a in ent)
+    e = max(62, (2 * bound).bit_length() + 1)
+    p, c = _prime_below(e)  # p > 2**(e - 1) > 2B
+    # A row is n slots of w bits, slot j holding the entry of column j
+    # plus a multiple of p, never negative.  A slot starts at most init
+    # (Horner over residues at x <= deg), and each of the at most n - 1
+    # updates before its row turns pivot adds f * (2p - t) <= 2p(p - 1),
+    # so w bits hold it without a carry into the next slot.
+    init = (p - 1) * sum(deg ** k for k in range(max(lengths)))
+    w = (init + (n - 1) * 2 * p * (p - 1)).bit_length()
+    # A fold maps each slot v to (v >> e) * c + (v mod 2**e), equal mod p
+    # since 2**e = c (mod p); the pivot row is folded until every slot is
+    # below 2p.  Two rounds suffice when init < 2p**2 and (4nc + 3)c <
+    # 2**e, as for every graph matrix in the tests and the benchmark; the
+    # loop counts the rounds in general.
+    folds, v = 0, (1 << w) - 1
+    while v >= 2 * p:
+        v = (v >> e) * c + (1 << e) - 1
+        folds += 1
+    ones = sum(1 << (w * j) for j in range(n))
+    low, high = ones * ((1 << e) - 1), ones * ((1 << (w - e)) - 1)
+    mask = (1 << w) - 1
+    packed = []  # per row, its coefficient rows from the top degree down
+    for row, length in zip(rows, lengths):
+        cs = [0] * length
+        for j, ent in row.items():
+            for k, a in enumerate(ent):
+                cs[k] += a % p << w * j
+        packed.append(cs[::-1])
     coef = []
-    for x in xs:
+    for x in range(deg + 1):
         m = []
-        for row in rows:
-            vals = [0] * n
-            for c, e in row.items():
-                acc = 0
-                for a in reversed(e):
-                    acc = acc * x + a
-                vals[c] = acc
-            m.append(vals)
-        coef.append(_int_det(m))
-    # divided differences in place: coef[k] becomes f[x_0, ..., x_k]
+        for cs in packed:
+            acc = cs[0]
+            for a in cs[1:]:
+                acc = acc * x + a
+            m.append(acc)
+        det, twop = 1, 2 * p * ones
+        while m:
+            i = next((i for i, r in enumerate(m) if (r & mask) % p), None)
+            if i is None:
+                det = 0
+                break
+            t = m.pop(i)
+            if i & 1:  # row i moved up past i rows
+                det = -det
+            for _ in range(folds):
+                t = ((t >> e) & high) * c + (t & low)
+            pivot = (t & mask) % p
+            det = det * pivot % p
+            # r + f * (2p - t) with f = r_0 / t_0 (mod p) takes f * t
+            # from r mod p, keeps every slot non-negative since each t_j
+            # < 2p, and leaves slot 0 a multiple of p, dropped by >> w
+            inv, comp = pow(pivot, -1, p), twop - t
+            m = [(r + (r & mask) * inv % p * comp) >> w for r in m]
+            twop >>= w
+        coef.append(det)
+    # divided differences in place: coef[k] becomes f[0, ..., k]
     for j in range(1, deg + 1):
+        inv = pow(j, -1, p)
         for k in range(deg, j - 1, -1):
-            q, r = divmod(coef[k] - coef[k - 1], xs[k] - xs[k - j])
-            if r:
-                raise DivisibilityError("non-integral divided difference")
-            coef[k] = q
-    # Newton form to monomials: acc = acc * (z - x_k) + coef[k]
+            coef[k] = (coef[k] - coef[k - 1]) * inv % p
+    # Newton form to monomials: acc = acc * (z - k) + coef[k]
     acc = [coef[deg]]
     for k in range(deg - 1, -1, -1):
-        x = xs[k]
-        acc = [coef[k] - x * acc[0]] + [
-            acc[i - 1] - x * acc[i] for i in range(1, len(acc))] + [acc[-1]]
-    return _norm(acc)
+        acc = [(coef[k] - k * acc[0]) % p] + [
+            (acc[i - 1] - k * acc[i]) % p for i in range(1, len(acc))
+        ] + [acc[-1]]
+    half = p >> 1
+    return _norm([a - p if a > half else a for a in acc])
 
 
 def _sparse(matrix: Sequence[Row], entry) -> list[dict]:
@@ -194,14 +266,14 @@ def det_poly(matrix: Sequence[Row]) -> IntPoly:
     """Exact determinant of a square matrix of IntPoly (or int) entries,
     given as dense rows or as {column: entry} rows."""
     rows = _sparse(matrix, lambda e: e.coeffs if isinstance(e, IntPoly)
-                   else _norm((int(e),)))
+                   else _norm((index(e),)))
     return _det(rows, len(rows))
 
 
 def char_poly(matrix: Sequence[Row]) -> IntPoly:
     """Monic characteristic polynomial det(x*I - M) of an integer matrix,
     given as dense rows or as {column: entry} rows."""
-    rows = _sparse(matrix, lambda x: _norm((-int(x),)))
+    rows = _sparse(matrix, lambda x: _norm((-index(x),)))
     for i, row in enumerate(rows):
         row[i] = (row.get(i, (0,))[0], 1)
     return _det(rows, len(rows))

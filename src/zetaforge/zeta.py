@@ -180,7 +180,8 @@ class ZetaReport:
             "poles": [{"re": r.real, "im": r.imag, "multiplicity": m}
                       for r, m in self.poles],
             "residual_bound": self.poles.residual_bound,
-            "r_g": self.r_g,
+            # JSON has no infinity: a forest's r_g (no poles) is null
+            "r_g": self.r_g if math.isfinite(self.r_g) else None,
             "p": self.p,
             "q": self.q,
             "classification": self.classification,

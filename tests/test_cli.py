@@ -143,6 +143,26 @@ class TestNumericalVerdicts:
         assert len(doc["zeta_inverse"]) == 95
         assert 0 < doc["residual_bound"] < 1e-11
 
+    def test_pole_free_r_g_is_json_null(self, capsys, tmp_path):
+        """A forest or an edgeless graph has no poles, so R_G is infinite:
+        the JSON report says null (not the invalid token Infinity) and
+        the text report still says inf."""
+        def non_finite(name):
+            raise AssertionError(f"{name} in rh --format json")
+
+        for name, doc in (("tree", {"nodes": 2, "edges": [[0, 1]]}),
+                          ("edgeless", {"nodes": 3, "edges": []})):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(doc))
+            code, out, _ = run(capsys, "rh", "--graph", str(path),
+                               "--format", "json")
+            assert code == 0
+            report = json.loads(out, parse_constant=non_finite)
+            assert report["r_g"] is None and report["poles"] == []
+            assert report["classification"] == "Trivial"
+            code, out, _ = run(capsys, "rh", "--graph", str(path))
+            assert code == 0 and "R_G: inf" in out.splitlines()
+
     def test_primes_keeps_its_counts_when_the_roots_fail(self, capsys):
         """D14 with loops fails the power-sum check: the exact counts are
         still printed, without the pnt ratios that need R_G."""

@@ -1,11 +1,12 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from zetaforge.intpoly import IntPoly
 from zetaforge import polydet
-from zetaforge.polydet import (_frontier_det, _interpolated_det, char_poly,
-                              det_poly)
+from zetaforge.polydet import (_frontier_det, _interpolated_det,
+                              _prime_below, char_poly, det_poly)
 
 
 def P(*coeffs):
@@ -62,6 +63,13 @@ class TestDetPoly:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             det_poly([[P(1), P(2)]])
+
+    def test_float_and_fraction_entries_rejected(self):
+        # int() used to truncate them: det_poly([[2.7]]) gave 2
+        for bad in ([[2.7]], [[P(1), 0.5], [0, 1]], [[Fraction(3)]],
+                    [{0: 1.0}]):
+            with pytest.raises(TypeError):
+                det_poly(bad)
 
     def test_zero_row(self):
         m = [[P(), P()], [P(1), P(2)]]
@@ -193,6 +201,108 @@ class TestDetPoly:
         assert det_poly(rows) == IntPoly(expect)
 
 
+def strong_probable_prime(m, bases):
+    d, s = m - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in bases:
+        x = pow(a, d, m)
+        if x in (1, m - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    return True
+
+
+FIRST_20_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
+                   53, 59, 61, 67, 71)
+
+
+class TestModularRoute:
+    """The wide route works modulo one prime p = 2^e - c > 2B, with B the
+    product over rows of the summed absolute coefficients; each row is
+    packed into one int, and the pivot row is folded below 2p per step."""
+
+    def test_coefficients_equal_to_plus_and_minus_the_bound(self):
+        # B = 2^k - 1 lies above half of the largest prime below 2^(k+1),
+        # so a modulus sized to B instead of 2B lifts +B and -B wrongly
+        for k in (63, 100, 200):
+            b = (1 << k) - 1
+            assert _interpolated_det([{0: (b,)}], 1) == (b,)
+            assert _interpolated_det([{0: (0, -b)}], 1) == (0, -b)
+            assert _interpolated_det([{1: (0, 1)}, {0: (b,)}], 2) == (0, -b)
+        factors = (7, 7, 73, 127, 337, 92737, 649657)  # 2^63 - 1
+        b, n = (1 << 63) - 1, len(factors)
+        diag = [{i: (0,) * (i % 2) + (a,)} for i, a in enumerate(factors)]
+        assert _interpolated_det(diag, n) == (0,) * (n // 2) + (b,)
+        # a 7-cycle permutation is even: the sign comes from the entries
+        cyclic = [{(i + 1) % n: (-a,)} for i, a in enumerate(factors)]
+        assert _interpolated_det(cyclic, n) == (-b,)
+
+    def test_points_where_the_determinant_vanishes(self):
+        # column 0 vanishes at the points 0 and 2, and the (0, 0) entry
+        # also at 1 and 3: the pivot search finds no row at 0 and 2 and a
+        # later row than the first at 1 and 3
+        rng = random.Random(31)
+        for _ in range(20):
+            n = rng.randint(3, 6)
+            m = random_matrix(rng, n, density=0.8, max_deg=2)
+            for row in m:
+                row[0] = row[0] * P(0, -2, 1)
+            m[0][0] = P(0, -2, 1) * P(3, -4, 1)
+            rows = sparse(m)
+            expect = det_cofactor(m).coeffs
+            assert _interpolated_det(rows, n) == expect
+            assert _frontier_det(rows, n) == expect
+
+    def test_entries_beyond_two_to_the_200(self):
+        # e far above 62, and each pivot row needs more than one fold; the
+        # entries are full and of one size, so each n needs one prime
+        rng = random.Random(37)
+        for n in (3, 4):
+            for _ in range(6):
+                m = [[IntPoly([rng.choice((-1, 1)) * (
+                    (1 << 200) + rng.getrandbits(190)) for _ in range(2)])
+                      for _ in range(n)] for _ in range(n)]
+                rows = sparse(m)
+                expect = det_cofactor(m).coeffs
+                assert _interpolated_det(rows, n) == expect
+                assert _frontier_det(rows, n) == expect
+
+    def test_many_small_matrices(self):
+        # with three rows or more a slot takes two updates before it is
+        # read, so a slot too narrow by one bit carries into its neighbour
+        rng = random.Random(41)
+        for _ in range(300):
+            n = rng.randint(2, 4)
+            m = random_matrix(rng, n, density=0.9, max_deg=2)
+            assert _interpolated_det(sparse(m), n) == det_cofactor(m).coeffs
+
+    def test_one_by_one_and_zero_rows(self):
+        assert _interpolated_det([{0: (5,)}], 1) == (5,)
+        assert _interpolated_det([{0: (-2, 0, 7)}], 1) == (-2, 0, 7)
+        for n in (1, 3, 13):
+            for at in {0, n // 2, n - 1}:
+                rows = [{j: (1, i + j) for j in range(n)} for i in range(n)]
+                rows[at] = {}
+                assert _interpolated_det(rows, n) == ()
+
+    def test_prime_below_is_a_strong_probable_prime(self):
+        known = {62: 57, 63: 25, 64: 59, 128: 159, 256: 189, 1024: 105}
+        for e, c in known.items():
+            assert _prime_below(e) == ((1 << e) - c, c)
+        # every exponent up to 256, then a spread up to 1100: the search
+        # costs about 0.4 s per exponent near 1000
+        for e in [*range(62, 257), 384, 512, 768, 1024, 1100]:
+            p, c = _prime_below(e)
+            assert p == (1 << e) - c and 0 < c < 1 << 20
+            assert strong_probable_prime(p, FIRST_20_PRIMES), e
+
+
 class TestCharPoly:
     def test_triangle_adjacency(self):
         assert char_poly([[0, 1, 1], [1, 0, 1], [1, 1, 0]]) == P(-2, -3, 0, 1)
@@ -217,3 +327,9 @@ class TestCharPoly:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             char_poly([[1, 2, 3], [4, 5, 6]])
+
+    def test_float_and_fraction_entries_rejected(self):
+        # int() used to truncate them: [[1.9, 0], [0, 1]] gave 1 - 2z + z^2
+        for bad in ([[1.9, 0], [0, 1]], [[Fraction(1, 2)]], [{0: 2.0}]):
+            with pytest.raises(TypeError):
+                char_poly(bad)

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from zetaforge.catalog import ade_graph, dimer_graph
+from zetaforge.census import _successors, build_darts
 from zetaforge.graphs import MixedGraph, matrices, normalize
 from zetaforge.intpoly import IntPoly
 from zetaforge.polydet import char_poly
@@ -54,6 +55,119 @@ class TestZetaInverse:
                                              (3, 4), (4, 5), (3, 5)))
         assert zeta_inverse(two_triangles) == \
             zeta_inverse(ade_graph("A", 2)) ** 2
+
+
+DART_MOD = (1 << 61) - 1
+
+
+def random_mixed(n, rng):
+    """3n random edges (loops and parallels allowed) and n arrows with no
+    self-loop and no reciprocal pair: the generator of the benchmark's
+    dense family."""
+    edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(3 * n)]
+    arrows, seen = [], set()
+    while len(arrows) < n:
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i == j or (j, i) in seen:
+            continue
+        seen.add((i, j))
+        arrows.append((i, j))
+    return MixedGraph(n, edges=tuple(edges), arrows=tuple(arrows))
+
+
+def criterion_9_graph():
+    """The n = 40 graph of acceptance criterion 9 (same draws)."""
+    rng = random.Random(40)
+    n = 40
+    edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(3 * n)]
+    arrows = set()
+    while len(arrows) < n:
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i != j and (j, i) not in arrows:
+            arrows.add((i, j))
+    return MixedGraph(n, edges=tuple(edges), arrows=tuple(sorted(arrows)))
+
+
+def dart_det(g, z0):
+    """det(I - z0 T) mod 2^61 - 1, with T the non-backtracking dart
+    matrix (T[a][b] = 1 when dart b may follow dart a), by sparse
+    Gaussian elimination.  Column k takes as pivot the remaining row with
+    the fewest entries; the rows so chosen form a permutation whose
+    parity gives the sign."""
+    succ = _successors(build_darts(g))
+    rows = []
+    for a, nxt in enumerate(succ):
+        row = {a: 1}
+        for b in nxt:
+            row[b] = (row.get(b, 0) - z0) % DART_MOD
+        rows.append({c: v for c, v in row.items() if v})
+    remaining, order, det = set(range(len(rows))), [], 1
+    for col in range(len(rows)):
+        hits = [r for r in remaining if col in rows[r]]
+        if not hits:
+            return 0
+        top = min(hits, key=lambda r: (len(rows[r]), r))
+        remaining.discard(top)
+        order.append(top)
+        pivot = rows[top]
+        det = det * pivot[col] % DART_MOD
+        inv = pow(pivot[col], -1, DART_MOD)
+        for r in hits:
+            if r == top:
+                continue
+            row = rows[r]
+            f = row[col] * inv % DART_MOD
+            for c, v in pivot.items():
+                x = (row.get(c, 0) - f * v) % DART_MOD
+                if x:
+                    row[c] = x
+                else:
+                    row.pop(c, None)
+    # column k's pivot is row order[k]: det = sign(order) * product, and
+    # each cycle of even length is an odd permutation
+    seen, odd = set(), False
+    for start in range(len(order)):
+        length, k = 0, start
+        while k not in seen:
+            seen.add(k)
+            k = order[k]
+            length += 1
+        odd ^= length > 0 and length % 2 == 0
+    return -det % DART_MOD if odd else det
+
+
+def zeta_mod(poly, z0):
+    acc = 0
+    for a in reversed(poly.coeffs):
+        acc = (acc * z0 + a) % DART_MOD
+    return acc
+
+
+class TestDartOracle:
+    """zeta_inverse against det(I - zT) on the dart matrix, an oracle that
+    shares only the dart successor lists with the package: no walk
+    matrices, no polynomial determinant, no prefactor."""
+
+    def test_small_graphs(self):
+        rng = random.Random(7)
+        for g in (DP0, SINGLE_EDGE, MixedGraph(1, edges=((0, 0),) * 3),
+                  ade_graph("D", 5, with_loops=True), dimer_graph([3, 4])):
+            zi = zeta_inverse(g)
+            for _ in range(3):
+                z0 = rng.randrange(2, DART_MOD)
+                assert zeta_mod(zi, z0) == dart_det(g, z0)
+
+    def test_dense_family_and_criterion_9(self):
+        family = random.Random("dense-family")
+        graphs = [random_mixed(n, family)
+                  for n, count in ((16, 5), (24, 1), (32, 1))
+                  for _ in range(count)]
+        rng = random.Random(61)
+        for g in graphs + [criterion_9_graph()]:  # n = 16, 24, 32 and 40
+            zi = zeta_inverse(g)
+            for _ in range(2):
+                z0 = rng.randrange(2, DART_MOD)
+                assert zeta_mod(zi, z0) == dart_det(g, z0)
 
 
 class TestDirectedShortcut:
