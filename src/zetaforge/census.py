@@ -14,11 +14,20 @@ Lyndon word (strictly smaller than each of its proper rotations).  The
 census counts those words in one depth-first pass over all lengths,
 extending a single dart word along the successor lists and carrying the
 period p of the Fredricksen-Kessler-Maiorana prenecklace generator
-(Cattell, Ruskey, Sawada, Serra & Miers 2000): a next dart below
-word[t - p] cannot lead to a least rotation and is pruned, one equal to
-it keeps p, and one above it makes the word Lyndon (p = t).  A Lyndon
-word is counted when its last dart ends at the first dart's tail and is
-not the first dart's inverse.  No class is stored.
+(Cattell, Ruskey, Sawada, Serra & Miers 2000): a next dart below the
+floor word[t - p] cannot lead to a least rotation and is pruned, one
+equal to it keeps p, and one above it makes the word Lyndon (p = t + 1).
+A Lyndon word is counted when its last dart ends at the first dart's
+tail and is not the first dart's inverse.
+
+The last level of the search, the words one dart short of the horizon,
+is counted, not visited: such a word would only count its closing darts.
+Its parent has at most one child equal to the parent's floor, counted on
+its own, and a run of children above it.  Each of those is a Lyndon
+word, so its floor is word[0], the first dart, and its count (closing
+darts above word[0]) depends on the child alone: the run is summed by
+one read of suffix sums over the successor list, built once per first
+dart next to the closing lists.  No class is stored.
 
 The counts are checked before they are returned: sum over d | m of
 d * pi(d) must equal N_m for every m (a CensusError otherwise).  This
@@ -30,6 +39,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from math import gcd
 
 from .graphs import MixedGraph
@@ -128,11 +138,24 @@ def _lyndon_closed_walks(darts: list[Dart], succ: list[list[int]],
         floor = word[t - p]
         ends = closing[last]
         counts[t] += len(ends) - bisect_right(ends, floor)
-        if t + 1 < horizon:
-            for e in succ[last]:
+        nxt = succ[last]
+        if t + 2 < horizon:
+            for e in nxt:
                 if e >= floor:
                     word[t] = e
                     extend(t + 1, p if e == floor else t + 1)
+        elif t + 2 == horizon:
+            # the children would only count their own closings: a child
+            # above the floor is Lyndon, so its floor is word[0] and its
+            # count above[e], summed in one read of the suffix sums; the
+            # child equal to the floor keeps p
+            k = bisect_right(nxt, floor)
+            total = suffix[last][k]
+            if k and nxt[k - 1] == floor:
+                word[t] = floor
+                ends = closing[floor]
+                total += len(ends) - bisect_right(ends, word[t + 1 - p])
+            counts[t + 1] += total
 
     for d in darts:
         # a single dart closes when it is a loop (never its own inverse)
@@ -142,6 +165,11 @@ def _lyndon_closed_walks(darts: list[Dart], succ: list[list[int]],
             # successors of each dart that close a walk begun by d
             closing = [[e for e in s if darts[e].head == d.tail
                         and e != d.inverse] for s in succ]
+            # above[e]: closings of e above d, the count of a Lyndon word
+            # ending in e; suffix[x][k]: their sum over succ[x][k:]
+            above = [len(c) - bisect_right(c, d.id) for c in closing]
+            suffix = [[*accumulate((above[e] for e in reversed(s)),
+                                   initial=0)][::-1] for s in succ]
             word[0] = d.id
             extend(1, 1)
     return counts

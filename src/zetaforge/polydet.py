@@ -34,6 +34,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from functools import cache
 from itertools import compress
+from math import gcd, isqrt, prod
 from operator import index
 from typing import Sequence, Union
 
@@ -133,11 +134,27 @@ def _is_probable_prime(m):
     return True
 
 
+def _odd_prime_product(n):
+    """The product of the odd primes below n, by a sieve of Eratosthenes."""
+    sieve = bytearray([1]) * n
+    for i in range(3, isqrt(n) + 1, 2):
+        if sieve[i]:
+            sieve[i * i::2 * i] = bytes(len(range(i * i, n, 2 * i)))
+    return prod(i for i in range(3, n, 2) if sieve[i])
+
+
+# one gcd against it passes on to Miller-Rabin about two in five of the
+# odd candidates that trial division by the twelve bases lets through
+_SCREEN = _odd_prime_product(1 << 13)
+
+
 @cache
 def _prime_below(e):
-    """(p, c) with p = 2**e - c the largest probable prime below 2**e."""
+    """(p, c) with p = 2**e - c the largest probable prime below 2**e;
+    e >= 14, so p exceeds every prime in the screen."""
     c = 1
-    while not _is_probable_prime((1 << e) - c):
+    while not (gcd((1 << e) - c, _SCREEN) == 1
+               and _is_probable_prime((1 << e) - c)):
         c += 2
     return (1 << e) - c, c
 
@@ -227,6 +244,9 @@ def _interpolated_det(rows, n):
     return _norm([a - p if a > half else a for a in acc])
 
 
+_PLAIN = frozenset((int, IntPoly))
+
+
 def _sparse(matrix: Sequence[Row], entry) -> list[dict]:
     """The matrix as one {column: coefficient tuple} dict per row, with the
     entry x at column j given by entry(x) and zero entries left out.  A
@@ -241,8 +261,12 @@ def _sparse(matrix: Sequence[Row], entry) -> list[dict]:
             items = row.items()
         elif len(row) != n:
             raise ValueError("matrix is not square")
-        else:
+        elif set(map(type, row)) <= _PLAIN:
+            # int and IntPoly zeros are dropped unconverted
             items = zip(compress(range(n), row), compress(row, row))
+        else:
+            # entry() sees every entry, so a float or Fraction zero raises
+            items = enumerate(row)
         out = {}
         for j, x in items:
             e = entry(x)

@@ -1,11 +1,13 @@
 import random
+from bisect import bisect_right
 from math import gcd
 
 import pytest
 
 from zetaforge import census as census_module
 from zetaforge.catalog import ade_graph, dimer_graph
-from zetaforge.census import (CensusError, CensusLimitError, build_darts,
+from zetaforge.census import (CensusError, CensusLimitError,
+                              _lyndon_closed_walks, _successors, build_darts,
                               count_closed_paths, enumerate_primes,
                               pnt_ratios)
 from zetaforge.graphs import MixedGraph, normalize
@@ -53,6 +55,57 @@ def reference_census(g, horizon):
     closed = [sum(d * prime_counts[d - 1] for d in range(1, m + 1)
                   if m % d == 0) for m in range(1, horizon + 1)]
     return closed, prime_counts
+
+
+def lyndon_dfs(darts, succ, horizon):
+    """Lyndon closed walks of each length 1..horizon by the plain pruned
+    depth-first search: every node, the last level included, is visited
+    and counts the closing darts above its FKM floor word[t - p]."""
+    counts = [0] * horizon
+    word = [0] * horizon
+
+    def extend(t, p):
+        last = word[t - 1]
+        floor = word[t - p]
+        ends = closing[last]
+        counts[t] += len(ends) - bisect_right(ends, floor)
+        if t + 1 < horizon:
+            for e in succ[last]:
+                if e >= floor:
+                    word[t] = e
+                    extend(t + 1, p if e == floor else t + 1)
+
+    for d in darts:
+        if d.head == d.tail:
+            counts[0] += 1
+        if horizon > 1:
+            closing = [[e for e in s if darts[e].head == d.tail
+                        and e != d.inverse] for s in succ]
+            word[0] = d.id
+            extend(1, 1)
+    return counts
+
+
+def census_workload_graphs():
+    """The benchmark's census graphs with their horizons: affine A1, A2
+    (the triangle), D4, D5 and E6 with two loops per node, and the dimer
+    3,4,5."""
+    def looped(n, edges):
+        loops = [(v, v) for v in range(n) for _ in range(2)]
+        return MixedGraph(n, tuple(edges + loops))
+
+    def affine_d(index):
+        return looped(index + 1, [(0, 2), (1, 2)]
+                      + [(k, k + 1) for k in range(2, index - 2)]
+                      + [(index - 2, index - 1), (index - 2, index)])
+
+    dimer = [(2 * i, 2 * i + 1) for i, r in enumerate((3, 4, 5))
+             for _ in range(r)]
+    return [(looped(2, [(0, 1), (0, 1)]), 8),
+            (looped(3, [(0, 1), (1, 2), (2, 0)]), 8),
+            (affine_d(4), 8), (affine_d(5), 8),
+            (looped(7, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)]), 8),
+            (MixedGraph(6, tuple(dimer)), 9)]
 
 
 def random_mixed_graph(rng):
@@ -190,6 +243,29 @@ class TestAgainstReference:
         monkeypatch.setattr(census_module, "count_closed_paths", perturbed)
         with pytest.raises(CensusError, match="closed-walk count mismatch"):
             enumerate_primes(WORKED, 4)
+
+
+class TestLastLevelCount:
+    """The census counts its last level from suffix sums instead of
+    visiting it; the plain search is the oracle."""
+
+    def assert_matches(self, g, horizon):
+        darts = build_darts(g)
+        succ = _successors(darts)
+        for h in range(1, horizon + 1):
+            counts = _lyndon_closed_walks(darts, succ, h)
+            assert counts == lyndon_dfs(darts, succ, h), (g, h)
+        return counts
+
+    def test_random_mixed_graphs(self):
+        rng = random.Random(2010)
+        graphs = [random_mixed_graph(rng) for _ in range(200)]
+        with_primes = sum(1 for g in graphs if self.assert_matches(g, 8)[-1])
+        assert with_primes > 100
+
+    def test_census_workload_graphs(self):
+        for g, horizon in census_workload_graphs():
+            self.assert_matches(g, horizon)
 
 
 class TestRatios:

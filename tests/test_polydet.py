@@ -59,15 +59,18 @@ class TestDetPoly:
 
     def test_int_entries_accepted(self):
         assert det_poly([[2, 1], [1, 2]]) == P(3)
+        assert det_poly([[P(), 1], [1, 0]]) == P(-1)
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             det_poly([[P(1), P(2)]])
 
     def test_float_and_fraction_entries_rejected(self):
-        # int() used to truncate them: det_poly([[2.7]]) gave 2
+        # int() used to truncate them: det_poly([[2.7]]) gave 2; a dense
+        # zero was dropped unconverted: det_poly([[0.0, 1], [1, 0]]) gave -1
         for bad in ([[2.7]], [[P(1), 0.5], [0, 1]], [[Fraction(3)]],
-                    [{0: 1.0}]):
+                    [{0: 1.0}], [[0.0, 1], [1, 0]], [[1, 0], [Fraction(0), 1]],
+                    [[P(1), 0.0], [P(), P(1)]]):
             with pytest.raises(TypeError):
                 det_poly(bad)
 
@@ -329,7 +332,9 @@ class TestCharPoly:
             char_poly([[1, 2, 3], [4, 5, 6]])
 
     def test_float_and_fraction_entries_rejected(self):
-        # int() used to truncate them: [[1.9, 0], [0, 1]] gave 1 - 2z + z^2
-        for bad in ([[1.9, 0], [0, 1]], [[Fraction(1, 2)]], [{0: 2.0}]):
+        # int() used to truncate them: [[1.9, 0], [0, 1]] gave 1 - 2z + z^2;
+        # [[0.0, 1], [1, 0]] gave -1 + z^2
+        for bad in ([[1.9, 0], [0, 1]], [[Fraction(1, 2)]], [{0: 2.0}],
+                    [[0.0, 1], [1, 0]], [[0, 1], [1, Fraction(0)]]):
             with pytest.raises(TypeError):
                 char_poly(bad)
