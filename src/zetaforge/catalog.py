@@ -85,11 +85,10 @@ def parse_ade_spec(spec: str) -> tuple[str, int]:
     spec = spec.strip()
     if len(spec) < 2 or spec[0].upper() not in "ADE":
         raise ValueError(f"bad diagram spec {spec!r}; expected e.g. A2, D4, E6")
-    try:
-        index = int(spec[1:])
-    except ValueError:
-        raise ValueError(f"bad diagram index in {spec!r}") from None
-    return spec[0].upper(), index
+    index = spec[1:].strip()
+    if not (index.isascii() and index.isdigit()):
+        raise ValueError(f"bad diagram index in {spec!r}")
+    return spec[0].upper(), int(index)
 
 
 def dimer_graph(valencies: list[int]) -> MixedGraph:

@@ -17,8 +17,8 @@ import argparse
 import json
 import sys
 
-from .catalog import (CatalogError, ade_graph, dimer_graph, load_catalog,
-                      parse_ade_spec, verify_catalog)
+from .catalog import (ade_graph, dimer_graph, load_catalog, parse_ade_spec,
+                      verify_catalog)
 from .census import HORIZON_LIMIT, CensusError, enumerate_primes, pnt_ratios
 from .graphs import GraphFormatError, MixedGraph, normalize
 from .rootfind import NumericalError, find_roots
@@ -38,7 +38,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-class _InputError(Exception):
+class _InputError(ValueError):
     pass
 
 
@@ -53,7 +53,9 @@ def _build_parser() -> _Parser:
             p.add_argument(flag, type=float,
                            help="no effect; accepted for compatibility")
 
-    def add_graph_options(p, horizon=False, formats=("text", "json", "csv")):
+    def add_graph_options(p, run, horizon=False,
+                          formats=("text", "json", "csv")):
+        p.set_defaults(run=run)
         src = p.add_mutually_exclusive_group(required=True)
         src.add_argument("--graph", metavar="PATH",
                          help="JSON graph file with nodes/edges/arrows")
@@ -73,21 +75,24 @@ def _build_parser() -> _Parser:
                            help=f"series horizon (1..{HORIZON_LIMIT})")
 
     add_graph_options(sub.add_parser("zeta",
-                      help="reciprocal zeta polynomial coefficients"))
+                      help="reciprocal zeta polynomial coefficients"),
+                      _cmd_zeta)
     add_graph_options(sub.add_parser("rh",
                       help="pole analysis and Riemann-hypothesis verdicts"),
-                      formats=("text", "json"))
+                      _cmd_rh, formats=("text", "json"))
     add_graph_options(sub.add_parser("primes",
                       help="closed-walk and prime-class table"),
-                      horizon=True)
+                      _cmd_primes, horizon=True)
     add_graph_options(sub.add_parser("spectrum",
-                      help="adjacency eigenvalues"))
+                      help="adjacency eigenvalues"), _cmd_spectrum)
     add_graph_options(sub.add_parser("export-plot",
-                      help="CSV of poles and eigenvalues (re,im,kind)"))
+                      help="CSV of poles and eigenvalues (re,im,kind)"),
+                      _cmd_export_plot)
 
     for name in ("ade", "dimer"):
         p = sub.add_parser(name, help=f"emit a generated {name} graph "
                                       "as JSON")
+        p.set_defaults(run=_cmd_generate)
         p.add_argument("spec", help="A2/D4/E6 style spec" if name == "ade"
                                     else "valency list, e.g. 3,4")
         if name == "ade":
@@ -96,6 +101,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("catalog-verify",
                        help="recompute the bundled tiling catalog")
+    p.set_defaults(run=_cmd_catalog_verify)
     p.add_argument("--catalog", metavar="PATH",
                    help="catalog file (overrides ZETAFORGE_CATALOG and "
                         "the bundled data)")
@@ -106,13 +112,11 @@ def _build_parser() -> _Parser:
 
 
 def _parse_valencies(text: str) -> list[int]:
-    try:
-        vals = [int(part) for part in text.split(",") if part.strip() != ""]
-    except ValueError:
-        raise ValueError(f"bad valency list {text!r}") from None
-    if not vals or any(v < 1 for v in vals):
+    """Comma-separated positive integers, each a run of ASCII digits."""
+    parts = [part.strip() for part in text.split(",")]
+    if not all(p.isascii() and p.isdigit() and int(p) >= 1 for p in parts):
         raise ValueError(f"bad valency list {text!r}")
-    return vals
+    return [int(p) for p in parts]
 
 
 def _spec_graph(kind: str, spec: str, loops: bool,
@@ -308,26 +312,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as err:
         return err.code if isinstance(err.code, int) else EXIT_USAGE
-    handlers = {
-        "zeta": _cmd_zeta,
-        "rh": _cmd_rh,
-        "primes": _cmd_primes,
-        "spectrum": _cmd_spectrum,
-        "export-plot": _cmd_export_plot,
-        "ade": _cmd_generate,
-        "dimer": _cmd_generate,
-        "catalog-verify": _cmd_catalog_verify,
-    }
     try:
-        return handlers[args.verb](args, parser)
+        return args.run(args, parser)
     except SystemExit as err:
         return err.code if isinstance(err.code, int) else EXIT_USAGE
-    except _InputError as err:
-        print(f"zetaforge: {err}", file=sys.stderr)
-        return EXIT_INPUT
-    except (CatalogError, GraphFormatError) as err:
-        print(f"zetaforge: {err}", file=sys.stderr)
-        return EXIT_INPUT
     except (NumericalError, CensusError) as err:
         print(f"zetaforge: {err}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -4,7 +4,8 @@ A graph mixes undirected edges (loops allowed, multiplicity via repeated
 pairs) with directed arrows.  The normalization convention replaces every
 arrow self-loop by an undirected loop and every mutually reciprocal arrow
 pair by a single edge, so that arrows carry only genuinely one-way
-adjacency.  Everything is immutable and hashable.
+adjacency.  A graph is immutable and hashable; its walk matrices are
+sparse, one Counter of the nonzero entries per row.
 """
 
 from __future__ import annotations
@@ -92,13 +93,15 @@ class MatrixBundle:
 
     adjacency[i][j] counts length-one walks i->j along edges or arrows,
     with diagonal entries twice the loop count; arrows[i][j] counts arrows
-    only.  degree_diag[i] is the undirected degree (loops count twice)
-    minus one.  exponent is node count minus edge count and equals
-    -(sum(degree_diag) - n)/2 identically.
+    only.  Each row is a Counter that stores only its nonzero entries, so
+    a column outside its support reads 0.  degree_diag[i] is the
+    undirected degree (loops count twice) minus one.  exponent is node
+    count minus edge count and equals -(sum(degree_diag) - n)/2
+    identically.
     """
 
-    adjacency: tuple[tuple[int, ...], ...]
-    arrows: tuple[tuple[int, ...], ...]
+    adjacency: tuple[Counter, ...]
+    arrows: tuple[Counter, ...]
     degree_diag: tuple[int, ...]
     exponent: int
 
@@ -138,27 +141,21 @@ def matrices(g: MixedGraph) -> MatrixBundle:
         if i == j:
             raise GraphFormatError(
                 f"arrow self-loop at node {i}; call normalize() first")
-    adj = [[0] * n for _ in range(n)]
-    arr = [[0] * n for _ in range(n)]
+    adj = [Counter() for _ in range(n)]
+    arr = [Counter() for _ in range(n)]
+    degrees = [0] * n  # undirected degree, loops twice
     for i, j in g.edges:
-        if i == j:
-            adj[i][i] += 2
-        else:
-            adj[i][j] += 1
-            adj[j][i] += 1
+        adj[i][j] += 1  # a loop adds 2 on the diagonal
+        adj[j][i] += 1
+        degrees[i] += 1
+        degrees[j] += 1
     for i, j in g.arrows:
         adj[i][j] += 1
         arr[i][j] += 1
-    degrees = [0] * n  # undirected degree, loops twice
-    for i, j in g.edges:
-        degrees[i] += 1
-        degrees[j] += 1
     exponent = n - len(g.edges)
     assert exponent == -(sum(degrees) - 2 * n) // 2
-    return MatrixBundle(tuple(tuple(r) for r in adj),
-                        tuple(tuple(r) for r in arr),
-                        tuple(d - 1 for d in degrees),
-                        exponent)
+    return MatrixBundle(tuple(adj), tuple(arr),
+                        tuple(d - 1 for d in degrees), exponent)
 
 
 def total_degrees(g: MixedGraph) -> list[int]:

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from functools import cache
-from itertools import compress
 from math import gcd, isqrt, prod
 from operator import index
 from typing import Sequence, Union
@@ -244,9 +243,6 @@ def _interpolated_det(rows, n):
     return _norm([a - p if a > half else a for a in acc])
 
 
-_PLAIN = frozenset((int, IntPoly))
-
-
 def _sparse(matrix: Sequence[Row], entry) -> list[dict]:
     """The matrix as one {column: coefficient tuple} dict per row, with the
     entry x at column j given by entry(x) and zero entries left out.  A
@@ -261,9 +257,6 @@ def _sparse(matrix: Sequence[Row], entry) -> list[dict]:
             items = row.items()
         elif len(row) != n:
             raise ValueError("matrix is not square")
-        elif set(map(type, row)) <= _PLAIN:
-            # int and IntPoly zeros are dropped unconverted
-            items = zip(compress(range(n), row), compress(row, row))
         else:
             # entry() sees every entry, so a float or Fraction zero raises
             items = enumerate(row)

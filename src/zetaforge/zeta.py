@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress
 
 from .graphs import MixedGraph, degree_profile, is_connected, matrices
 from .intpoly import IntPoly, _root_split, exact_div
@@ -39,12 +38,10 @@ _ONE_MINUS_Z2 = IntPoly((1, 0, -1))
 def zeta_inverse(g: MixedGraph) -> IntPoly:
     """Reciprocal zeta polynomial of a normalized graph; constant term 1."""
     b = matrices(g)
-    cols = range(g.node_count)
     rows = []
     for i, (adj, arr) in enumerate(zip(b.adjacency, b.arrows)):
         # arrows count in the adjacency, so its support covers both
-        row = {j: IntPoly((0, -adj[j], 0, arr[j]))
-               for j in compress(cols, adj)}
+        row = {j: IntPoly((0, -a, 0, arr[j])) for j, a in adj.items()}
         row[i] = IntPoly((1, -adj[i], b.degree_diag[i], arr[i]))
         rows.append(row)
     det = det_poly(rows)
@@ -62,10 +59,9 @@ def directed_zeta_inverse(g: MixedGraph) -> IntPoly:
     if g.edges:
         raise ValueError("graph has undirected edges; only fully directed "
                          "graphs admit the det(I - zA) form")
-    cols = range(g.node_count)
     rows = []
     for i, adj in enumerate(matrices(g).adjacency):
-        row = {j: IntPoly((0, -adj[j])) for j in compress(cols, adj)}
+        row = {j: IntPoly((0, -a)) for j, a in adj.items()}
         row[i] = IntPoly((1, -adj[i]))
         rows.append(row)
     return det_poly(rows)

@@ -26,7 +26,7 @@ class TestAdeGenerator:
     def test_single_node_with_loops(self):
         g = ade_graph("A", 0, with_loops=True)
         assert g.edges == ((0, 0),) * 3
-        assert matrices(g).adjacency == ((6,),)
+        assert [dict(r) for r in matrices(g).adjacency] == [{0: 6}]
 
     def test_doubled_edge_at_index_one(self):
         g = ade_graph("A", 1)
@@ -78,7 +78,7 @@ class TestAdeGenerator:
 class TestDimer:
     def test_pair_matrices(self):
         b = matrices(dimer_graph([3]))
-        assert b.adjacency == ((0, 3), (3, 0))
+        assert [dict(r) for r in b.adjacency] == [{1: 3}, {0: 3}]
         assert b.degree_diag == (2, 2)
 
     def test_single_edge_pair(self):
@@ -158,7 +158,8 @@ class TestQuiverDecode:
             for i in range(n):
                 m[i][i] = 2 * rng.randint(0, 2)
             g = quiver_to_graph(m)
-            assert [list(r) for r in matrices(g).adjacency] == m
+            assert [[r[j] for j in range(n)]
+                    for r in matrices(g).adjacency] == m
 
 
 class TestCatalogData:

@@ -220,6 +220,29 @@ class TestGenerateVerbs:
         assert run(capsys, "dimer", "0")[0] == 1
         assert run(capsys, "dimer", "3,x")[0] == 1
 
+    def test_spec_numbers_are_ascii_digit_runs(self, capsys):
+        """int() would read these as A10, A3, A3 and 3,4: underscores,
+        signs and non-ASCII digits are rejected, not coerced."""
+        for spec in ("A1_0", "A+3", "A\u0663", "D\uff14"):
+            code, out, err = run(capsys, "zeta", "--ade", spec)
+            assert (code, out) == (1, ""), spec
+            assert "bad diagram index" in err
+        for spec in ("3,+4", "3,4_0", "\u0663"):
+            assert run(capsys, "zeta", "--dimer", spec)[:2] == (1, ""), spec
+
+    def test_empty_valency_items_are_rejected(self, capsys):
+        for spec in ("3,,4", ",3", "3,4,", "3, ,4", ""):
+            code, out, err = run(capsys, "zeta", "--dimer", spec)
+            assert (code, out) == (1, ""), spec
+            assert "bad valency list" in err
+        assert run(capsys, "dimer", "3,,4")[:2] == (1, "")
+
+    def test_whitespace_around_numbers_is_still_accepted(self, capsys):
+        assert run(capsys, "zeta", "--ade", " a2 ") == \
+            run(capsys, "zeta", "--ade", "A2")
+        assert run(capsys, "zeta", "--dimer", " 3, 4 ") == \
+            run(capsys, "zeta", "--dimer", "3,4")
+
 
 class TestExportPlot:
     def test_csv_shape(self, capsys):

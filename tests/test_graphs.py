@@ -16,6 +16,30 @@ def random_graph(rng, max_nodes=12):
     return MixedGraph(n, tuple(edges), tuple(arrows))
 
 
+def dense_matrices(g):
+    """The dense builder that matrices() replaced, kept as the oracle:
+    (adjacency, arrows) as n x n tuples, loops counted twice."""
+    n = g.node_count
+    adj = [[0] * n for _ in range(n)]
+    arr = [[0] * n for _ in range(n)]
+    for i, j in g.edges:
+        if i == j:
+            adj[i][i] += 2
+        else:
+            adj[i][j] += 1
+            adj[j][i] += 1
+    for i, j in g.arrows:
+        adj[i][j] += 1
+        arr[i][j] += 1
+    return tuple(tuple(r) for r in adj), tuple(tuple(r) for r in arr)
+
+
+def densify(rows):
+    """Sparse rows as an n x n tuple of tuples."""
+    n = len(rows)
+    return tuple(tuple(row[j] for j in range(n)) for row in rows)
+
+
 class TestConstruction:
     def test_canonical_edges(self):
         g = MixedGraph(3, edges=((2, 1), (0, 2)))
@@ -77,22 +101,23 @@ class TestMatrices:
     def test_worked_example(self):
         g = MixedGraph(2, edges=((0, 1), (1, 1)), arrows=((1, 0),))
         b = matrices(g)
-        assert b.adjacency == ((0, 1), (2, 2))
-        assert b.arrows == ((0, 0), (1, 0))
+        assert [dict(r) for r in b.adjacency] == [{1: 1}, {0: 2, 1: 2}]
+        assert [dict(r) for r in b.arrows] == [{}, {0: 1}]
         assert b.degree_diag == (0, 2)
         assert b.exponent == 0
 
     def test_single_bare_node(self):
         b = matrices(MixedGraph(1))
-        assert b.adjacency == ((0,),)
+        assert [dict(r) for r in b.adjacency] == [{}]
+        assert b.adjacency[0][0] == 0
         assert b.degree_diag == (-1,)
         assert b.exponent == 1
 
     def test_triangle(self):
         g = MixedGraph(3, edges=((0, 1), (1, 2), (0, 2)))
         b = matrices(g)
-        assert b.adjacency == ((0, 1, 1), (1, 0, 1), (1, 1, 0))
-        assert b.arrows == ((0, 0, 0),) * 3
+        assert densify(b.adjacency) == ((0, 1, 1), (1, 0, 1), (1, 1, 0))
+        assert densify(b.arrows) == ((0, 0, 0),) * 3
         assert b.degree_diag == (1, 1, 1)
         assert b.exponent == 0
 
@@ -124,13 +149,26 @@ class TestMatrices:
     def test_fully_undirected_has_zero_arrows(self):
         g = MixedGraph(4, edges=((0, 1), (2, 3), (1, 2)))
         b = matrices(g)
-        assert all(x == 0 for row in b.arrows for x in row)
+        assert [dict(r) for r in b.arrows] == [{}] * 4
 
     def test_fully_directed_has_equal_matrices_and_minus_one_diag(self):
         g = MixedGraph(3, arrows=((0, 1), (1, 2), (2, 0)))
         b = matrices(g)
-        assert b.adjacency == b.arrows
+        assert [dict(r) for r in b.adjacency] == \
+            [dict(r) for r in b.arrows] == [{1: 1}, {2: 1}, {0: 1}]
         assert b.degree_diag == (-1, -1, -1)
+
+    def test_sparse_rows_match_dense_oracle(self):
+        """Loops, parallel edges and arrows: the sparse rows hold exactly
+        the nonzero entries of the dense builder's rows."""
+        rng = random.Random(37)
+        for _ in range(200):
+            g = normalize(random_graph(rng))
+            b = matrices(g)
+            adj, arr = dense_matrices(g)
+            assert densify(b.adjacency) == adj
+            assert densify(b.arrows) == arr
+            assert all(all(row.values()) for row in b.adjacency + b.arrows)
 
 
 class TestProfiles:

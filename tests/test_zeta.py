@@ -1,8 +1,10 @@
 import math
 import random
+from collections.abc import Mapping
 
 import pytest
 
+from zetaforge import polydet
 from zetaforge.catalog import ade_graph, dimer_graph
 from zetaforge.census import _successors, build_darts
 from zetaforge.graphs import MixedGraph, matrices, normalize
@@ -170,6 +172,32 @@ class TestDartOracle:
                 assert zeta_mod(zi, z0) == dart_det(g, z0)
 
 
+class TestSparseWalkRows:
+    def test_determinants_receive_mapping_rows(self, monkeypatch):
+        """Every walk matrix reaches polydet as sparse rows, never as
+        dense n x n rows that polydet would scan for the nonzeros."""
+        seen = []
+        sparse = polydet._sparse
+
+        def spy(matrix, entry):
+            seen.append(list(matrix))
+            return sparse(matrix, entry)
+
+        monkeypatch.setattr(polydet, "_sparse", spy)
+        regular = ade_graph("A", 6, with_loops=True)
+        directed = MixedGraph(3, arrows=((0, 1), (1, 2), (2, 0), (0, 2)))
+        for call, g in ((zeta_inverse, DP0), (zeta_inverse, regular),
+                        (directed_zeta_inverse, directed),
+                        (adjacency_spectrum, DP0),
+                        (adjacency_spectrum, regular),
+                        (is_ramanujan, regular)):
+            seen.clear()
+            call(g)
+            assert seen, call.__name__
+            assert all(isinstance(row, Mapping)
+                       for rows in seen for row in rows), call.__name__
+
+
 class TestDirectedShortcut:
     def test_doubled_arrow_cycles(self):
         h1 = MixedGraph(4, arrows=tuple([(0, 1)] * 2 + [(1, 2)] * 2
@@ -262,10 +290,10 @@ class TestAnalyze:
 
 
 def jacobi_eigenvalues(matrix):
-    """Eigenvalues of a real symmetric matrix by cyclic Jacobi rotations,
-    in ascending order."""
-    a = [[float(x) for x in row] for row in matrix]
-    n = len(a)
+    """Eigenvalues of a real symmetric matrix, given as sparse rows, by
+    cyclic Jacobi rotations, in ascending order."""
+    n = len(matrix)
+    a = [[float(row[j]) for j in range(n)] for row in matrix]
     for _ in range(100):
         off = sum(a[p][q] ** 2 for p in range(n) for q in range(p + 1, n))
         if off <= 1e-30 * (1.0 + sum(a[p][p] ** 2 for p in range(n))):
