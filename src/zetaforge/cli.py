@@ -133,6 +133,8 @@ def _spec_graph(kind: str, spec: str, loops: bool,
 
 
 def _load_graph(args, parser: _Parser) -> MixedGraph:
+    if args.loops and args.ade is None:
+        parser.error("--loops applies only to --ade")
     if args.graph is not None:
         try:
             with open(args.graph, "r", encoding="utf-8") as fh:

@@ -54,15 +54,60 @@ def _sub(a, b):
     return _norm(out)
 
 
+def _ones(length, width):
+    """The int with a 1 at the foot of each of length slots of width
+    bytes."""
+    return int.from_bytes((b"\x01" + bytes(width - 1)) * length, "little")
+
+
+def _pack(coeffs, width):
+    """sum(c * 256**(width*k)) for the k-th coefficient c, built in linear
+    time: each c is written as c + 2**(8*width - 1), which must fit in
+    its slot of width bytes, and the offsets are taken off at once."""
+    half = 1 << (8 * width - 1)
+    data = b"".join([(c + half).to_bytes(width, "little") for c in coeffs])
+    return int.from_bytes(data, "little") - (_ones(len(coeffs), width)
+                                             << 8 * width - 1)
+
+
+def _unpack(x, length, width):
+    """The length coefficients packed in x by _pack, each of absolute
+    value below 2**(8*width - 1), so no slot borrows from the next."""
+    half = 1 << (8 * width - 1)
+    data = (x + (_ones(length, width) << 8 * width - 1)).to_bytes(
+        length * width, "little")
+    return [int.from_bytes(data[i:i + width], "little") - half
+            for i in range(0, length * width, width)]
+
+
+def _slot_width(*bits):
+    """Bytes per slot for values of absolute value below 2**sum(bits)."""
+    return (sum(bits) + 8) // 8
+
+
+# From this length of the shorter factor on, one big-int product of the
+# packed factors beats the slice kernel's len(b) passes over a; shorter
+# factors (the entries of a walk matrix among them) stay on the slices.
+_KRONECKER_MIN = 16
+
+
 def _mul(a, b):
-    """Product: the longer factor, scaled by each nonzero coefficient of
-    the shorter one, written or added into the output by slice; a
-    coefficient of 1 or -1 needs no multiply."""
+    """Product.  A short factor scales the longer one by each of its
+    nonzero coefficients, written or added into the output by slice (a
+    coefficient of 1 or -1 needs no multiply); two long factors are packed
+    into one int each (Kronecker substitution) and multiplied once, in
+    slots wide enough for min(len) products of the largest coefficients."""
     if len(a) < len(b):
         a, b = b, a
     if not b:
         return ()
     la = len(a)
+    if len(b) >= _KRONECKER_MIN:
+        width = _slot_width(max(map(abs, a)).bit_length(),
+                            max(map(abs, b)).bit_length(),
+                            len(b).bit_length())
+        return _norm(_unpack(_pack(a, width) * _pack(b, width),
+                             la + len(b) - 1, width))
     out = [0] * (la + len(b) - 1)
     fresh = True  # nothing written yet: the slice still holds zeros
     for i, y in enumerate(b):
@@ -216,8 +261,9 @@ class IntPoly:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def derivative(self) -> "IntPoly":

@@ -6,14 +6,25 @@ n**2.  ``det_poly`` and ``char_poly`` take dense rows or rows given as
 mappings and pick one of two exact routes from the support pattern of
 the matrix, before any arithmetic:
 
-* a division-free expansion that sweeps the rows once and memoizes on the
-  set of used columns.  Once a column's last nonzero row is passed, every
+* a division-free expansion that sweeps the rows and memoizes on the set
+  of used columns.  Once a column's last nonzero row is passed, every
   live state holds it, so the states differ only in the columns that are
   still "open" (nonzero in an earlier or the current row and in a later
   row).  A matrix whose open width never exceeds ``_SWEEP_WIDTH`` has at
-  most 2**_SWEEP_WIDTH states per row.  Banded and otherwise
-  locally-connected matrices, long cycle graphs among them, stay nearly
-  linear in the number of nonzeros on this route;
+  most 2**_SWEEP_WIDTH states per row, so banded and otherwise
+  locally-connected matrices, long cycle graphs among them, keep few
+  states; the cost is then in the state polynomials, whose degree grows
+  with the rows swept.  From ``_SPLIT`` rows on, the sweep therefore runs
+  from both ends and meets in the middle: top-down over the first
+  h = n // 2 rows and bottom-up over the rest, where a column expires at
+  its first nonzero row instead of its last.  Laplace expansion along the
+  top h rows joins the halves: with T[U] and B[V] the states of the two
+  sweeps on complementary column sets,
+  det = sum over U of T[U] * B[V] * (-1)**(sum of the column indices in
+  V).  Both sweeps count a sign against all n columns, which leaves only
+  that factor.  Each half's polynomials reach about half the degree, so
+  a long cycle costs about half as much; below ``_SPLIT`` rows a single
+  top-down sweep beats the join;
 * evaluation and interpolation for every wider matrix, modulo one prime
   p = 2**e - c just above twice B, the product over rows of the sum of
   the absolute coefficients, which bounds every coefficient of the
@@ -34,68 +45,143 @@ from __future__ import annotations
 from collections.abc import Mapping
 from functools import cache
 from math import gcd, isqrt, prod
-from operator import index
+from operator import add, index, neg, sub
 from typing import Sequence, Union
 
-from .intpoly import IntPoly, _add, _mul, _neg, _norm
+from .intpoly import IntPoly, _norm, _pack, _slot_width, _unpack
 
 _SWEEP_WIDTH = 11  # at most 2**11 sweep states per row
+_SPLIT = 16  # from this many rows on the sweep runs from both ends
 
 Row = Union[Sequence, Mapping]
 
 
-def _frontier_det(rows, n):
-    """Division-free determinant sweep over the sparse rows.
+def _sweep(rows, expiring):
+    """Division-free expansion of the rows in the given order: the map
+    from each mask of the columns the rows can take to its signed sum of
+    products, as a coefficient list.
 
-    A state is the bit mask of the columns used so far; every live state
-    after row i holds all columns whose last nonzero row is at most i, so
-    dropping the states that miss one of them is the only merge needed.
+    A row takes one free column c at the sign of the number of free
+    columns below c.  A column in expiring[i] has no nonzero entry in the
+    rows after row i, so every state from then on must hold it: a product
+    that would miss one is never formed, and this is the only merge the
+    states need.
     """
-    last_row = [-1] * n
-    for i, row in enumerate(rows):
-        if not row:
-            return ()  # a zero row
-        for c in row:
-            last_row[c] = i
-    if min(last_row) < 0:
-        return ()  # an all-zero column
-    expiring = [0] * n  # bit mask of the columns whose last row is i
-    for c, i in enumerate(last_row):
-        expiring[i] |= 1 << c
-    states = {0: (1,)}
+    states = {0: [1]}
     for row, need in zip(rows, expiring):
-        # (bit, mask of the columns below it, entry, negated entry)
-        entries = [(1 << c, (1 << c) - 1, e, _neg(e))
-                   for c, e in sorted(row.items())]
+        # (bit, mask of the columns below it, entry)
+        entries = [(1 << c, (1 << c) - 1, e) for c, e in sorted(row.items())]
         nxt = {}
         for used, val in states.items():
-            for bit, low, pos, neg in entries:
-                if used & bit:
-                    continue
-                # sign of the column among the columns not yet used
-                term = _mul(val, neg if ((low & ~used).bit_count() & 1)
-                            else pos)
+            m = len(val)
+            for bit, low, ent in entries:
                 key = used | bit
-                cur = nxt.get(key)
-                nxt[key] = _add(cur, term) if cur is not None else term
-        states = {k: v for k, v in nxt.items() if v and k & need == need}
+                if key == used or key & need != need:
+                    continue
+                size = m + len(ent) - 1
+                acc = nxt.get(key)
+                fresh = acc is None  # nothing written yet: all zeros
+                if fresh:
+                    acc = nxt[key] = [0] * size
+                elif len(acc) < size:
+                    acc += [0] * (size - len(acc))
+                odd = (low & ~used).bit_count() & 1
+                for k, a in enumerate(ent):
+                    if not a:
+                        continue
+                    if odd:
+                        a = -a
+                    j = k + m
+                    if fresh:
+                        acc[k:j] = val if a == 1 else map(
+                            neg if a == -1 else a.__mul__, val)
+                        fresh = False
+                    elif a == 1:
+                        acc[k:j] = map(add, acc[k:j], val)
+                    elif a == -1:
+                        acc[k:j] = map(sub, acc[k:j], val)
+                    else:
+                        acc[k:j] = map(add, acc[k:j], map(a.__mul__, val))
+        states = {}
+        for key, acc in nxt.items():
+            while acc and not acc[-1]:
+                acc.pop()
+            if acc:
+                states[key] = acc
         if not states:
-            return ()
+            break
+    return states
+
+
+def _join(top, bottom, n):
+    """Laplace expansion along the rows of the top sweep: the sum over its
+    states U of top[U] * bottom[V] * (-1)**(sum of the columns in V), with
+    V the columns outside U.  The signs of both sweeps count free columns
+    among all n, which leaves only that factor.  Each pair's product is
+    taken on packed ints and the sum is unpacked once."""
     full = (1 << n) - 1
-    if list(states) != [full]:
-        raise AssertionError("determinant sweep left unresolved columns")
-    return states[full]
+    odd_columns = sum(1 << c for c in range(1, n, 2))
+    pairs = []
+    for used, t in top.items():
+        b = bottom.get(full ^ used)
+        if b is not None:
+            odd = ((full ^ used) & odd_columns).bit_count() & 1
+            pairs.append((t, b, odd))
+    if not pairs:
+        return ()
+    width = _slot_width(
+        max(max(map(abs, t)) for t, _, _ in pairs).bit_length(),
+        max(max(map(abs, b)) for _, b, _ in pairs).bit_length(),
+        max(min(len(t), len(b)) for t, b, _ in pairs).bit_length(),
+        len(pairs).bit_length())
+    total = 0
+    for t, b, odd in pairs:
+        term = _pack(t, width) * _pack(b, width)
+        total = total - term if odd else total + term
+    return _norm(_unpack(total, max(len(t) + len(b) - 1 for t, b, _ in pairs),
+                         width))
 
 
-def _open_width(rows, n):
-    """Largest number of columns open after any row: nonzero at or above
-    it and nonzero below it."""
+def _spans(rows, n):
+    """The first and the last row in which each column is nonzero, n and
+    -1 for an all-zero column."""
     first, last = [n] * n, [-1] * n
     for i, row in enumerate(rows):
         for c in row:
             if first[c] > i:
                 first[c] = i
             last[c] = i
+    return first, last
+
+
+def _frontier_det(rows, n):
+    """Determinant of the sparse rows by the sweep: one top-down sweep
+    below _SPLIT rows, otherwise a top-down sweep over the first n // 2
+    rows and a bottom-up one over the rest, joined by _join.  Bottom-up,
+    a column expires at its first nonzero row."""
+    if not all(rows):
+        return ()  # a zero row
+    first, last = _spans(rows, n)
+    if min(last) < 0:
+        return ()  # an all-zero column
+    opening, closing = [0] * n, [0] * n  # masks by first and by last row
+    for c in range(n):
+        opening[first[c]] |= 1 << c
+        closing[last[c]] |= 1 << c
+    h = n // 2 if n >= _SPLIT else n
+    top = _sweep(rows[:h], closing)
+    if h < n:
+        return _join(top, _sweep(rows[h:][::-1], opening[h:][::-1]), n)
+    full = (1 << n) - 1
+    if top.keys() - {full}:
+        raise AssertionError("determinant sweep left unresolved columns")
+    return tuple(top.get(full, ()))
+
+
+def _open_width(rows, n):
+    """Largest number of columns open after any row: nonzero at or above
+    it and nonzero below it."""
+    first, last = _spans(rows, n)
     delta = [0] * (n + 1)
     for f, t in zip(first, last):
         if f < t:

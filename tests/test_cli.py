@@ -328,3 +328,14 @@ class TestUsage:
 
     def test_conflicting_sources(self, capsys):
         assert run(capsys, "zeta", "--ade", "A2", "--dimer", "3")[0] == 1
+
+    def test_loops_without_ade_is_usage_error(self, capsys, tmp_path):
+        # --loops used to be dropped silently: zeta --dimer 3,4 --loops
+        # printed the loop-free polynomial and exited 0
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({"nodes": 2, "edges": [[0, 1]]}))
+        for verb in ("zeta", "rh", "primes", "spectrum", "export-plot"):
+            for source in (("--dimer", "3,4"), ("--graph", str(path))):
+                code, out, err = run(capsys, verb, *source, "--loops")
+                assert code == 1 and out == ""
+                assert "--ade" in err

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -106,6 +107,41 @@ class TestKernels:
             a = random_coeffs(rng, rng.choice([0, 1, 4, 40]))
             b = random_coeffs(rng, rng.choice([0, 1, 4, 40]))
             assert _mul(a, b) == _mul(b, a) == schoolbook_mul(a, b)
+        # exact lengths on both sides of the packed path, which takes a
+        # shorter factor of 16 coefficients or more; every factor keeps
+        # interior zeros
+        pools = ((0, 1, -1),
+                 (0, 1, -1, 1 << 300, -(1 << 300), (1 << 300) - 1, 7),
+                 (0, 0, 1, -1, 2, -3, 10 ** 30, -(2 ** 70)))
+        for la in (1, 15, 16, 17, 64, 300):
+            for lb in (1, 15, 16, 17, 64, 300):
+                if lb > la:
+                    continue
+                for pool in pools:
+                    a, b = ([rng.choice(pool) for _ in range(n - 1)]
+                            + [rng.choice(pool[1:])] for n in (la, lb))
+                    for f in (a, b):
+                        if len(f) > 2:
+                            f[len(f) // 3] = 0
+                    a, b = tuple(a), tuple(b)
+                    assert _mul(a, b) == _mul(b, a) == schoolbook_mul(a, b)
+        # the packed slots are sized by a bound that factors of equal
+        # coefficients 2**k - 1 meet almost with equality
+        for n in (16, 31, 63, 64, 127):
+            for ka in range(1, 13):
+                for kb in range(1, 13):
+                    a, b = (1 << ka) - 1, 1 - (1 << kb)
+                    expect = tuple(a * b * min(k + 1, n, 2 * n - 1 - k)
+                                   for k in range(2 * n - 1))
+                    assert _mul((a,) * n, (b,) * n) == expect
+
+    def test_powers_of_one_minus_z_squared(self):
+        base = P(1, 0, -1)
+        for k in range(201):
+            expect = [0] * (2 * k + 1)
+            for j in range(k + 1):
+                expect[2 * j] = (-1) ** j * math.comb(k, j)
+            assert (base ** k).coeffs == tuple(expect), k
 
     def test_add_matches_termwise_sum(self):
         rng = random.Random(37)

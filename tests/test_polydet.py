@@ -1,11 +1,12 @@
 import random
 from fractions import Fraction
+from functools import cache
 
 import pytest
 
 from zetaforge.intpoly import IntPoly
 from zetaforge import polydet
-from zetaforge.polydet import (_frontier_det, _interpolated_det,
+from zetaforge.polydet import (_SPLIT, _frontier_det, _interpolated_det,
                               _prime_below, char_poly, det_poly)
 
 
@@ -20,16 +21,25 @@ def sparse(m):
 
 
 def det_cofactor(m):
-    if len(m) == 1:
-        return m[0][0]
-    total = IntPoly(())
-    for j, head in enumerate(m[0]):
-        if head.is_zero:
-            continue
-        minor = [row[:j] + row[j + 1:] for row in m[1:]]
-        term = head * det_cofactor(minor)
-        total = total + (term if j % 2 == 0 else -term)
-    return total
+    """Cofactor expansion along the first row.  A minor with an all-zero
+    column is 0, and equal minors are expanded once, which keeps banded
+    matrices of 40 rows cheap."""
+    @cache
+    def expand(m):
+        if len(m) == 1:
+            return m[0][0]
+        if not all(any(col) for col in zip(*m)):
+            return IntPoly(())
+        total = IntPoly(())
+        for j, head in enumerate(m[0]):
+            if head.is_zero:
+                continue
+            minor = tuple(row[:j] + row[j + 1:] for row in m[1:])
+            term = head * expand(minor)
+            total = total + (term if j % 2 == 0 else -term)
+        return total
+
+    return expand(tuple(map(tuple, m)))
 
 
 def random_matrix(rng, n, density=0.7, max_deg=3):
@@ -327,6 +337,17 @@ class TestCharPoly:
             trace = sum(m[i][i] for i in range(n))
             assert cp[n - 1] == -trace
 
+    def test_cycles_match_the_closed_form(self):
+        # det(xI - A) of the n-cycle is L_n(x) - 2, with L_0 = 2, L_1 = x
+        # and L_k = x L_(k-1) - L_(k-2)
+        x = P(0, 1)
+        lucas = [P(2), x]
+        for _ in range(2, 1001):
+            lucas.append(x * lucas[-1] - lucas[-2])
+        for n in (3, 4, 99, 201, 400, 1000):
+            cycle = [{(i - 1) % n: 1, (i + 1) % n: 1} for i in range(n)]
+            assert char_poly(cycle) == lucas[n] - 2, n
+
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             char_poly([[1, 2, 3], [4, 5, 6]])
@@ -338,3 +359,98 @@ class TestCharPoly:
                     [[0.0, 1], [1, 0]], [[0, 1], [1, Fraction(0)]]):
             with pytest.raises(TypeError):
                 char_poly(bad)
+
+
+def random_banded(rng, n, band, corners=False, entry=None):
+    """An n x n IntPoly matrix with nonzeros only within band of the
+    diagonal, and in the two far corners when corners is set (the
+    wrap-around of a cycle)."""
+    def default():
+        return IntPoly([rng.randint(-3, 3)
+                        for _ in range(rng.randint(1, 3))])
+    entry = entry or default
+    m = [[IntPoly(()) for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(max(0, i - band), min(n, i + band + 1)):
+            if rng.random() < 0.8:
+                m[i][j] = entry()
+    if corners:
+        m[0][n - 1], m[n - 1][0] = entry(), entry()
+    return m
+
+
+class TestTwoEndedSweep:
+    """From _SPLIT rows on, the sweep runs top-down over the first n // 2
+    rows and bottom-up over the rest, and joins the two by Laplace
+    expansion along the top rows."""
+
+    def test_matches_interpolation_and_cofactors_across_the_split(self):
+        rng = random.Random(53)
+        assert 12 < _SPLIT < 40
+        for n in (12, _SPLIT - 1, _SPLIT, _SPLIT + 1, 21, 30, 40):
+            for band, corners in ((1, False), (1, True), (2, False),
+                                  (2, True)):
+                m = random_banded(rng, n, band, corners)
+                rows = sparse(m)
+                expect = det_cofactor(m).coeffs
+                assert _frontier_det(rows, n) == expect, (n, band, corners)
+                assert _interpolated_det(rows, n) == expect
+
+    def test_zero_row_or_column_in_either_half(self):
+        rng = random.Random(59)
+        n = 24
+        for at in (2, n // 2 - 1, n // 2, n - 1):
+            m = random_banded(rng, n, 2, corners=True)
+            m[at] = [IntPoly(()) for _ in range(n)]
+            assert _frontier_det(sparse(m), n) == ()
+            m = random_banded(rng, n, 2, corners=True)
+            for row in m:
+                row[at] = IntPoly(())
+            assert _frontier_det(sparse(m), n) == ()
+
+    def test_identically_zero_with_every_row_nonzero(self, monkeypatch):
+        rng = random.Random(61)
+        n, h = 20, 10
+        joined = []
+        join = polydet._join
+
+        def spy(top, bottom, n):
+            joined.append((len(top), len(bottom)))
+            return join(top, bottom, n)
+
+        monkeypatch.setattr(polydet, "_join", spy)
+        # rows 0..h-2 and row h live on the columns 0..h-2: ten rows on
+        # nine columns, so no term survives; each sweep alone still has
+        # states, but every bottom state holds column h-3 or h-2, which
+        # every top state holds too
+        support = [range(max(0, i - 1), min(h - 1, i + 2))
+                   for i in range(h - 1)]
+        support += [range(h - 1, h + 1), range(h - 3, h - 1)]
+        support += [range(i - 1, min(n, i + 2)) for i in range(h + 1, n)]
+        m = [[IntPoly([rng.randint(1, 3), rng.randint(-3, 3)])
+              if j in cols else IntPoly(()) for j in range(n)]
+             for cols in support]
+        rows = sparse(m)
+        assert all(rows)
+        assert _frontier_det(rows, n) == () == _interpolated_det(rows, n)
+        assert joined and all(joined[-1])
+        # two equal rows, one in each half: the pairs cancel in the sum
+        m = random_banded(rng, n, 2, corners=True)
+        m[n - 3] = list(m[2])
+        rows = sparse(m)
+        assert all(rows)
+        assert _frontier_det(rows, n) == () == _interpolated_det(rows, n)
+
+    def test_entries_beyond_two_to_the_200(self):
+        # against cofactors alone: the wide route's modulus would have
+        # thousands of bits here, and its prime search takes minutes
+        rng = random.Random(67)
+
+        def big():
+            return IntPoly([rng.choice((-1, 1)) * ((1 << 200)
+                            + rng.getrandbits(190)) for _ in range(2)])
+
+        for n in (_SPLIT, 23):
+            for corners in (False, True):
+                m = random_banded(rng, n, 1, corners, entry=big)
+                assert _frontier_det(sparse(m), n) == det_cofactor(m).coeffs

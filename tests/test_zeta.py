@@ -171,6 +171,21 @@ class TestDartOracle:
                 z0 = rng.randrange(2, DART_MOD)
                 assert zeta_mod(zi, z0) == dart_det(g, z0)
 
+    def test_banded_shapes(self):
+        # the cycles and loop-decorated diagrams whose walk matrices take
+        # the two-ended frontier sweep; the oracle never touches it
+        graphs = [ade_graph("A", n - 1) for n in (99, 100, 201, 299, 401,
+                                                  1000)]
+        graphs += [ade_graph("D", n, with_loops=True)
+                   for n in (20, 30, 40, 60)]
+        graphs += [ade_graph("E", n, with_loops=True) for n in (6, 7, 8)]
+        rng = random.Random(67)
+        for g in graphs:
+            zi = zeta_inverse(g)
+            for _ in range(2):
+                z0 = rng.randrange(2, DART_MOD)
+                assert zeta_mod(zi, z0) == dart_det(g, z0), g.node_count
+
 
 class TestSparseWalkRows:
     def test_determinants_receive_mapping_rows(self, monkeypatch):
