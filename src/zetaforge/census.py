@@ -5,7 +5,7 @@ inverse darts, a loop two inverse darts at the same node, an arrow a
 single dart with no inverse.  A closed walk of length m is backtrackless
 and tailless when no dart is followed (cyclically, wrap-around included)
 by its own inverse.  Closed-walk counts N_m are traces of powers of the
-dart transition matrix.  Prime classes are grouped under cyclic rotation
+dart transition matrix, stepped as packed columns of big ints.  Prime classes are grouped under cyclic rotation
 only, so a cycle and its reversal are distinct classes.
 
 A prime class of length m holds m distinct rotations of a primitive
@@ -20,14 +20,20 @@ equal to it keeps p, and one above it makes the word Lyndon (p = t + 1).
 A Lyndon word is counted when its last dart ends at the first dart's
 tail and is not the first dart's inverse.
 
-The last level of the search, the words one dart short of the horizon,
-is counted, not visited: such a word would only count its closing darts.
-Its parent has at most one child equal to the parent's floor, counted on
-its own, and a run of children above it.  Each of those is a Lyndon
-word, so its floor is word[0], the first dart, and its count (closing
-darts above word[0]) depends on the child alone: the run is summed by
-one read of suffix sums over the successor list, built once per first
-dart next to the closing lists.  No class is stored.
+The last two levels of the search, the words one and two darts short
+of the horizon, are counted, not visited: such words would only count
+their closing darts.  A parent has at most one child equal to its floor,
+visited (or, on the last level, counted) on its own, and a run of
+children above it.  Each of those is a Lyndon word, so its floor is
+word[0] = d, the first dart, and its count (closing darts above d)
+depends on the child alone.  A grandchild through such a child is either
+above d, again Lyndon with floor d, or equal to d; the latter keeps the
+child's period, so its floor is word[1] and its count the closings of d
+above word[1].  Per first dart, tables over the successor lists hold
+these counts and their suffix sums, so each run of children costs two
+reads of those sums two levels above the horizon and one read one level
+above it.  The tables are built only for the darts that words from the
+first dart reach.  No class is stored.
 
 The counts are checked before they are returned: sum over d | m of
 d * pi(d) must equal N_m for every m (a CensusError otherwise).  This
@@ -104,24 +110,30 @@ def _check_horizon(horizon: int):
 
 def count_closed_paths(g: MixedGraph, horizon: int) -> list[int]:
     """Closed backtrackless tailless walk counts N_1..N_horizon, start
-    position distinguished.  Exact integers via transition-matrix traces."""
+    position distinguished.  Exact integers via transition-matrix traces.
+
+    Column f of T^m is one int with a slot of w bits per start dart d,
+    holding the number of walks of m darts from d to f.  The m - 1 darts
+    after d are each one of at most s successors, and the last is f, so
+    no slot exceeds s**(horizon - 1); w = bits of that bound (at least
+    1) holds every slot without a carry.  A step sums the packed columns
+    of f's predecessors, and N_m is the sum over f of slot f of column f.
+    """
     _check_horizon(horizon)
     succ = _successors(build_darts(g))
     size = len(succ)
-    counts = [0] * horizon
-    # N_m = trace(T^m): row d of T^m is stepped along the successor
-    # lists, one dart's row at a time, up to the horizon-th power
-    for d in range(size):
-        row = [0] * size
-        row[d] = 1
-        for m in range(horizon):
-            nxt = [0] * size
-            for e, v in enumerate(row):
-                if v:
-                    for f in succ[e]:
-                        nxt[f] += v
-            row = nxt
-            counts[m] += row[d]
+    pred: list[list[int]] = [[] for _ in range(size)]
+    for e, nxt in enumerate(succ):
+        for f in nxt:
+            pred[f].append(e)
+    top = max(map(len, succ), default=0)
+    w = max(1, (top ** (horizon - 1)).bit_length())
+    mask = (1 << w) - 1
+    cols = [1 << w * f for f in range(size)]
+    counts = []
+    for _ in range(horizon):
+        cols = [sum([cols[e] for e in pr]) for pr in pred]
+        counts.append(sum(c >> w * f & mask for f, c in enumerate(cols)))
     return counts
 
 
@@ -139,7 +151,20 @@ def _lyndon_closed_walks(darts: list[Dart], succ: list[list[int]],
         ends = closing[last]
         counts[t] += len(ends) - bisect_right(ends, floor)
         nxt = succ[last]
-        if t + 2 < horizon:
+        if t + 3 == horizon and t > 1:
+            # children above the floor are Lyndon with floor word[0]:
+            # each counts above[e], and its grandchildren kids[e] above
+            # word[0] plus, through a grandchild equal to word[0], which
+            # keeps the period and so has floor word[1], cw1[word[1]];
+            # the child equal to the floor keeps p and is visited
+            k = bisect_right(nxt, floor)
+            counts[t + 1] += suffix[last][k]
+            counts[t + 2] += (suffix2[last][k]
+                              + cw1[word[1]] * suffix_d[last][k])
+            if k and nxt[k - 1] == floor:
+                word[t] = floor
+                extend(t + 1, p)
+        elif t + 2 < horizon:
             for e in nxt:
                 if e >= floor:
                     word[t] = e
@@ -157,21 +182,59 @@ def _lyndon_closed_walks(darts: list[Dart], succ: list[list[int]],
                 total += len(ends) - bisect_right(ends, word[t + 1 - p])
             counts[t + 1] += total
 
+    size = len(darts)
+    heads = [x.head for x in darts]
+
+    def suffix_sums(values, reach):
+        # [x][k]: the sum of values[e] over e in succ[x][k:], x in reach
+        table = [None] * size
+        for x in reach:
+            sums = accumulate(map(values.__getitem__, reversed(succ[x])),
+                              initial=0)
+            table[x] = [*sums][::-1]
+        return table
+
     for d in darts:
         # a single dart closes when it is a loop (never its own inverse)
         if d.head == d.tail:
             counts[0] += 1
-        if horizon > 1:
-            # successors of each dart that close a walk begun by d
-            closing = [[e for e in s if darts[e].head == d.tail
-                        and e != d.inverse] for s in succ]
-            # above[e]: closings of e above d, the count of a Lyndon word
-            # ending in e; suffix[x][k]: their sum over succ[x][k:]
-            above = [len(c) - bisect_right(c, d.id) for c in closing]
-            suffix = [[*accumulate((above[e] for e in reversed(s)),
-                                   initial=0)][::-1] for s in succ]
-            word[0] = d.id
-            extend(1, 1)
+        if horizon == 1:
+            continue
+        # a word from d holds darts no smaller than d, its i-th dart i
+        # steps from d.  The tables are built only for darts so reached
+        # within horizon - 2 steps: the search reads closing within
+        # horizon - 2 steps, suffix and kids within horizon - 3 and
+        # suffix2 and suffix_d within horizon - 4, and a suffix sum at x
+        # reads its table at x's successors, one step further
+        reach = frontier = {d.id}
+        for _ in range(horizon - 2):
+            frontier = {e for x in frontier for e in succ[x]
+                        if e > d.id} - reach
+            reach = reach | frontier
+        # closing[x]: successors of x that close a walk begun by d;
+        # above[x]: those above d, the count of a Lyndon word ending in x
+        closing = [None] * size
+        above = [0] * size
+        for x in reach:
+            ends = closing[x] = [e for e in succ[x] if heads[e] == d.tail
+                                 and e != d.inverse]
+            above[x] = len(ends) - bisect_right(ends, d.id)
+        suffix = suffix_sums(above, reach)
+        if horizon > 4:
+            # kids[x]: the last-level count below a Lyndon word ending in
+            # x, its successors above d; has_d[x]: d follows x; cw1[w]:
+            # closings of d above w
+            kids = [0] * size
+            has_d = [0] * size
+            for x in reach:
+                kids[x] = suffix[x][bisect_right(succ[x], d.id)]
+                has_d[x] = d.id in succ[x]
+            suffix2 = suffix_sums(kids, reach)
+            suffix_d = suffix_sums(has_d, reach)
+            ends = closing[d.id]
+            cw1 = [len(ends) - bisect_right(ends, w) for w in range(size)]
+        word[0] = d.id
+        extend(1, 1)
     return counts
 
 

@@ -26,12 +26,15 @@ the matrix, before any arithmetic:
   a long cycle costs about half as much; below ``_SPLIT`` rows a single
   top-down sweep beats the join;
 * evaluation and interpolation for every wider matrix, modulo one prime
-  p = 2**e - c just above twice B, the product over rows of the sum of
-  the absolute coefficients, which bounds every coefficient of the
-  determinant.  The matrix is evaluated at the points 0, 1, ..., deg,
-  with deg the sum over rows of the largest entry degree, and each row
-  is one Python int of n fixed-width slots, so an elimination step is a
-  handful of big-int operations per row rather than one per entry.  The
+  p = 2**e - c just above twice B, Hadamard's bound: the square root of
+  the product over rows of the sum over the row's entries of the squared
+  sum of each entry's absolute coefficients.  Cauchy's estimate on the
+  unit circle and Hadamard's inequality make B a bound on every
+  coefficient of the determinant.  The matrix is evaluated at the points
+  0, 1, ..., deg, with deg the sum over rows of the largest entry degree,
+  and each row is one Python int of n fixed-width slots, so an
+  elimination step is a handful of big-int operations per row rather
+  than one per entry.  The
   values are interpolated by Newton divided differences mod p, and each
   coefficient is read back from (-p/2, p/2).
 
@@ -252,12 +255,14 @@ def _interpolated_det(rows, n):
         return ()  # a zero row
     lengths = [max(map(len, row.values())) for row in rows]
     deg = sum(lengths) - n
-    # B: each term of the Leibniz sum has a coefficient 1-norm at most the
-    # product of its entries' 1-norms, so the product over rows of their
-    # summed absolute coefficients bounds every determinant coefficient
-    bound = 1
+    # B: by Cauchy's estimate on |z| = 1 every coefficient of det M(z) is
+    # at most max |det M(z)| there, and by Hadamard's inequality that is
+    # at most the product over rows of their Euclidean norms, where
+    # |m_ij(z)| <= ||m_ij||_1; so B = ceil(sqrt(prod_i sum_j ||m_ij||_1^2))
+    square = 1
     for row in rows:
-        bound *= sum(abs(a) for ent in row.values() for a in ent)
+        square *= sum(sum(map(abs, ent)) ** 2 for ent in row.values())
+    bound = isqrt(square - 1) + 1
     e = max(62, (2 * bound).bit_length() + 1)
     p, c = _prime_below(e)  # p > 2**(e - 1) > 2B
     # A row is n slots of w bits, slot j holding the entry of column j

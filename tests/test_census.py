@@ -6,7 +6,7 @@ import pytest
 
 from zetaforge import census as census_module
 from zetaforge.catalog import ade_graph, dimer_graph
-from zetaforge.census import (CensusError, CensusLimitError,
+from zetaforge.census import (HORIZON_LIMIT, CensusError, CensusLimitError,
                               _lyndon_closed_walks, _successors, build_darts,
                               count_closed_paths, enumerate_primes,
                               pnt_ratios)
@@ -83,6 +83,26 @@ def lyndon_dfs(darts, succ, horizon):
                         and e != d.inverse] for s in succ]
             word[0] = d.id
             extend(1, 1)
+    return counts
+
+
+def closed_paths_by_rows(g, horizon):
+    """N_1..N_horizon as traces of T^m, stepping one dense row of T^m per
+    start dart along the successor lists: the unpacked reference."""
+    succ = _successors(build_darts(g))
+    size = len(succ)
+    counts = [0] * horizon
+    for d in range(size):
+        row = [0] * size
+        row[d] = 1
+        for m in range(horizon):
+            nxt = [0] * size
+            for e, v in enumerate(row):
+                if v:
+                    for f in succ[e]:
+                        nxt[f] += v
+            row = nxt
+            counts[m] += row[d]
     return counts
 
 
@@ -246,26 +266,74 @@ class TestAgainstReference:
 
 
 class TestLastLevelCount:
-    """The census counts its last level from suffix sums instead of
-    visiting it; the plain search is the oracle."""
+    """The census counts its last two levels from tables instead of
+    visiting them; the plain search is the oracle.  Its count of each
+    length does not depend on the horizon, so one run of it at the
+    largest horizon checks every smaller one."""
 
     def assert_matches(self, g, horizon):
         darts = build_darts(g)
         succ = _successors(darts)
+        expect = lyndon_dfs(darts, succ, horizon)
         for h in range(1, horizon + 1):
-            counts = _lyndon_closed_walks(darts, succ, h)
-            assert counts == lyndon_dfs(darts, succ, h), (g, h)
-        return counts
+            assert _lyndon_closed_walks(darts, succ, h) == expect[:h], (g, h)
+        return expect
 
     def test_random_mixed_graphs(self):
         rng = random.Random(2010)
         graphs = [random_mixed_graph(rng) for _ in range(200)]
-        with_primes = sum(1 for g in graphs if self.assert_matches(g, 8)[-1])
+        with_primes = sum(1 for g in graphs
+                          if self.assert_matches(g, 10)[-1])
         assert with_primes > 100
 
     def test_census_workload_graphs(self):
-        for g, horizon in census_workload_graphs():
-            self.assert_matches(g, horizon)
+        for g, _ in census_workload_graphs():
+            self.assert_matches(g, 10)
+
+    def test_e6_with_loops_at_eleven(self):
+        g = ade_graph("E", 6, with_loops=True)
+        census = enumerate_primes(g, 11)
+        series = log_derivative_series(zeta_inverse(g), 11)
+        assert census.closed_counts == series
+        assert census.prime_counts == mobius_invert(series)
+
+
+class TestPackedTraces:
+    """count_closed_paths steps packed columns of T^m; the row-at-a-time
+    traces are the oracle, at every horizon up to the guard."""
+
+    def assert_matches(self, g):
+        expect = closed_paths_by_rows(g, HORIZON_LIMIT)
+        for h in range(1, HORIZON_LIMIT + 1):
+            assert count_closed_paths(g, h) == expect[:h], (g, h)
+        return expect
+
+    def test_random_mixed_graphs(self):
+        rng = random.Random(2020)
+        graphs = [random_mixed_graph(rng) for _ in range(200)]
+        assert sum(1 for g in graphs if any(self.assert_matches(g))) > 150
+
+    def test_bouquets(self):
+        for k in range(1, 7):
+            closed = self.assert_matches(MixedGraph(1, edges=((0, 0),) * k))
+            # the 2k darts of k loops: T = J - P with P the inverse
+            # involution has eigenvalues 2k - 1, 1 (k times) and -1
+            # (k - 1 times)
+            assert closed == [(2 * k - 1) ** m + k + (-1) ** m * (k - 1)
+                              for m in range(1, HORIZON_LIMIT + 1)]
+
+    def test_arrow_cycles(self):
+        # k parallel arrows around a c-cycle: each walk of m darts reaches
+        # a given last dart in k**(m - 1) ways, which fills a slot of
+        # bits(k**(horizon - 1)) exactly when k is a power of two
+        for c in (2, 3, 4, 5):
+            for k in (1, 2, 3, 4):
+                g = MixedGraph(c, arrows=tuple((i, (i + 1) % c)
+                                               for i in range(c)
+                                               for _ in range(k)))
+                closed = self.assert_matches(g)
+                assert closed == [c * k ** m if m % c == 0 else 0
+                                  for m in range(1, HORIZON_LIMIT + 1)]
 
 
 class TestRatios:

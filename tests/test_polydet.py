@@ -42,6 +42,36 @@ def det_cofactor(m):
     return expand(tuple(map(tuple, m)))
 
 
+def fraction_det(m):
+    """Determinant of an integer matrix by Gaussian elimination over the
+    rationals."""
+    n = len(m)
+    work = [[Fraction(x) for x in row] for row in m]
+    det = Fraction(1)
+    for k in range(n):
+        pivot_row = next((i for i in range(k, n) if work[i][k]), None)
+        if pivot_row is None:
+            return 0
+        if pivot_row != k:
+            work[k], work[pivot_row] = work[pivot_row], work[k]
+            det = -det
+        det *= work[k][k]
+        for i in range(k + 1, n):
+            factor = work[i][k] / work[k][k]
+            for j in range(k, n):
+                work[i][j] -= factor * work[k][j]
+    assert det.denominator == 1
+    return int(det)
+
+
+def sylvester(n):
+    """The Sylvester-Hadamard matrix of order n, a power of two."""
+    h = [[1]]
+    while len(h) < n:
+        h = [r + r for r in h] + [r + [-x for x in r] for r in h]
+    return h
+
+
 def random_matrix(rng, n, density=0.7, max_deg=3):
     def entry():
         if rng.random() > density:
@@ -150,28 +180,11 @@ class TestDetPoly:
     def test_dense_fallback_matches_fraction_elimination(self):
         # 15x15 dense integers are wider than the sweep's open-width
         # limit, so this runs through evaluation and interpolation
-        from fractions import Fraction
         rng = random.Random(19)
         n = 15
         m = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
-        work = [[Fraction(x) for x in row] for row in m]
-        det = Fraction(1)
-        for k in range(n):
-            pivot_row = next((i for i in range(k, n) if work[i][k]), None)
-            if pivot_row is None:
-                det = Fraction(0)
-                break
-            if pivot_row != k:
-                work[k], work[pivot_row] = work[pivot_row], work[k]
-                det = -det
-            det *= work[k][k]
-            for i in range(k + 1, n):
-                factor = work[i][k] / work[k][k]
-                for j in range(k, n):
-                    work[i][j] -= factor * work[k][j]
-        assert det.denominator == 1
         got = det_poly([[P(x) for x in row] for row in m])
-        assert got == P(int(det))
+        assert got == P(fraction_det(m))
 
     def test_mapping_rows_match_dense_rows_on_both_routes(self, monkeypatch):
         rng = random.Random(43)
@@ -236,8 +249,8 @@ FIRST_20_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
 
 
 class TestModularRoute:
-    """The wide route works modulo one prime p = 2^e - c > 2B, with B the
-    product over rows of the summed absolute coefficients; each row is
+    """The wide route works modulo one prime p = 2^e - c > 2B, with B
+    Hadamard's bound on the rows of coefficient 1-norms; each row is
     packed into one int, and the pivot row is folded below 2p per step."""
 
     def test_coefficients_equal_to_plus_and_minus_the_bound(self):
@@ -255,6 +268,40 @@ class TestModularRoute:
         # a 7-cycle permutation is even: the sign comes from the entries
         cyclic = [{(i + 1) % n: (-a,)} for i, a in enumerate(factors)]
         assert _interpolated_det(cyclic, n) == (-b,)
+
+    def test_hadamard_matrices_meet_the_bound(self):
+        # |det| of a Sylvester-Hadamard matrix of order n is n^(n/2),
+        # Hadamard's bound itself, at n = 16 below the 62-bit floor of e
+        # and at n = 32 (2^80) above it; row i times z^a_i and column j
+        # times z^b_j moves that coefficient, and a row swap flips it
+        rng = random.Random(43)
+        for n in (16, 32):
+            h = sylvester(n)
+            det = fraction_det(h)
+            assert abs(det) == n ** (n // 2)
+            for sign, m in ((1, h), (-1, [h[1], h[0], *h[2:]])):
+                rows = [{j: (x,) for j, x in enumerate(row)} for row in m]
+                assert _interpolated_det(rows, n) == (sign * det,)
+                a = [rng.randrange(3) for _ in range(n)]
+                b = [rng.randrange(3) for _ in range(n)]
+                rows = [{j: (0,) * (a[i] + b[j]) + (x,)
+                         for j, x in enumerate(row)}
+                        for i, row in enumerate(m)]
+                assert _interpolated_det(rows, n) == \
+                    (0,) * (sum(a) + sum(b)) + (sign * det,)
+
+    def test_signed_monomials_on_a_hadamard_pattern(self):
+        # entries +-z^k with k free: the determinant agrees with Fraction
+        # elimination at deg + 1 points, so the polynomials are equal
+        rng = random.Random(47)
+        n = 16
+        h = sylvester(n)
+        m = [[P(*(0,) * rng.randrange(3), x) for x in row] for row in h]
+        got = IntPoly(_interpolated_det(sparse(m), n))
+        assert got.degree <= 2 * n
+        for x in range(2 * n + 1):
+            assert got(x) == fraction_det([[e(x) for e in row]
+                                           for row in m]), x
 
     def test_points_where_the_determinant_vanishes(self):
         # column 0 vanishes at the points 0 and 2, and the (0, 0) entry

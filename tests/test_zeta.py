@@ -62,13 +62,15 @@ class TestZetaInverse:
 DART_MOD = (1 << 61) - 1
 
 
-def random_mixed(n, rng):
-    """3n random edges (loops and parallels allowed) and n arrows with no
-    self-loop and no reciprocal pair: the generator of the benchmark's
-    dense family."""
-    edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(3 * n)]
+def random_mixed(n, rng, edge_count=None, arrow_count=None):
+    """Random edges (loops and parallels allowed) and arrows with no
+    self-loop and no reciprocal pair; by default 3n and n, the generator
+    of the benchmark's dense family."""
+    edge_count = 3 * n if edge_count is None else edge_count
+    arrow_count = n if arrow_count is None else arrow_count
+    edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(edge_count)]
     arrows, seen = [], set()
-    while len(arrows) < n:
+    while len(arrows) < arrow_count:
         i, j = rng.randrange(n), rng.randrange(n)
         if i == j or (j, i) in seen:
             continue
@@ -170,6 +172,36 @@ class TestDartOracle:
             for _ in range(2):
                 z0 = rng.randrange(2, DART_MOD)
                 assert zeta_mod(zi, z0) == dart_det(g, z0)
+
+    def test_random_mixed_graphs_on_the_wide_route(self, monkeypatch):
+        # 12-20 nodes with loops, parallel edges and arrows: most walk
+        # matrices are too wide for the sweep, so the modulus sized by
+        # Hadamard's bound is what the oracle checks
+        wide = []
+        interpolated = polydet._interpolated_det
+
+        def spy(rows, n):
+            wide.append(n)
+            return interpolated(rows, n)
+
+        monkeypatch.setattr(polydet, "_interpolated_det", spy)
+        rng = random.Random(71)
+        for _ in range(200):
+            n = rng.randint(12, 20)
+            g = random_mixed(n, rng, rng.randint(n, 3 * n), rng.randint(0, n))
+            zi = zeta_inverse(g)
+            for _ in range(2):
+                z0 = rng.randrange(2, DART_MOD)
+                assert zeta_mod(zi, z0) == dart_det(g, z0), g
+        assert len(wide) > 150  # one determinant per graph
+
+    def test_dense_48(self):
+        g = random_mixed(48, random.Random(48))
+        zi = zeta_inverse(g)
+        rng = random.Random(73)
+        for _ in range(2):
+            z0 = rng.randrange(2, DART_MOD)
+            assert zeta_mod(zi, z0) == dart_det(g, z0)
 
     def test_banded_shapes(self):
         # the cycles and loop-decorated diagrams whose walk matrices take
