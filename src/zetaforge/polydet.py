@@ -34,7 +34,14 @@ the matrix, before any arithmetic:
   0, 1, ..., deg, with deg the sum over rows of the largest entry degree,
   and each row is one Python int of n fixed-width slots, so an
   elimination step is a handful of big-int operations per row rather
-  than one per entry.  The
+  than one per entry.  The rows and columns are first put in one
+  minimum-degree order of the symmetric support, ties to the lowest
+  index, which leaves little fill: a row whose entry in the column being
+  eliminated is exactly 0 has multiplier 0 and only shifts.  The points
+  are eliminated _BATCH at a time in lockstep.  At each step every point
+  of the batch finds and folds its pivot, and one modular inverse of the
+  product of those pivots gives the inverse of each (Montgomery's trick);
+  a point with no pivot has determinant 0 and leaves the batch.  The
   values are interpolated by Newton divided differences mod p, and each
   coefficient is read back from (-p/2, p/2).
 
@@ -55,6 +62,7 @@ from .intpoly import IntPoly, _norm, _pack, _slot_width, _unpack
 
 _SWEEP_WIDTH = 11  # at most 2**11 sweep states per row
 _SPLIT = 16  # from this many rows on the sweep runs from both ends
+_BATCH = 16  # evaluation points the wide route eliminates in lockstep
 
 Row = Union[Sequence, Mapping]
 
@@ -247,6 +255,28 @@ def _prime_below(e):
     return (1 << e) - c, c
 
 
+def _min_degree_order(rows, n):
+    """The rows and columns in one minimum-degree order of the symmetric
+    support: each step takes the vertex with the fewest neighbours left,
+    the lowest index on a tie, and joins its neighbours into a clique, the
+    fill its elimination would make."""
+    adj = [set() for _ in range(n)]
+    for i, row in enumerate(rows):
+        for j in row:
+            if j != i:
+                adj[i].add(j)
+                adj[j].add(i)
+    left, order = set(range(n)), []
+    while left:
+        v = min(left, key=lambda u: (len(adj[u]), u))
+        left.remove(v)
+        order.append(v)
+        for u in adj[v]:
+            adj[u] |= adj[v]
+            adj[u] -= {u, v}
+    return order
+
+
 def _interpolated_det(rows, n):
     """Determinant of the sparse rows by evaluation at the points
     0, 1, ..., deg modulo one prime p > 2B, with B a bound on every
@@ -284,41 +314,76 @@ def _interpolated_det(rows, n):
     ones = sum(1 << (w * j) for j in range(n))
     low, high = ones * ((1 << e) - 1), ones * ((1 << (w - e)) - 1)
     mask = (1 << w) - 1
+    # row k and slot k hold row and column order[k]: a simultaneous
+    # permutation keeps the determinant, and fewer fill-ins leave more
+    # rows whose slot 0 is exactly 0 when their step comes
+    order = _min_degree_order(rows, n)
+    slot = [0] * n
+    for k, j in enumerate(order):
+        slot[j] = k
     packed = []  # per row, its coefficient rows from the top degree down
-    for row, length in zip(rows, lengths):
-        cs = [0] * length
-        for j, ent in row.items():
+    for i in order:
+        cs = [0] * lengths[i]
+        for j, ent in rows[i].items():
             for k, a in enumerate(ent):
-                cs[k] += a % p << w * j
+                cs[k] += a % p << w * slot[j]
         packed.append(cs[::-1])
     coef = []
-    for x in range(deg + 1):
-        m = []
-        for cs in packed:
-            acc = cs[0]
-            for a in cs[1:]:
-                acc = acc * x + a
-            m.append(acc)
-        det, twop = 1, 2 * p * ones
-        while m:
-            i = next((i for i, r in enumerate(m) if (r & mask) % p), None)
-            if i is None:
-                det = 0
-                break
-            t = m.pop(i)
-            if i & 1:  # row i moved up past i rows
-                det = -det
-            for _ in range(folds):
-                t = ((t >> e) & high) * c + (t & low)
-            pivot = (t & mask) % p
-            det = det * pivot % p
-            # r + f * (2p - t) with f = r_0 / t_0 (mod p) takes f * t
-            # from r mod p, keeps every slot non-negative since each t_j
-            # < 2p, and leaves slot 0 a multiple of p, dropped by >> w
-            inv, comp = pow(pivot, -1, p), twop - t
-            m = [(r + (r & mask) * inv % p * comp) >> w for r in m]
+    for start in range(0, deg + 1, _BATCH):
+        # the points of one batch are eliminated in lockstep: all share
+        # the width of their remaining rows, and one pow inverts all the
+        # pivots of a step.  live holds [det so far, remaining rows] per
+        # point; a point leaves it when it runs out of rows or pivots
+        live = []
+        for x in range(start, min(start + _BATCH, deg + 1)):
+            m = []
+            for cs in packed:
+                acc = cs[0]
+                for a in cs[1:]:
+                    acc = acc * x + a
+                m.append(acc)
+            live.append([1, m])
+        points = live[:]
+        twop = 2 * p * ones
+        while live:
+            tops, pivots, kept = [], [], []
+            for point in live:
+                m = point[1]
+                i = next((i for i, r in enumerate(m) if (r & mask) % p),
+                         None)
+                if i is None:
+                    point[0] = 0
+                    continue
+                t = m.pop(i)
+                for _ in range(folds):
+                    t = ((t >> e) & high) * c + (t & low)
+                pivot = (t & mask) % p
+                # row i moved up past i rows
+                point[0] = (-point[0] if i & 1 else point[0]) * pivot % p
+                tops.append(t)
+                pivots.append(pivot)
+                kept.append(point)
+            # Montgomery's trick: inv is the inverse of the product of
+            # pivots[:k + 1], and prefix[k] the product of pivots[:k]
+            prefix, run = [], 1
+            for pivot in pivots:
+                prefix.append(run)
+                run = run * pivot % p
+            inv = pow(run, -1, p)
+            for k in range(len(kept) - 1, -1, -1):
+                point, t_inv = kept[k], inv * prefix[k] % p
+                inv = inv * pivots[k] % p
+                # r + f * (2p - t) with f = r_0 / t_0 (mod p) takes f * t
+                # from r mod p, keeps every slot non-negative since each
+                # t_j < 2p, and leaves slot 0 a multiple of p, dropped by
+                # >> w; a row whose slot 0 is 0 has f = 0 and only shifts
+                comp = twop - tops[k]
+                point[1] = [(r + s * t_inv % p * comp) >> w
+                            if (s := r & mask) else r >> w
+                            for r in point[1]]
             twop >>= w
-        coef.append(det)
+            live = [point for point in kept if point[1]]
+        coef += [det for det, _ in points]
     # divided differences in place: coef[k] becomes f[0, ..., k]
     for j in range(1, deg + 1):
         inv = pow(j, -1, p)

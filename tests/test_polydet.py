@@ -1,13 +1,18 @@
 import random
 from fractions import Fraction
 from functools import cache
+from math import isqrt
 
 import pytest
 
-from zetaforge.intpoly import IntPoly
+from zetaforge.intpoly import IntPoly, _norm
 from zetaforge import polydet
-from zetaforge.polydet import (_SPLIT, _frontier_det, _interpolated_det,
-                              _prime_below, char_poly, det_poly)
+from zetaforge.polydet import (_BATCH, _SPLIT, _frontier_det,
+                               _interpolated_det, _prime_below, char_poly,
+                               det_poly)
+from zetaforge.zeta import zeta_inverse
+
+from test_zeta import dense_family, random_mixed
 
 
 def P(*coeffs):
@@ -64,12 +69,121 @@ def fraction_det(m):
     return int(det)
 
 
+def per_point_det(rows, n):
+    """The wide route one point at a time, in the natural order, with one
+    modular inverse per pivot and an update of every row: the reference
+    that the lockstep elimination is checked against."""
+    if not all(rows):
+        return ()
+    lengths = [max(map(len, row.values())) for row in rows]
+    deg = sum(lengths) - n
+    square = 1
+    for row in rows:
+        square *= sum(sum(map(abs, ent)) ** 2 for ent in row.values())
+    bound = isqrt(square - 1) + 1
+    e = max(62, (2 * bound).bit_length() + 1)
+    p, c = _prime_below(e)
+    init = (p - 1) * sum(deg ** k for k in range(max(lengths)))
+    w = (init + (n - 1) * 2 * p * (p - 1)).bit_length()
+    folds, v = 0, (1 << w) - 1
+    while v >= 2 * p:
+        v = (v >> e) * c + (1 << e) - 1
+        folds += 1
+    ones = sum(1 << (w * j) for j in range(n))
+    low, high = ones * ((1 << e) - 1), ones * ((1 << (w - e)) - 1)
+    mask = (1 << w) - 1
+    packed = []
+    for row, length in zip(rows, lengths):
+        cs = [0] * length
+        for j, ent in row.items():
+            for k, a in enumerate(ent):
+                cs[k] += a % p << w * j
+        packed.append(cs[::-1])
+    coef = []
+    for x in range(deg + 1):
+        m = []
+        for cs in packed:
+            acc = cs[0]
+            for a in cs[1:]:
+                acc = acc * x + a
+            m.append(acc)
+        det, twop = 1, 2 * p * ones
+        while m:
+            i = next((i for i, r in enumerate(m) if (r & mask) % p), None)
+            if i is None:
+                det = 0
+                break
+            t = m.pop(i)
+            if i & 1:
+                det = -det
+            for _ in range(folds):
+                t = ((t >> e) & high) * c + (t & low)
+            pivot = (t & mask) % p
+            det = det * pivot % p
+            inv, comp = pow(pivot, -1, p), twop - t
+            m = [(r + (r & mask) * inv % p * comp) >> w for r in m]
+            twop >>= w
+        coef.append(det)
+    for j in range(1, deg + 1):
+        inv = pow(j, -1, p)
+        for k in range(deg, j - 1, -1):
+            coef[k] = (coef[k] - coef[k - 1]) * inv % p
+    acc = [coef[deg]]
+    for k in range(deg - 1, -1, -1):
+        acc = [(coef[k] - k * acc[0]) % p] + [
+            (acc[i - 1] - k * acc[i]) % p for i in range(1, len(acc))
+        ] + [acc[-1]]
+    half = p >> 1
+    return _norm([a - p if a > half else a for a in acc])
+
+
 def sylvester(n):
     """The Sylvester-Hadamard matrix of order n, a power of two."""
     h = [[1]]
     while len(h) < n:
         h = [r + r for r in h] + [r + [-x for x in r] for r in h]
     return h
+
+
+def simultaneous_permutation(rows, perm):
+    """The sparse rows with row and column i moved to perm[i]."""
+    out = [None] * len(rows)
+    for i, row in enumerate(rows):
+        out[perm[i]] = {perm[j]: e for j, e in row.items()}
+    return out
+
+
+def wide_rows(graphs, monkeypatch):
+    """The sparse rows that zeta_inverse of each graph hands to the wide
+    route, with their size."""
+    seen = []
+    interpolated = polydet._interpolated_det
+
+    def spy(rows, n):
+        seen.append((rows, n))
+        return interpolated(rows, n)
+
+    monkeypatch.setattr(polydet, "_interpolated_det", spy)
+    for g in graphs:
+        zeta_inverse(g)
+    monkeypatch.undo()
+    return seen
+
+
+def full_matrix(rng, degrees):
+    """A matrix of IntPolys with no zero entry, the entries of row i of
+    degree degrees[i] exactly, so its support orders naturally."""
+    return [[P(*[rng.randint(-3, 3) for _ in range(d)],
+               rng.choice((-2, -1, 1, 2))) for _ in degrees]
+            for d in degrees]
+
+
+def assert_is_det(got, m, deg):
+    """got is det m: both have degree at most deg, and they agree at the
+    deg + 1 points -1, ..., -(deg + 1), none of the wide route's own."""
+    assert got.degree <= deg
+    for x in range(-1, -deg - 2, -1):
+        assert got(x) == fraction_det([[e(x) for e in row] for row in m]), x
 
 
 def random_matrix(rng, n, density=0.7, max_deg=3):
@@ -361,6 +475,115 @@ class TestModularRoute:
             p, c = _prime_below(e)
             assert p == (1 << e) - c and 0 < c < 1 << 20
             assert strong_probable_prime(p, FIRST_20_PRIMES), e
+
+
+class TestLockstep:
+    """The wide route eliminates up to _BATCH evaluation points in
+    lockstep, in one minimum-degree order of rows and columns, with one
+    modular inverse per step for all the points of a batch, and a row
+    whose slot 0 is 0 only shifts."""
+
+    def test_matches_per_point_elimination_on_graph_matrices(
+            self, monkeypatch):
+        rng = random.Random(71)
+        graphs = dense_family()
+        for _ in range(200):
+            n = rng.randint(12, 20)
+            graphs.append(random_mixed(n, rng, rng.randint(n, 3 * n),
+                                       rng.randint(0, n)))
+        cases = wide_rows(graphs, monkeypatch)
+        assert len(cases) > 150
+        for rows, n in cases:
+            assert _interpolated_det(rows, n) == per_point_det(rows, n), n
+
+    def test_point_counts_around_the_batch_size(self):
+        # deg + 1 points: one, one short of a batch, a batch, one point
+        # into the second batch and one into the third
+        rng = random.Random(79)
+        n = 6
+        for points in (1, _BATCH - 1, _BATCH, _BATCH + 1, 2 * _BATCH + 1):
+            deg = points - 1
+            m = full_matrix(rng, [deg // n + (i < deg % n)
+                                  for i in range(n)])
+            rows = sparse(m)
+            got = _interpolated_det(rows, n)
+            assert got == per_point_det(rows, n)
+            assert_is_det(IntPoly(got), m, deg)
+
+    def test_singular_at_some_points(self):
+        # row 0 vanishes at 3 and at B + 1, and column 5 at 2B: the
+        # points in each of three batches lose their pivot at one step or
+        # another while the rest of their batch goes on
+        rng = random.Random(83)
+        n = 8
+        m = full_matrix(rng, [3] * n)
+        m[0] = [e * P(-3, 1) * P(-_BATCH - 1, 1) for e in m[0]]
+        for row in m:
+            row[5] = row[5] * P(-2 * _BATCH, 1)
+        deg = 3 * n + 2 + n
+        assert deg >= 2 * _BATCH
+        rows = sparse(m)
+        got = IntPoly(_interpolated_det(rows, n))
+        assert got.coeffs == per_point_det(rows, n)
+        assert not got.is_zero
+        assert got(3) == got(_BATCH + 1) == got(2 * _BATCH) == 0
+        assert_is_det(got, m, deg)
+
+    def test_identically_singular(self):
+        # every row nonzero, every point without a pivot at some step
+        rng = random.Random(89)
+        n = 9
+        m = full_matrix(rng, [4] * n)
+        m[6] = list(m[1])
+        rows = sparse(m)
+        assert all(rows)
+        assert _interpolated_det(rows, n) == () == per_point_det(rows, n)
+        m = full_matrix(rng, [4] * n)
+        m[8] = [a + b for a, b in zip(m[2], m[5])]
+        assert _interpolated_det(sparse(m), n) == ()
+
+    def test_pivots_below_the_first_row(self):
+        # every entry is nonzero, so the order is the natural one; column
+        # 0 vanishes in its first rows at some points, so the first pivot
+        # is row 1 at the points 1 and B + 1, row 2 at 2 and row 3 at
+        # B + 3: odd positions flip the sign, in both batches
+        rng = random.Random(97)
+        n = 7
+        m = full_matrix(rng, [3] * n)
+        for i, roots in enumerate(({1, 2, _BATCH + 1, _BATCH + 3},
+                                   {2, _BATCH + 3}, {_BATCH + 3})):
+            m[i][0] = P(rng.choice((-2, -1, 1, 2)))
+            for r in roots:
+                m[i][0] = m[i][0] * P(-r, 1)
+        deg = 4 + 3 * (n - 1)
+        assert deg >= _BATCH + 3
+        rows = sparse(m)
+        got = _interpolated_det(rows, n)
+        assert got == per_point_det(rows, n)
+        assert_is_det(IntPoly(got), m, deg)
+
+    def test_simultaneous_permutation_keeps_the_determinant(self):
+        # both routes on seeded permutations of sweep-shaped and wide
+        # matrices: the min-degree order must not depend on the labels
+        rng = random.Random(101)
+        for n in (3, 6, 9, 12):
+            for _ in range(4):
+                rows = sparse(random_matrix(rng, n, density=0.5))
+                expect = _frontier_det(rows, n)
+                moved = simultaneous_permutation(rows, rng.sample(range(n),
+                                                                  n))
+                assert _interpolated_det(rows, n) == expect
+                assert _interpolated_det(moved, n) == expect
+                assert _frontier_det(moved, n) == expect
+        band = random_banded(rng, 30, 2, corners=True)
+        dense = random_matrix(rng, 14, density=0.8, max_deg=2)
+        for m in (band, dense):
+            n = len(m)
+            expect = det_poly(m)
+            mapped = [{j: e for j, e in enumerate(row) if e} for row in m]
+            for perm in (range(n - 1, -1, -1), rng.sample(range(n), n)):
+                moved = simultaneous_permutation(mapped, list(perm))
+                assert det_poly(moved) == expect
 
 
 class TestCharPoly:

@@ -52,6 +52,30 @@ class TestZetaInverse:
                   ade_graph("D", 5, with_loops=True)):
             assert zeta_inverse(g).constant_term == 1
 
+    def test_relabelling_keeps_the_dense_family(self):
+        rng = random.Random(53)
+        for g in dense_family():
+            expect = zeta_inverse(g)
+            for _ in range(2):
+                assert zeta_inverse(relabelled(g, rng)) == expect
+
+    def test_dense_family_takes_the_wide_route(self, monkeypatch):
+        calls = {"_frontier_det": 0, "_interpolated_det": 0}
+
+        def counted(name):
+            route = getattr(polydet, name)
+
+            def spy(rows, n):
+                calls[name] += 1
+                return route(rows, n)
+            return spy
+
+        for name in calls:
+            monkeypatch.setattr(polydet, name, counted(name))
+        for g in dense_family():
+            zeta_inverse(g)
+        assert calls == {"_frontier_det": 0, "_interpolated_det": 7}
+
     def test_disconnected_graph_multiplies(self):
         two_triangles = MixedGraph(6, edges=((0, 1), (1, 2), (0, 2),
                                              (3, 4), (4, 5), (3, 5)))
@@ -77,6 +101,23 @@ def random_mixed(n, rng, edge_count=None, arrow_count=None):
         seen.add((i, j))
         arrows.append((i, j))
     return MixedGraph(n, edges=tuple(edges), arrows=tuple(arrows))
+
+
+def dense_family():
+    """The benchmark's dense family, in its draw order: five random mixed
+    graphs at n = 16 and one each at n = 24 and 32."""
+    family = random.Random("dense-family")
+    return [random_mixed(n, family)
+            for n, count in ((16, 5), (24, 1), (32, 1))
+            for _ in range(count)]
+
+
+def relabelled(g, rng):
+    """g with its nodes renamed by a seeded random permutation."""
+    perm = rng.sample(range(g.node_count), g.node_count)
+    return MixedGraph(g.node_count,
+                      edges=tuple((perm[i], perm[j]) for i, j in g.edges),
+                      arrows=tuple((perm[i], perm[j]) for i, j in g.arrows))
 
 
 def criterion_9_graph():
@@ -162,12 +203,8 @@ class TestDartOracle:
                 assert zeta_mod(zi, z0) == dart_det(g, z0)
 
     def test_dense_family_and_criterion_9(self):
-        family = random.Random("dense-family")
-        graphs = [random_mixed(n, family)
-                  for n, count in ((16, 5), (24, 1), (32, 1))
-                  for _ in range(count)]
         rng = random.Random(61)
-        for g in graphs + [criterion_9_graph()]:  # n = 16, 24, 32 and 40
+        for g in dense_family() + [criterion_9_graph()]:  # n = 16 to 40
             zi = zeta_inverse(g)
             for _ in range(2):
                 z0 = rng.randrange(2, DART_MOD)
@@ -194,6 +231,23 @@ class TestDartOracle:
                 z0 = rng.randrange(2, DART_MOD)
                 assert zeta_mod(zi, z0) == dart_det(g, z0), g
         assert len(wide) > 150  # one determinant per graph
+
+    def test_relabelled_graphs_on_the_wide_route(self):
+        # the wide route orders rows and columns by minimum degree, which
+        # this oracle never does: the dense family and random mixed graphs
+        # under a seeded relabelling
+        rng = random.Random(59)
+        graphs = dense_family()
+        for _ in range(40):
+            n = rng.randint(12, 20)
+            graphs.append(random_mixed(n, rng, rng.randint(2 * n, 3 * n),
+                                       rng.randint(0, n)))
+        for g in graphs:
+            h = relabelled(g, rng)
+            zi = zeta_inverse(h)
+            for _ in range(2):
+                z0 = rng.randrange(2, DART_MOD)
+                assert zeta_mod(zi, z0) == dart_det(h, z0), h
 
     def test_dense_48(self):
         g = random_mixed(48, random.Random(48))
