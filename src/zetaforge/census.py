@@ -5,8 +5,9 @@ inverse darts, a loop two inverse darts at the same node, an arrow a
 single dart with no inverse.  A closed walk of length m is backtrackless
 and tailless when no dart is followed (cyclically, wrap-around included)
 by its own inverse.  Closed-walk counts N_m are traces of powers of the
-dart transition matrix, stepped as packed columns of big ints.  Prime classes are grouped under cyclic rotation
-only, so a cycle and its reversal are distinct classes.
+dart transition matrix, stepped as packed columns of big ints.  Prime
+classes are grouped under cyclic rotation only, so a cycle and its
+reversal are distinct classes.
 
 A prime class of length m holds m distinct rotations of a primitive
 closed walk, and exactly one of them, read as a word of dart ids, is a
@@ -20,20 +21,31 @@ equal to it keeps p, and one above it makes the word Lyndon (p = t + 1).
 A Lyndon word is counted when its last dart ends at the first dart's
 tail and is not the first dart's inverse.
 
-The last two levels of the search, the words one and two darts short
-of the horizon, are counted, not visited: such words would only count
-their closing darts.  A parent has at most one child equal to its floor,
-visited (or, on the last level, counted) on its own, and a run of
-children above it.  Each of those is a Lyndon word, so its floor is
-word[0] = d, the first dart, and its count (closing darts above d)
-depends on the child alone.  A grandchild through such a child is either
-above d, again Lyndon with floor d, or equal to d; the latter keeps the
-child's period, so its floor is word[1] and its count the closings of d
-above word[1].  Per first dart, tables over the successor lists hold
-these counts and their suffix sums, so each run of children costs two
-reads of those sums two levels above the horizon and one read one level
-above it.  The tables are built only for the darts that words from the
-first dart reach.  No class is stored.
+A node word[:t] counts its own closing darts and has R = horizon - 1 - t
+levels below it.  While R > t its children are visited.  Once R <= t,
+from depth horizon // 2 on, the subtrees of its children above the floor
+are counted from tables, and only the one child equal to the floor is
+visited, so no Lyndon word longer than about half the horizon is ever
+extended.  A child above the floor is a Lyndon word, so its own floor is
+d = word[0], the first dart.  Below it, a dart above d again makes a
+Lyndon word, and a dart equal to d starts a run that repeats the word
+from its start, with floors word[1], word[2], ...  Fix d and let S f(x)
+be the sum of f(e) over the successors e of x above d.  The count j
+levels below a Lyndon word that ends in e is
+
+    V_j(e) = A_j(e) + sum over i < j of W_i * H_{j-1-i}(e),
+
+where A_j = S^j(closings above d), H_j = S^j([d follows x]), and W_i is
+the count i levels below the first dart of such a run.  W_i depends on
+word[:i + 2] alone, and R <= t is what fixes every letter it needs.  Per
+first dart, the A_j and H_j with j < (horizon - 1) // 2 are packed into
+one int per dart, a fixed-width slot per level, and built only where
+they are read: level j over the darts that words from d reach within
+horizon - 2 - j steps.  Their suffix sums over each successor list turn
+a run of children into one table read.  The reads are summed per depth
+below each prefix word[:(horizon - 1) // 2], and that prefix's W, kept
+along the path as it grows, is applied once per prefix.  No class is
+stored.
 
 The counts are checked before they are returned: sum over d | m of
 d * pi(d) must equal N_m for every m (a CensusError otherwise).  This
@@ -139,9 +151,41 @@ def count_closed_paths(g: MixedGraph, horizon: int) -> list[int]:
 
 def _lyndon_closed_walks(darts: list[Dart], succ: list[list[int]],
                          horizon: int) -> list[int]:
-    """Lyndon closed walks of each length 1..horizon: one per prime class."""
+    """Lyndon closed walks of each length 1..horizon: one per prime class.
+
+    Every prenecklace node down to depth horizon // 2 is visited, and
+    below it only the children equal to the floor; the other subtrees are
+    counted from tables built per first dart (see the module docstring).
+    """
     counts = [0] * horizon
     word = [0] * horizon
+    size = len(darts)
+    heads = [x.head for x in darts]
+    levels = (horizon - 1) // 2   # the most levels a node counts: R <= t
+    low = horizon // 2            # the least depth t with R <= t
+    # a slot of w bits holds a count of Lyndon walks up to the horizon
+    # (N_m <= size * s**(horizon - 1), s the most successors of a dart),
+    # and each slot of a table entry or of a per-prefix sum of them (the
+    # walks of at most horizon - 1 darts below the prefix); the sums over
+    # all prefixes may overflow only in slots that no read needs, and a
+    # carry only moves up
+    top = max(map(len, succ), default=0)
+    w = max(1, (size * top ** (horizon - 1)).bit_length())
+    mask = (1 << w) - 1
+    shift = levels * w            # slots 0..levels-1: A_j; then H_j
+    mask_a = (1 << shift) - 1
+    keep = mask_a >> w | (mask_a >> 2 * w) << shift
+    acc = [0] * horizon           # [t]: table reads at depth t, this prefix
+    total = [0] * horizon         # [t]: the same with W applied, all prefixes
+    # W_i sums, over 1 <= s <= i, slot i - s of the table read at
+    # word[s - 1] above word[s] (its H part weighted by the W below i),
+    # plus the closings of word[i] above word[i + 1].  Fixed by word[:t],
+    # t <= levels: weights[t] holds W_i, i < t - 1, at slot i + 1, and
+    # reads_a[t] and reads_h[t] the A and H parts of those reads, s < t,
+    # at slot s
+    weights = [0] * (levels + 1)
+    reads_a = [0] * (levels + 1)
+    reads_h = [0] * (levels + 1)
 
     def extend(t: int, p: int):
         # word[:t] is a prenecklace walk with FKM period p; a next dart
@@ -151,48 +195,45 @@ def _lyndon_closed_walks(darts: list[Dart], succ: list[list[int]],
         ends = closing[last]
         counts[t] += len(ends) - bisect_right(ends, floor)
         nxt = succ[last]
-        if t + 3 == horizon and t > 1:
-            # children above the floor are Lyndon with floor word[0]:
-            # each counts above[e], and its grandchildren kids[e] above
-            # word[0] plus, through a grandchild equal to word[0], which
-            # keeps the period and so has floor word[1], cw1[word[1]];
-            # the child equal to the floor keeps p and is visited
-            k = bisect_right(nxt, floor)
-            counts[t + 1] += suffix[last][k]
-            counts[t + 2] += (suffix2[last][k]
-                              + cw1[word[1]] * suffix_d[last][k])
-            if k and nxt[k - 1] == floor:
-                word[t] = floor
-                extend(t + 1, p)
-        elif t + 2 < horizon:
+        if t < low:
             for e in nxt:
                 if e >= floor:
                     word[t] = e
+                    if t < levels:
+                        grow(t)
                     extend(t + 1, p if e == floor else t + 1)
-        elif t + 2 == horizon:
-            # the children would only count their own closings: a child
-            # above the floor is Lyndon, so its floor is word[0] and its
-            # count above[e], summed in one read of the suffix sums; the
-            # child equal to the floor keeps p
+                    if t + 1 == levels:
+                        settle()
+        elif t + 1 < horizon:
+            # the children above the floor, counted to the horizon; the
+            # child equal to the floor keeps p and is visited
             k = bisect_right(nxt, floor)
-            total = suffix[last][k]
+            acc[t] += table[last][k]
             if k and nxt[k - 1] == floor:
                 word[t] = floor
-                ends = closing[floor]
-                total += len(ends) - bisect_right(ends, word[t + 1 - p])
-            counts[t + 1] += total
+                extend(t + 1, p)
 
-    size = len(darts)
-    heads = [x.head for x in darts]
+    def grow(t: int):
+        # word[t] is set: W_{t-1}, and the read at word[t - 1] above word[t]
+        last, e = word[t - 1], word[t]
+        ends = closing[last]
+        weight = weights[t]
+        sums = (reads_a[t] + reads_h[t] * weight) >> (t - 1) * w & mask
+        closings = len(ends) - bisect_right(ends, e)
+        weights[t + 1] = weight + (sums + closings << t * w)
+        if t + 1 < levels:
+            v = table[last][bisect_right(succ[last], e)]
+            reads_a[t + 1] = reads_a[t] + ((v & mask_a) << t * w)
+            reads_h[t + 1] = reads_h[t] + (v >> shift << t * w)
 
-    def suffix_sums(values, reach):
-        # [x][k]: the sum of values[e] over e in succ[x][k:], x in reach
-        table = [None] * size
-        for x in reach:
-            sums = accumulate(map(values.__getitem__, reversed(succ[x])),
-                              initial=0)
-            table[x] = [*sums][::-1]
-        return table
+    def settle():
+        # the subtree below word[:levels] is searched: weight its H reads
+        # (those of the last level, R = 1, are never read)
+        weight = weights[levels]
+        for t in range(low, horizon - 2):
+            v = acc[t]
+            total[t] += (v & mask_a) + (v >> shift) * weight
+            acc[t] = 0
 
     for d in darts:
         # a single dart closes when it is a loop (never its own inverse)
@@ -201,40 +242,58 @@ def _lyndon_closed_walks(darts: list[Dart], succ: list[list[int]],
         if horizon == 1:
             continue
         # a word from d holds darts no smaller than d, its i-th dart i
-        # steps from d.  The tables are built only for darts so reached
-        # within horizon - 2 steps: the search reads closing within
-        # horizon - 2 steps, suffix and kids within horizon - 3 and
-        # suffix2 and suffix_d within horizon - 4, and a suffix sum at x
-        # reads its table at x's successors, one step further
-        reach = frontier = {d.id}
+        # steps from d; order lists the darts so reached, d first, by
+        # steps, and reached[r] counts those within r steps
+        a = d.id
+        order = [a]
+        reached = [1]
+        fresh = [False] * (a + 1) + [True] * (size - a - 1)
+        start = 0
         for _ in range(horizon - 2):
-            frontier = {e for x in frontier for e in succ[x]
-                        if e > d.id} - reach
-            reach = reach | frontier
+            for x in order[start:]:
+                for e in succ[x]:
+                    if fresh[e]:
+                        fresh[e] = False
+                        order.append(e)
+            start = reached[-1]
+            reached.append(len(order))
         # closing[x]: successors of x that close a walk begun by d;
-        # above[x]: those above d, the count of a Lyndon word ending in x
+        # level[x]: A_j(x) at slot j and H_j(x) at slot levels + j, with
+        # A_0(x) the closings above d, H_0(x) whether d follows x, and
+        # A_j, H_j their sums over the successors above d, built where
+        # read: level j within horizon - 2 - j steps
         closing = [None] * size
-        above = [0] * size
-        for x in reach:
+        level = [0] * size
+        for x in order:
             ends = closing[x] = [e for e in succ[x] if heads[e] == d.tail
                                  and e != d.inverse]
-            above[x] = len(ends) - bisect_right(ends, d.id)
-        suffix = suffix_sums(above, reach)
-        if horizon > 4:
-            # kids[x]: the last-level count below a Lyndon word ending in
-            # x, its successors above d; has_d[x]: d follows x; cw1[w]:
-            # closings of d above w
-            kids = [0] * size
-            has_d = [0] * size
-            for x in reach:
-                kids[x] = suffix[x][bisect_right(succ[x], d.id)]
-                has_d[x] = d.id in succ[x]
-            suffix2 = suffix_sums(kids, reach)
-            suffix_d = suffix_sums(has_d, reach)
-            ends = closing[d.id]
-            cw1 = [len(ends) - bisect_right(ends, w) for w in range(size)]
-        word[0] = d.id
+            level[x] = (len(ends) - bisect_right(ends, a)
+                        + ((a in succ[x]) << shift))
+        # d and the darts below it, never reached, stay 0: a sum over all
+        # successors is then a sum over those above d.  Pass j makes slot
+        # j exact within horizon - 2 - j steps; reading an entry that the
+        # pass already raised only makes more slots exact, and keep drops
+        # the top slot of A and of H, which would spill over
+        level[a] = 0
+        base = level[:]
+        get = level.__getitem__
+        for j in range(1, levels):
+            for x in order[1:reached[horizon - 2 - j]]:
+                level[x] = base[x] + ((sum(map(get, succ[x])) & keep) << w)
+        # table[x][k]: the sum of level over succ[x][k:]
+        table = [None] * size
+        if levels:
+            for x in order[:reached[horizon - 3]]:
+                sums = [*accumulate(map(get, reversed(succ[x])), initial=0)]
+                sums.reverse()
+                table[x] = sums
+        word[0] = a
         extend(1, 1)
+    # the reads of the last level (R = 1) need no W and stay in acc
+    for t in range(low, horizon - 1):
+        v = total[t] + acc[t]
+        for j in range(horizon - 1 - t):
+            counts[t + 1 + j] += v >> j * w & mask
     return counts
 
 

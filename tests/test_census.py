@@ -1,5 +1,7 @@
 import random
+import sys
 from bisect import bisect_right
+from collections import Counter
 from math import gcd
 
 import pytest
@@ -84,6 +86,25 @@ def lyndon_dfs(darts, succ, horizon):
             word[0] = d.id
             extend(1, 1)
     return counts
+
+
+def visited_nodes(filename, search, darts, succ, horizon):
+    """(t, p) of every call of the function `extend` defined in filename
+    while search(darts, succ, horizon) runs: the nodes it visits."""
+    nodes = []
+
+    def spy(frame, event, arg):
+        # called once per Python call; returning None traces no lines
+        code = frame.f_code
+        if code.co_name == "extend" and code.co_filename == filename:
+            nodes.append((frame.f_locals["t"], frame.f_locals["p"]))
+
+    sys.settrace(spy)
+    try:
+        search(darts, succ, horizon)
+    finally:
+        sys.settrace(None)
+    return nodes
 
 
 def closed_paths_by_rows(g, horizon):
@@ -265,37 +286,89 @@ class TestAgainstReference:
             enumerate_primes(WORKED, 4)
 
 
-class TestLastLevelCount:
-    """The census counts its last two levels from tables instead of
-    visiting them; the plain search is the oracle.  Its count of each
-    length does not depend on the horizon, so one run of it at the
-    largest horizon checks every smaller one."""
+class TestTableCount:
+    """Once a node's remaining depth is at most its own (from depth
+    horizon // 2 on), the census counts the subtrees of its children
+    above the floor from tables and visits only the child equal to the
+    floor.  The plain search is the oracle: its count of a length does
+    not depend on the horizon, so one run of it checks every smaller
+    horizon.  Where it is too slow to reach the guard, the Moebius
+    inversion of the closed-walk traces checks the longer lengths; the
+    two agree wherever both run."""
 
-    def assert_matches(self, g, horizon):
+    def assert_matches(self, g, searched=HORIZON_LIMIT):
         darts = build_darts(g)
         succ = _successors(darts)
-        expect = lyndon_dfs(darts, succ, horizon)
-        for h in range(1, horizon + 1):
+        expect = lyndon_dfs(darts, succ, searched)
+        traced = mobius_invert(count_closed_paths(g, HORIZON_LIMIT))
+        assert traced[:searched] == expect, g
+        expect += traced[searched:]
+        for h in range(1, HORIZON_LIMIT + 1):
             assert _lyndon_closed_walks(darts, succ, h) == expect[:h], (g, h)
         return expect
 
     def test_random_mixed_graphs(self):
         rng = random.Random(2010)
         graphs = [random_mixed_graph(rng) for _ in range(200)]
-        with_primes = sum(1 for g in graphs
-                          if self.assert_matches(g, 10)[-1])
+        with_primes = sum(1 for g in graphs if self.assert_matches(g)[-1])
         assert with_primes > 100
 
     def test_census_workload_graphs(self):
         for g, _ in census_workload_graphs():
-            self.assert_matches(g, 10)
+            self.assert_matches(g, searched=10)
 
-    def test_e6_with_loops_at_eleven(self):
-        g = ade_graph("E", 6, with_loops=True)
-        census = enumerate_primes(g, 11)
-        series = log_derivative_series(zeta_inverse(g), 11)
+    def test_bouquets(self):
+        # k loops at one node: 2k darts, each followed by 2k - 1 of them,
+        # so a word may repeat its first dart and its floor-equal runs are
+        # long; the plain search stops where it would take seconds
+        for k, searched in zip(range(1, 7), (12, 12, 10, 8, 7, 7)):
+            self.assert_matches(MixedGraph(1, edges=((0, 0),) * k), searched)
+
+    def test_arrow_cycles(self):
+        # k parallel arrows around a c-cycle: a closed walk winds around
+        # the cycle a whole number of times, so its words repeat blocks of
+        # c darts (long floor-equal runs), and many are powers of one
+        # block (periodic, so not Lyndon)
+        for c in (2, 3, 4, 5):
+            for k in (1, 2, 3, 4):
+                g = MixedGraph(c, arrows=tuple((i, (i + 1) % c)
+                                               for i in range(c)
+                                               for _ in range(k)))
+                self.assert_matches(g, 12 if k < 4 else 10)
+
+    def assert_series(self, g, horizon):
+        census = enumerate_primes(g, horizon)
+        series = log_derivative_series(zeta_inverse(g), horizon)
         assert census.closed_counts == series
         assert census.prime_counts == mobius_invert(series)
+
+    def test_e6_with_loops_at_eleven(self):
+        self.assert_series(ade_graph("E", 6, with_loops=True), 11)
+
+    def test_d4_with_loops_at_twelve(self):
+        self.assert_series(ade_graph("D", 4, with_loops=True), 12)
+
+    def test_no_lyndon_word_is_extended_past_half_the_horizon(self):
+        # down to depth horizon // 2 the census visits every node that the
+        # plain search visits; deeper, only children equal to the floor,
+        # which keep the period p < t, so no Lyndon word (p = t).  Both
+        # parities of the horizon are covered by 2..11.
+        deep = 0
+        for g, _ in census_workload_graphs():
+            darts = build_darts(g)
+            succ = _successors(darts)
+            plain = Counter(t for t, _ in visited_nodes(
+                __file__, lyndon_dfs, darts, succ, HORIZON_LIMIT // 2 + 1))
+            for h in range(2, HORIZON_LIMIT):
+                low = h // 2
+                nodes = visited_nodes(census_module.__file__,
+                                      _lyndon_closed_walks, darts, succ, h)
+                shallow = {t: n for t, n in plain.items() if t <= low}
+                assert Counter(t for t, _ in nodes if t <= low) == shallow, (
+                    g, h)
+                assert all(p < t for t, p in nodes if t > low), (g, h)
+                deep += sum(1 for t, _ in nodes if t > low)
+        assert deep > 10000
 
 
 class TestPackedTraces:
