@@ -235,6 +235,17 @@ def _lyndon_closed_walks(darts: list[Dart], succ: list[list[int]],
             total[t] += (v & mask_a) + (v >> shift) * weight
             acc[t] = 0
 
+    # per-dart state, allocated once and written only over the darts the
+    # first dart reaches (its order below), where it is also read; fresh
+    # is reset over them after each first dart, and the sums over
+    # successors find level 0 at the smaller darts, each of which was set
+    # to 0 as a first dart and never reached again
+    fresh = [True] * size
+    closing = [None] * size
+    level = [0] * size
+    base = [0] * size
+    table = [None] * size
+    get = level.__getitem__
     for d in darts:
         # a single dart closes when it is a loop (never its own inverse)
         if d.head == d.tail:
@@ -247,7 +258,7 @@ def _lyndon_closed_walks(darts: list[Dart], succ: list[list[int]],
         a = d.id
         order = [a]
         reached = [1]
-        fresh = [False] * (a + 1) + [True] * (size - a - 1)
+        fresh[a] = False  # for good: the first darts only grow
         start = 0
         for _ in range(horizon - 2):
             for x in order[start:]:
@@ -262,26 +273,21 @@ def _lyndon_closed_walks(darts: list[Dart], succ: list[list[int]],
         # A_0(x) the closings above d, H_0(x) whether d follows x, and
         # A_j, H_j their sums over the successors above d, built where
         # read: level j within horizon - 2 - j steps
-        closing = [None] * size
-        level = [0] * size
         for x in order:
             ends = closing[x] = [e for e in succ[x] if heads[e] == d.tail
                                  and e != d.inverse]
-            level[x] = (len(ends) - bisect_right(ends, a)
-                        + ((a in succ[x]) << shift))
-        # d and the darts below it, never reached, stay 0: a sum over all
+            level[x] = base[x] = (len(ends) - bisect_right(ends, a)
+                                  + ((a in succ[x]) << shift))
+        # d and the darts below it, never reached, are 0: a sum over all
         # successors is then a sum over those above d.  Pass j makes slot
         # j exact within horizon - 2 - j steps; reading an entry that the
         # pass already raised only makes more slots exact, and keep drops
         # the top slot of A and of H, which would spill over
         level[a] = 0
-        base = level[:]
-        get = level.__getitem__
         for j in range(1, levels):
             for x in order[1:reached[horizon - 2 - j]]:
                 level[x] = base[x] + ((sum(map(get, succ[x])) & keep) << w)
         # table[x][k]: the sum of level over succ[x][k:]
-        table = [None] * size
         if levels:
             for x in order[:reached[horizon - 3]]:
                 sums = [*accumulate(map(get, reversed(succ[x])), initial=0)]
@@ -289,6 +295,8 @@ def _lyndon_closed_walks(darts: list[Dart], succ: list[list[int]],
                 table[x] = sums
         word[0] = a
         extend(1, 1)
+        for x in order[1:]:
+            fresh[x] = True
     # the reads of the last level (R = 1) need no W and stay in acc
     for t in range(low, horizon - 1):
         v = total[t] + acc[t]

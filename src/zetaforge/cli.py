@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from .catalog import (ade_graph, dimer_graph, load_catalog, parse_ade_spec,
                       verify_catalog)
@@ -42,7 +43,10 @@ class _InputError(ValueError):
     pass
 
 
+@cache
 def _build_parser() -> _Parser:
+    """The parser, built on the first call and shared by every later
+    main() call in the process; parse_args keeps no state between calls."""
     parser = _Parser(prog="zetaforge",
                      description="Zeta functions of partially directed "
                                  "multigraphs")
@@ -222,15 +226,15 @@ def _cmd_primes(args, parser) -> int:
         parser.error(f"horizon -L must be in 1..{HORIZON_LIMIT}")
     g = _load_graph(args, parser)
     census = enumerate_primes(g, args.horizon)
-    try:
-        r_g = find_roots(zeta_inverse(g)).min_modulus()
-        ratios = pnt_ratios(census, r_g)
-    except NumericalError as err:
-        # the counts are exact; only the ratios need R_G
-        print(f"zetaforge: no pnt ratios: {err}", file=sys.stderr)
-        ratios = {}
-    except CensusError:
-        ratios = {}
+    ratios = {}
+    # with no prime there is no ratio, so R_G is not computed
+    if census.delta:
+        try:
+            r_g = find_roots(zeta_inverse(g)).min_modulus()
+            ratios = pnt_ratios(census, r_g)
+        except NumericalError as err:
+            # the counts are exact; only the ratios need R_G
+            print(f"zetaforge: no pnt ratios: {err}", file=sys.stderr)
     rows = []
     for m in range(1, args.horizon + 1):
         ratio = _fmt_float(ratios[m]) if m in ratios else "-"

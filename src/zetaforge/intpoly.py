@@ -343,7 +343,8 @@ def primitive_part(p: IntPoly) -> IntPoly:
     return IntPoly._raw(tuple(c // g for c in p.coeffs))
 
 
-# exponents e >= 61 of the Mersenne primes 2^e - 1: poly_gcd's moduli
+# exponents e >= 61 of the Mersenne primes 2^e - 1: poly_gcd's moduli,
+# and the wide determinant's above 1100 bits
 _MERSENNE_EXPONENTS = (61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217,
                        4253, 4423, 9689, 9941, 11213, 19937, 21701, 23209,
                        44497)

@@ -26,7 +26,8 @@ the matrix, before any arithmetic:
   a long cycle costs about half as much; below ``_SPLIT`` rows a single
   top-down sweep beats the join;
 * evaluation and interpolation for every wider matrix, modulo one prime
-  p = 2**e - c just above twice B, Hadamard's bound: the square root of
+  p = 2**e - c just above twice B (above _SEARCH_BITS bits, the least
+  Mersenne prime 2**e - 1 above it), Hadamard's bound: the square root of
   the product over rows of the sum over the row's entries of the squared
   sum of each entry's absolute coefficients.  Cauchy's estimate on the
   unit circle and Hadamard's inequality make B a bound on every
@@ -58,11 +59,13 @@ from math import gcd, isqrt, prod
 from operator import add, index, neg, sub
 from typing import Sequence, Union
 
-from .intpoly import IntPoly, _norm, _pack, _slot_width, _unpack
+from .intpoly import (_MERSENNE_EXPONENTS, IntPoly, _norm, _pack,
+                      _slot_width, _unpack)
 
 _SWEEP_WIDTH = 11  # at most 2**11 sweep states per row
 _SPLIT = 16  # from this many rows on the sweep runs from both ends
 _BATCH = 16  # evaluation points the wide route eliminates in lockstep
+_SEARCH_BITS = 1100  # the widest modulus found by a prime search
 
 Row = Union[Sequence, Mapping]
 
@@ -246,8 +249,15 @@ _SCREEN = _odd_prime_product(1 << 13)
 
 @cache
 def _prime_below(e):
-    """(p, c) with p = 2**e - c the largest probable prime below 2**e;
-    e >= 14, so p exceeds every prime in the screen."""
+    """(p, c) with p = 2**q - c a prime and q >= e: up to _SEARCH_BITS
+    bits, q = e and p the largest probable prime below 2**e (e >= 14, so p
+    exceeds every prime in the screen); beyond, where each Miller-Rabin
+    test costs milliseconds, the least listed Mersenne prime 2**q - 1,
+    and the search again past the list."""
+    if e > _SEARCH_BITS:
+        for q in _MERSENNE_EXPONENTS:
+            if q >= e:
+                return (1 << q) - 1, 1
     c = 1
     while not (gcd((1 << e) - c, _SCREEN) == 1
                and _is_probable_prime((1 << e) - c)):
@@ -295,6 +305,7 @@ def _interpolated_det(rows, n):
     bound = isqrt(square - 1) + 1
     e = max(62, (2 * bound).bit_length() + 1)
     p, c = _prime_below(e)  # p > 2**(e - 1) > 2B
+    e = p.bit_length()  # p = 2**e - c: the folds below need this e
     # A row is n slots of w bits, slot j holding the entry of column j
     # plus a multiple of p, never negative.  A slot starts at most init
     # (Horner over residues at x <= deg), and each of the at most n - 1

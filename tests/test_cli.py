@@ -1,5 +1,6 @@
 import json
 
+from zetaforge import cli
 from zetaforge.cli import main
 
 
@@ -176,6 +177,29 @@ class TestNumericalVerdicts:
 
 
 class TestPrimesVerb:
+    def test_no_prime_computes_no_r_g(self, capsys, monkeypatch):
+        """A cycle of 10 nodes has no prime within the horizon 6, so it has
+        no ratio, and R_G is not computed."""
+        calls = []
+        find_roots = cli.find_roots
+
+        def spy(poly):
+            calls.append(poly)
+            return find_roots(poly)
+
+        monkeypatch.setattr(cli, "find_roots", spy)
+        code, out, err = run(capsys, "primes", "--ade", "A9", "-L", "6",
+                             "--format", "json")
+        assert (code, err, calls) == (0, "", [])
+        doc = json.loads(out)
+        assert doc["delta"] == 0 and doc["pnt_ratios"] == {}
+        assert doc["prime_counts"] == [0] * 6
+        # the spy sees the call where there is a prime
+        code, out, _ = run(capsys, "primes", "--ade", "A9", "-L", "10",
+                           "--format", "json")
+        assert code == 0 and len(calls) == 1
+        assert json.loads(out)["pnt_ratios"].keys() == {"10"}
+
     def test_triangle_table(self, capsys):
         code, out, _ = run(capsys, "primes", "--ade", "A2", "-L", "6")
         assert code == 0
@@ -339,3 +363,59 @@ class TestUsage:
                 code, out, err = run(capsys, verb, *source, "--loops")
                 assert code == 1 and out == ""
                 assert "--ade" in err
+
+
+class TestRepeatedCalls:
+    def test_one_parser_serves_every_call(self, capsys, monkeypatch,
+                                          tmp_path):
+        """main may be called many times in one process: it builds its
+        parser on the first call only, and each call returns what it
+        returns with a freshly built parser."""
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({"nodes": 2, "edges": [[0, 1], [1, 1]],
+                                    "arrows": [[1, 0]]}))
+        calls = [
+            ["zeta", "--ade", "A2"],
+            ["zeta", "--graph", str(path), "--format", "csv"],
+            ["zeta", "--graph", str(tmp_path / "missing.json")],
+            ["rh", "--dimer", "3,4", "--format", "json"],
+            ["primes", "--ade", "A2", "-L", "13"],
+            ["primes", "--ade", "D4", "--loops", "-L", "4"],
+            ["primes", "--ade", "A9", "-L", "5", "--format", "csv"],
+            ["zeta", "--graph", str(path), "--loops"],
+            ["spectrum", "--dimer", "3,x"],
+            ["spectrum", "--dimer", "4", "--format", "json"],
+            ["export-plot", "--ade", "A3"],
+            ["ade", "D5", "--loops"],
+            ["dimer", "3,4"],
+            ["dimer", "3,x"],
+            ["catalog-verify", "--format", "json"],
+            ["rh", "--ade", "D20", "--loops"],
+            ["primes", "--help"],
+            ["frobnicate"],
+            [],
+            ["zeta", "--ade", "A2"],
+        ]
+        built = []
+        init = cli._Parser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            if self.prog == "zetaforge":  # not a subcommand's parser
+                built.append(self)
+
+        monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+        fresh = []
+        for argv in calls:
+            cli._build_parser.cache_clear()
+            fresh.append(run(capsys, *argv))
+        assert len(built) == len(calls)
+        built.clear()
+        cli._build_parser.cache_clear()
+        shared = [run(capsys, *argv) for argv in calls]
+        assert len(built) == 1
+        for argv, got, expect in zip(calls, shared, fresh):
+            assert got == expect, argv
+        codes = [code for code, _, _ in shared]
+        assert codes == [0, 0, 2, 0, 1, 0, 0, 1, 1, 0, 0, 0, 0, 1, 0, 3,
+                         0, 1, 1, 0]

@@ -5,9 +5,9 @@ from math import isqrt
 
 import pytest
 
-from zetaforge.intpoly import IntPoly, _norm
+from zetaforge.intpoly import _MERSENNE_EXPONENTS, IntPoly, _norm
 from zetaforge import polydet
-from zetaforge.polydet import (_BATCH, _SPLIT, _frontier_det,
+from zetaforge.polydet import (_BATCH, _SEARCH_BITS, _SPLIT, _frontier_det,
                                _interpolated_det, _prime_below, char_poly,
                                det_poly)
 from zetaforge.zeta import zeta_inverse
@@ -83,6 +83,7 @@ def per_point_det(rows, n):
     bound = isqrt(square - 1) + 1
     e = max(62, (2 * bound).bit_length() + 1)
     p, c = _prime_below(e)
+    e = p.bit_length()
     init = (p - 1) * sum(deg ** k for k in range(max(lengths)))
     w = (init + (n - 1) * 2 * p * (p - 1)).bit_length()
     folds, v = 0, (1 << w) - 1
@@ -447,6 +448,38 @@ class TestModularRoute:
                 assert _interpolated_det(rows, n) == expect
                 assert _frontier_det(rows, n) == expect
 
+    def test_mersenne_modulus_beyond_the_prime_search(self, monkeypatch):
+        # 16 tridiagonal rows with entries near 2^200 need a modulus of
+        # over 3000 bits, where the prime search ran for a minute: above
+        # _SEARCH_BITS the modulus is the least Mersenne prime 2^q - 1
+        # with q >= e, and the folds must use q, not e
+        assert _prime_below(_SEARCH_BITS + 1) == ((1 << 1279) - 1, 1)
+        assert _prime_below(3217) == ((1 << 3217) - 1, 1)
+        assert _prime_below(3218) == ((1 << 4253) - 1, 1)
+        moduli = []
+        prime_below = polydet._prime_below
+
+        def spy(e):
+            moduli.append(prime_below(e))
+            return moduli[-1]
+
+        monkeypatch.setattr(polydet, "_prime_below", spy)
+        rng = random.Random(67)
+
+        def big():
+            return IntPoly([rng.choice((-1, 1)) * ((1 << 200)
+                            + rng.getrandbits(190)) for _ in range(2)])
+
+        for corners in (False, True):
+            m = random_banded(rng, 16, 1, corners, entry=big)
+            rows = sparse(m)
+            expect = det_cofactor(m).coeffs
+            assert _interpolated_det(rows, 16) == expect
+            assert _frontier_det(rows, 16) == expect
+        assert len(moduli) == 2
+        assert all(c == 1 and p.bit_length() in _MERSENNE_EXPONENTS
+                   and p.bit_length() > _SEARCH_BITS for p, c in moduli)
+
     def test_many_small_matrices(self):
         # with three rows or more a slot takes two updates before it is
         # read, so a slot too narrow by one bit carries into its neighbour
@@ -712,8 +745,9 @@ class TestTwoEndedSweep:
         assert _frontier_det(rows, n) == () == _interpolated_det(rows, n)
 
     def test_entries_beyond_two_to_the_200(self):
-        # against cofactors alone: the wide route's modulus would have
-        # thousands of bits here, and its prime search takes minutes
+        # against cofactors alone: the wide route's modulus has thousands
+        # of bits here (see TestModularRoute), and at 23 rows it takes
+        # seconds
         rng = random.Random(67)
 
         def big():
