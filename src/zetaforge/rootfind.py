@@ -7,7 +7,10 @@ square-free splitting instead of from fragile numerical clustering.  A
 factor f(z) = g(z^k) whose exponents share a gcd k > 1 is solved as g,
 and each root of g is mapped to its k k-th roots.  The starting points
 lie on the radii of the Newton polygon of the integer coefficients, at a
-fixed angle schedule, so repeated runs are bit-for-bit identical.
+fixed angle schedule, so repeated runs are bit-for-bit identical.  A root
+is frozen once |p(z)| <= 4*eps*sum|c_k|*|z|^k, a bound computed in the
+same Horner pass as p(z), and the iteration stops when every root is
+frozen or the largest relative correction of a sweep is at most 1e-12.
 
 The float roots are checked: a non-finite root, or roots that miss the
 power sums that Newton's identities give exactly from the coefficients,
@@ -26,8 +29,9 @@ from dataclasses import dataclass
 
 from .intpoly import IntPoly, squarefree_factors
 
-DEFAULT_TOL = 1e-12  # relative Aberth correction at which _aberth stops
+_TOL = 1e-12  # relative Aberth correction at which _aberth stops
 _MAX_ITER = 400
+_EPS = 2.220446049250313e-16  # float64 machine epsilon
 _ANGLE_OFFSET = 0.39  # radians; keeps starting points off symmetry axes
 _PREC = 128  # initial fraction bits of _refine
 _MAX_PREC = 2048
@@ -110,54 +114,40 @@ def _starts(coeffs: tuple[int, ...]) -> list[complex]:
     return z
 
 
-def _horner2(coeffs: list[float], x: complex) -> tuple[complex, complex]:
-    """Value and derivative at x."""
+def _horner2(pairs: list[tuple[float, float]],
+             x: complex) -> tuple[complex, complex, float]:
+    """Value and derivative at x of the polynomial given by the pairs
+    (c_k, |c_k|) from the leading coefficient down, and the
+    backward-error floor 4*eps*sum|c_k|*|x|^k (Higham 2002, sec. 5.1):
+    once |p(x)| is at most the floor, x is as converged as float64
+    permits.  The floor's terms are non-negative, so it is never NaN at
+    a finite x, and it is inf where the sum overflows."""
+    ax = abs(x)
     v = 0j
     d = 0j
-    for c in reversed(coeffs):
+    f = 0.0
+    for c, m in pairs:
         d = d * x + v
         v = v * x + c
-    return v, d
+        f = f * ax + m
+    return v, d, 4.0 * _EPS * f
 
 
-_EPS = 2.220446049250313e-16
-
-
-def _eval_floor(coeffs: list[float], x: float) -> float:
-    """Backward-error bound on Horner evaluation at |z| = x: once |p(z)|
-    drops below this, the root is as converged as float64 permits."""
-    acc = 0.0
-    power = 1.0
-    for c in coeffs:
-        acc += abs(c) * power
-        power *= x
-    return 4.0 * _EPS * acc
-
-
-def _converged(coeffs: list[float], scale: float, size: float,
-               x: float) -> bool:
-    """Whether size = |p(z)| at |z| = x is at most _eval_floor(coeffs, x),
-    with scale = 2 * sum|c|.  The floor is computed only when size is at
-    most 4*eps*sum|c|*max(1, x)^deg, an upper bound on it; the factor 2 in
-    scale covers the rounding of both and makes the bound overflow to inf
-    wherever the floor can."""
-    try:
-        cap = 4.0 * _EPS * (scale * max(1.0, x) ** (len(coeffs) - 1))
-    except OverflowError:
-        cap = float("inf")
-    return size <= cap and size <= _eval_floor(coeffs, x)
-
-
-def _aberth(poly: tuple[int, ...], tol: float) -> list[complex]:
+def _aberth(poly: tuple[int, ...]) -> list[complex]:
     """All roots of a square-free polynomial given by integer
-    coefficients, with a nonzero constant term."""
+    coefficients, with a nonzero constant term.
+
+    Root k is frozen once |p(z_k)| <= 4*eps*sum|c_j|*|z_k|^j, the floor
+    that _horner2 computes in the same pass as p(z_k); the iteration
+    stops when every root is frozen or the largest correction of a sweep
+    is at most _TOL relative to max(1, |z_k|)."""
     coeffs = _float_coeffs(poly)
     deg = len(coeffs) - 1
     if deg == 1:
         return [-coeffs[0] / coeffs[1]]
     z = _starts(poly)
     done = [False] * deg
-    scale = 2.0 * sum(abs(c) for c in coeffs)
+    pairs = [(c, abs(c)) for c in reversed(coeffs)]
     worst = float("inf")
     for _ in range(_MAX_ITER):
         worst = 0.0
@@ -165,8 +155,8 @@ def _aberth(poly: tuple[int, ...], tol: float) -> list[complex]:
             if done[k]:
                 continue
             zk = z[k]
-            val, der = _horner2(coeffs, zk)
-            if _converged(coeffs, scale, abs(val), abs(zk)):
+            val, der, floor = _horner2(pairs, zk)
+            if abs(val) <= floor:
                 done[k] = True
                 continue
             if der == 0:
@@ -178,12 +168,12 @@ def _aberth(poly: tuple[int, ...], tol: float) -> list[complex]:
             for zj in z[:k]:
                 diff = zk - zj
                 if not diff:
-                    diff = tol
+                    diff = _TOL
                 s += 1.0 / diff
             for zj in z[k + 1:]:
                 diff = zk - zj
                 if not diff:
-                    diff = tol
+                    diff = _TOL
                 s += 1.0 / diff
             denom = 1.0 - w * s
             step = w if denom == 0 else w / denom
@@ -191,10 +181,10 @@ def _aberth(poly: tuple[int, ...], tol: float) -> list[complex]:
             rel = abs(step) / max(1.0, abs(z[k]))
             if rel > worst:
                 worst = rel
-        if worst <= tol or all(done):
+        if worst <= _TOL or all(done):
             return z
     raise NumericalError(
-        f"Aberth iteration did not reach tol={tol} within {_MAX_ITER} "
+        f"Aberth iteration did not reach tol={_TOL} within {_MAX_ITER} "
         f"sweeps (degree {deg}, last correction {worst:.3e})")
 
 
@@ -292,12 +282,12 @@ def _fixed(x: float, s: int) -> int:
     return (num << s) // den
 
 
-def _factor_roots(coeffs: tuple[int, ...], tol: float) -> list[complex]:
+def _factor_roots(coeffs: tuple[int, ...]) -> list[complex]:
     """Float roots of a square-free factor with a nonzero constant term;
     a factor g(z^k) is solved as g, then mapped to k-th roots.  Roots
     taken as real (_real_flags) have imaginary part exactly 0.0."""
     k = math.gcd(*(i for i, c in enumerate(coeffs) if c))
-    ws = _aberth(coeffs[::k], tol)
+    ws = _aberth(coeffs[::k])
     bad = sum(not cmath.isfinite(w) for w in ws)
     if bad:
         raise NumericalError(
@@ -393,7 +383,7 @@ def find_roots(p: IntPoly) -> RootSet:
         p_reduced = p
     factors = []
     if p_reduced.degree > 0:
-        factors = [(f.coeffs, m, _factor_roots(f.coeffs, DEFAULT_TOL))
+        factors = [(f.coeffs, m, _factor_roots(f.coeffs))
                    for f, m in squarefree_factors(p_reduced)]
     head = [(0j, zero_mult)] if zero_mult else []
     _check_power_sums(p, head + [(z, m) for _, m, zs in factors for z in zs])

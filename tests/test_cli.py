@@ -1,6 +1,6 @@
 import json
 
-from zetaforge import cli
+from zetaforge import cli, rootfind
 from zetaforge.cli import main
 
 
@@ -117,6 +117,15 @@ class TestNumericalVerdicts:
             code, out, err = run(capsys, *argv)
             assert (code, out) == (3, ""), argv
             assert "power sum" in err
+
+    def test_aberth_non_convergence_exits_three(self, capsys, monkeypatch):
+        """An Aberth iteration that runs out of sweeps is a numerical
+        failure: exit 3, the reason on stderr and no report."""
+        monkeypatch.setattr(rootfind, "_MAX_ITER", 1)
+        code, out, err = run(capsys, "rh", "--ade", "E6", "--loops")
+        assert (code, out) == (3, "")
+        assert err.startswith("zetaforge: Aberth iteration did not reach")
+        assert err.count("\n") == 1
 
     def test_tol_and_merge_have_no_effect(self, capsys):
         """--tol and --merge are accepted for compatibility and change

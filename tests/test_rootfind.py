@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -12,8 +13,8 @@ from zetaforge.graphs import matrices
 from zetaforge.intpoly import IntPoly
 from zetaforge.polydet import char_poly
 from zetaforge.rootfind import (_ANGLE_OFFSET, _MAX_ITER, NumericalError,
-                                _converged, _eval_floor, _float_coeffs,
-                                _horner2, _kth_roots, _starts, find_roots)
+                                _float_coeffs, _horner2, _kth_roots, _starts,
+                                find_roots)
 from zetaforge.zeta import zeta_inverse
 
 
@@ -116,11 +117,27 @@ class TestFindRoots:
         assert abs(abs(r1) - 1 / cmath.sqrt(5).real) < 1e-12
 
 
-def reference_aberth(poly, tol):
+_EPS = 2.220446049250313e-16
+TOL = 1e-12
+
+
+def _eval_floor(coeffs: list[float], x: float) -> float:
+    """Backward-error bound on Horner evaluation at |z| = x: once |p(z)|
+    drops below this, the root is as converged as float64 permits."""
+    acc = 0.0
+    power = 1.0
+    for c in coeffs:
+        acc += abs(c) * power
+        power *= x
+    return 4.0 * _EPS * acc
+
+
+def reference_aberth(poly):
     """The plain loop version of rootfind._aberth, from the same starting
-    points: the backward-error floor at every iterate and an index test
+    points: its own forward-sum floor at every iterate and an index test
     in the pairwise sum."""
     coeffs = _float_coeffs(poly)
+    pairs = [(c, abs(c)) for c in reversed(coeffs)]
     deg = len(coeffs) - 1
     if deg == 1:
         return [-coeffs[0] / coeffs[1]]
@@ -133,7 +150,7 @@ def reference_aberth(poly, tol):
             if done[k]:
                 continue
             zk = z[k]
-            val, der = _horner2(coeffs, zk)
+            val, der = _horner2(pairs, zk)[:2]
             if abs(val) <= _eval_floor(coeffs, abs(zk)):
                 done[k] = True
                 continue
@@ -147,7 +164,7 @@ def reference_aberth(poly, tol):
                 if j != k:
                     diff = zk - z[j]
                     if diff == 0:
-                        diff = tol
+                        diff = TOL
                     s += 1.0 / diff
             denom = 1.0 - w * s
             step = w if denom == 0 else w / denom
@@ -155,7 +172,7 @@ def reference_aberth(poly, tol):
             rel = abs(step) / max(1.0, abs(z[k]))
             if rel > worst:
                 worst = rel
-        if worst <= tol or all(done):
+        if worst <= TOL or all(done):
             return z
     raise NumericalError("reference Aberth iteration did not converge")
 
@@ -191,31 +208,48 @@ def random_polys():
     return polys
 
 
-def test_converged_decides_like_the_floor():
-    """The cheap bound never changes the decision size <= floor, also
-    where the floor overflows to inf or turns NaN (0 * inf)."""
+def test_horner_floor_is_the_running_error_bound():
+    """_horner2's floor is 4*eps*sum|c_k|*|z|^k to within the rounding of
+    a Horner sum of non-negative terms, 2*(deg+1)*2^-53 relative, against
+    the exact sum of the same floats.  It is inf where the sum itself
+    overflows, as the forward sum was, and only there, and it is never
+    NaN at a finite z, also where a zero coefficient meets a power beyond
+    float range (the forward sum's 0 * inf)."""
+    big = Fraction(sys.float_info.max)
+    eps4 = Fraction(4 * _EPS)
     rng = random.Random(47)
+    cases = [([1.0, 0.0, 0.0, 1.0], 1e200), ([1.0, 0.0, 0.0, 1.0], 0.0)]
     for _ in range(300):
         deg = rng.randint(1, 60)
         coeffs = [rng.choice([0.0, 1.0, -1.0, rng.uniform(-1, 1) * 10.0 **
                               rng.randint(-20, 280)]) for _ in range(deg)]
         coeffs.append(rng.choice([1.0, -2.0, 10.0 ** rng.randint(0, 280)]))
-        scale = 2.0 * sum(abs(c) for c in coeffs)
         total = sum(abs(c) for c in coeffs)
-        # |z| from 0 through the range where the floor and its bound
-        # overflow, including |z| with total * |z|^deg just above 1.8e308
+        # |z| from 0 through the range where the sum overflows, including
+        # |z| with total * |z|^deg just above 1.8e308, and far past it
         edge = math.exp((709.8 - math.log(total)) / deg)
-        xs = [0.0, 0.5, 1.0, rng.uniform(1, 3), edge, edge * 1.001,
-              edge * 0.999, 10.0 ** rng.uniform(0, 320 / deg),
-              math.inf, math.nan]
-        for x in xs:
-            floor = _eval_floor(coeffs, x)
-            sizes = [0.0, 1e-300, math.inf, math.nan, rng.uniform(0, 1e300)]
-            if math.isfinite(floor):
-                sizes += [floor, math.nextafter(floor, math.inf),
-                          math.nextafter(floor, 0.0)]
-            for size in sizes:
-                assert _converged(coeffs, scale, size, x) == (size <= floor)
+        cases += [(coeffs, x) for x in (
+            0.0, 0.5, 1.0, rng.uniform(1, 3), edge, edge * 1.001,
+            edge * 0.999, 10.0 ** rng.uniform(0, 320 / deg), edge * 1e6,
+            1e300) if math.isfinite(x)]
+    for coeffs, r in cases:
+        pairs = [(c, abs(c)) for c in reversed(coeffs)]
+        z = cmath.rect(r, rng.uniform(0, 2 * math.pi))
+        floor = _horner2(pairs, z)[2]
+        exact = Fraction(0)
+        for _, m in pairs:
+            exact = exact * Fraction(abs(z)) + Fraction(m)
+        rel = Fraction(2 * len(coeffs), 2 ** 53)
+        assert not math.isnan(floor), (coeffs, r)
+        if math.isinf(floor):
+            assert exact * (1 + rel) > big, (coeffs, r)
+        else:
+            assert exact * (1 - rel) <= big, (coeffs, r)
+            assert abs(Fraction(floor) - eps4 * exact) <= (
+                rel * eps4 * exact + Fraction(1, 2 ** 1074)), (coeffs, r)
+    assert _horner2([(1.0, 1.0), (0.0, 0.0), (0.0, 0.0), (1.0, 1.0)],
+                    1e200)[2] == math.inf
+    assert math.isnan(_eval_floor([1.0, 0.0, 0.0, 1.0], 1e200))
 
 
 def outcome(p):
@@ -407,8 +441,7 @@ def test_cycle_zeta_factors_are_the_roots_of_unity():
     as w - 1: its roots are the n-th roots of unity to 1e-13, with 1 (and
     -1 for even n) exactly real."""
     for n in range(3, 401):
-        roots = rootfind._factor_roots((-1,) + (0,) * (n - 1) + (1,),
-                                       rootfind.DEFAULT_TOL)
+        roots = rootfind._factor_roots((-1,) + (0,) * (n - 1) + (1,))
         assert len(roots) == n
         ts = sorted(round(cmath.phase(z) * n / (2 * math.pi)) % n
                     for z in roots)
@@ -434,7 +467,7 @@ def test_cycle_zeta_factors_are_the_roots_of_unity():
 def test_non_finite_roots_raise(monkeypatch, bad):
     """Also on a lacunary factor, before any k-th root is taken."""
     monkeypatch.setattr(rootfind, "_aberth",
-                        lambda poly, tol: [complex(bad)] * (len(poly) - 1))
+                        lambda poly: [complex(bad)] * (len(poly) - 1))
     for p in (P(-2, 3, 1), P(-2, 0, 1), P(-2, 0, 0, 1)):
         with pytest.raises(NumericalError, match="not finite"):
             find_roots(p)
@@ -452,7 +485,7 @@ def test_refinement_uses_the_symmetries(monkeypatch):
                             ((5, 0, 0, -3, 1), 3),  # z^4 - 3z^3 + 5
                             ((1, 1, 1), 1)):
         calls.clear()
-        roots = rootfind._refined(coeffs, rootfind._factor_roots(coeffs, 1e-12))
+        roots = rootfind._refined(coeffs, rootfind._factor_roots(coeffs))
         assert len(calls) == refined, coeffs
         assert sorted(roots, key=repr) == sorted(
             (p.conjugate() for p in roots), key=repr)
@@ -476,14 +509,23 @@ def test_roots_missing_the_power_sums_raise(monkeypatch, shift):
     """Finite roots off by more than the tolerance: the forward sums catch
     shifted roots, the reverse sums a small root off by 10 %."""
     aberth = rootfind._aberth
-    monkeypatch.setattr(rootfind, "_aberth", lambda poly, tol: [
-        z + shift for z in aberth(poly, tol)])
+    monkeypatch.setattr(rootfind, "_aberth", lambda poly: [
+        z + shift for z in aberth(poly)])
     with pytest.raises(NumericalError, match="power sum of z\\^1"):
         find_roots(P(-6, 11, -6, 1))  # roots 1, 2, 3
-    monkeypatch.setattr(rootfind, "_aberth", lambda poly, tol: [
-        z * 1.1 if abs(z) < 1e-3 else z for z in aberth(poly, tol)])
+    monkeypatch.setattr(rootfind, "_aberth", lambda poly: [
+        z * 1.1 if abs(z) < 1e-3 else z for z in aberth(poly)])
     with pytest.raises(NumericalError, match="power sum of z\\^-1"):
         find_roots(P(-1, 10 ** 6) * P(-1, 1))  # roots 1e-6 and 1
+
+
+def test_aberth_gives_up_after_max_iter(monkeypatch):
+    """One sweep does not settle the roots of a square-free cubic: the
+    iteration raises with the degree and the last correction."""
+    monkeypatch.setattr(rootfind, "_MAX_ITER", 1)
+    with pytest.raises(NumericalError, match=r"did not reach tol=1e-12 "
+                       r"within 1 sweeps \(degree 3, last correction"):
+        find_roots(P(-6, 11, -6, 1))  # roots 1, 2, 3
 
 
 def test_zero_roots_need_only_the_forward_sums():
