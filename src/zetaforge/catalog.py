@@ -308,18 +308,26 @@ def verify_catalog(records: list[CatalogRecord]) -> CatalogVerification:
     reference values.  Known data errata and documented convention notes
     are reported as notes, not failures."""
     rows = []
+    # per valency tuple: the determinant route's polynomial and verdict,
+    # the closed form and the valency test, computed once per call
+    dimers = {}
     for rec in records:
         row = RowCheck(rec.id)
-        valencies = list(rec.valencies)
-        dimer_zi, _, _, _, dimer_class = _verdict(dimer_graph(valencies))
+        if rec.valencies not in dimers:
+            valencies = list(rec.valencies)
+            dimer_zi, _, _, _, dimer_class = _verdict(dimer_graph(valencies))
+            dimers[rec.valencies] = (dimer_zi, dimer_class,
+                                     dimer_zeta_closed(valencies),
+                                     dimer_rh(valencies))
+        dimer_zi, dimer_class, closed, valency_rh = dimers[rec.valencies]
         if dimer_zi != rec.dimer_zeta:
             row.issues.append("tiling zeta (determinant route) differs from "
                               "reference")
-        if dimer_zeta_closed(valencies) != rec.dimer_zeta:
+        if closed != rec.dimer_zeta:
             row.issues.append("tiling zeta (closed form) differs from "
                               "reference")
         dimer_flag = _FLAGS[dimer_class]
-        if dimer_rh(valencies) != (dimer_class == STRONG):
+        if valency_rh != (dimer_class == STRONG):
             row.issues.append("valency inequality disagrees with the "
                               "annulus test")
         if dimer_flag != rec.dimer_flag:

@@ -4,6 +4,11 @@ Coefficients are arbitrary-precision Python ints, stored densely with the
 constant term first and no trailing zeros.  All arithmetic is exact; any
 operation that would leave the ring (a division with remainder, a
 non-integral series coefficient) raises instead of rounding.
+
+The square-free split counts the roots 0 and +-1 directly, splits a
+polynomial g(z^k) at the degree of g, and takes every gcd by Brown's
+multi-modular algorithm, whose Euclid runs on one packed int per
+polynomial modulo Mersenne primes.
 """
 
 from __future__ import annotations
@@ -351,19 +356,61 @@ _MERSENNE_EXPONENTS = (61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217,
 
 
 def _gcd_mod(a: tuple, b: tuple, p: int) -> tuple:
-    """Monic gcd modulo a prime p dividing neither leading coefficient, by
-    Euclid; a subtraction adds under p^2, so each step reduces once."""
-    x, y = [c % p for c in a], [c % p for c in b]
-    while y:
-        db = len(y) - 1
-        inv = pow(y[-1], -1, p)
-        for k in range(len(x) - 1 - db, -1, -1):
-            q = x[k + db] * inv % p
+    """Monic gcd modulo a Mersenne prime p = 2^e - 1 dividing neither
+    leading coefficient, by Euclid on one packed int per polynomial.
+
+    Coefficient k sits in slot k of w bits, w >= 2e + 8 and a multiple of
+    8, and no slot is ever negative: a division step adds q * (2p - y_j)
+    to slot j, which is the subtraction of q * y_j mod p, with q < p and
+    every slot y_j of the divisor below 2p.  From a start below 2p, a
+    slot stays below 2^w for 64 such additions of less than 2^(2e + 1);
+    then a Mersenne fold, (v >> e) + (v & p) slot by slot (2^e = 1 mod
+    p), brings it back, and two folds leave it below 2p.  The top slot is
+    read by a shift and cleared by an exclusive or; a top slot that is 0
+    mod p drops the degree.
+    """
+    e = p.bit_length()
+    width = (2 * e + 15) // 8  # bytes per slot
+    w = 8 * width
+    ones = _ones(max(len(a), len(b)), width)
+    low, high, twop = ones * p, ones * ((1 << w - e) - 1), ones * 2 * p
+
+    def fold(v):
+        v = ((v >> e) & high) + (v & low)
+        return ((v >> e) & high) + (v & low)
+
+    def pack(cs):
+        return int.from_bytes(b"".join(
+            [(c % p).to_bytes(width, "little") for c in cs]), "little")
+
+    x, dx, y, dy = pack(a), len(a) - 1, pack(b), len(b) - 1
+    while True:
+        below = (1 << w * dy) - 1
+        inv = pow((y >> w * dy) % p, -1, p)
+        comp = (twop & below) - (y & below)
+        adds = 0
+        for k in range(dx - dy, -1, -1):
+            top = x >> w * dx
+            x ^= top << w * dx
+            dx -= 1
+            q = top * inv % p
             if q:
-                x[k:k + db] = map(sub, x[k:k + db], map(q.__mul__, y))
-        x, y = y, list(_norm([c % p for c in x[:db]]))
-    inv = pow(x[-1], -1, p)
-    return tuple(c * inv % p for c in x)
+                x += q * comp << w * k
+                adds += 1
+                if adds == 64:
+                    x, adds = fold(x), 0
+        x = fold(x)
+        while dx >= 0 and not (top := x >> w * dx) % p:
+            x ^= top << w * dx
+            dx -= 1
+        if dx < 0:
+            break
+        x, dx, y, dy = y, dy, x, dx
+    data = y.to_bytes(width * (dy + 1), "little")
+    image = [int.from_bytes(data[i:i + width], "little") % p
+             for i in range(0, len(data), width)]
+    inv = pow(image[-1], -1, p)
+    return tuple(c * inv % p for c in image)
 
 
 def _gcd(a: tuple, b: tuple) -> tuple[tuple, tuple, tuple]:
@@ -401,12 +448,12 @@ def _gcd(a: tuple, b: tuple) -> tuple[tuple, tuple, tuple]:
 def poly_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
     """Primitive gcd with positive leading coefficient (zero when both
     are zero), by Brown's multi-modular algorithm: the monic gcd modulo
-    each Mersenne prime dividing neither leading coefficient, by Euclid,
-    times gcd(lc a, lc b), which the gcd's leading coefficient divides,
-    combined by the Chinese remainder theorem.  A prime can only raise
-    the degree: a lower image restarts, a constant one proves the gcd is
-    1.  The symmetric lift's primitive part is the gcd once it divides
-    both inputs exactly."""
+    each Mersenne prime dividing neither leading coefficient, by packed
+    Euclid (_gcd_mod), times gcd(lc a, lc b), which the gcd's leading
+    coefficient divides, combined by the Chinese remainder theorem.  A
+    prime can only raise the degree: a lower image restarts, a constant
+    one proves the gcd is 1.  The symmetric lift's primitive part is the
+    gcd once it divides both inputs exactly."""
     if a.is_zero:
         a, b = b, a
     return IntPoly._raw(_gcd(a.coeffs, b.coeffs)[0]) if a else ZERO
@@ -436,26 +483,44 @@ def squarefree_factors(p: IntPoly) -> list[tuple[IntPoly, int]]:
 
     The product of factor**multiplicity equals p up to a nonzero rational
     constant, so the root set with multiplicities is preserved exactly.
-    The factors z - 1 and z + 1 (the (1 - z^2) prefactor of a reciprocal
-    zeta polynomial puts them there with high multiplicity) are counted
-    by synthetic division first, and Yun's algorithm runs on the rest
-    alone (one gcd when it is square-free, decided by its first modular
-    image).  z - 1 and z + 1 then join the factor of their multiplicity,
-    which gives exactly the list that Yun's algorithm returns on p.
+    The root 0 is counted from the zero low coefficients.  When the
+    exponents of the rest share a gcd k > 1, the rest is g(z^k) and g is
+    split instead: for a square-free b with b(0) != 0, b(z^k) is again
+    square-free, so the factors of g mapped by u -> z^k are the factors
+    of the rest (a cycle's (1 - z^n)^2 becomes (1 - u)^2).  The factors
+    u - 1 and u + 1 (the (1 - z^2) prefactor of a reciprocal zeta
+    polynomial puts them there with high multiplicity) are counted by
+    synthetic division, and Yun's algorithm runs on what is left alone
+    (one gcd when it is square-free, decided by its first modular image).
+    z, u - 1 and u + 1 then join the factor of their multiplicity, which
+    gives exactly the list that Yun's algorithm returns on p, since that
+    splitting is unique.
     """
     if p.is_zero:
         raise ValueError("zero polynomial has no square-free splitting")
-    pp = primitive_part(p)
-    ones, rest = _root_split(pp.coeffs, 1)
-    minus_ones, rest = _root_split(rest, -1)
-    parts = _yun(IntPoly._raw(rest)) if len(rest) > 1 else []
-    by_mult = {m: f for f, m in parts}
+    rest = primitive_part(p).coeffs
+    zeros = next(i for i, c in enumerate(rest) if c)
+    rest = rest[zeros:]
+    k = math.gcd(*[i for i, c in enumerate(rest) if c])
+    base = rest[::k] if k > 1 else rest
+    ones, base = _root_split(base, 1)
+    minus_ones, base = _root_split(base, -1)
+    by_mult = {}
+    if len(base) > 1:
+        by_mult = {m: f.coeffs for f, m in _yun(IntPoly._raw(base))}
     # products of primitive polynomials with positive leading
     # coefficients are again such (Gauss's lemma)
     for mult, linear in ((ones, (-1, 1)), (minus_ones, (1, 1))):
         if mult:
-            by_mult[mult] = by_mult.get(mult, ONE) * IntPoly._raw(linear)
-    return [(by_mult[m], m) for m in sorted(by_mult)]
+            by_mult[mult] = _mul(by_mult.get(mult, (1,)), linear)
+    if k > 1:
+        for m, f in by_mult.items():
+            spread = [0] * (k * (len(f) - 1) + 1)
+            spread[::k] = f
+            by_mult[m] = tuple(spread)
+    if zeros:
+        by_mult[zeros] = (0,) + by_mult.get(zeros, (1,))
+    return [(IntPoly._raw(by_mult[m]), m) for m in sorted(by_mult)]
 
 
 def _yun(pp: IntPoly) -> list[tuple[IntPoly, int]]:

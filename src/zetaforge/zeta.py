@@ -9,6 +9,11 @@ with A the full adjacency matrix, P the arrows-only matrix, Q the
 diagonal of undirected degrees minus one, n the node count and m the
 edge count.  When n > m the prefactor becomes an exact division, whose
 failure would contradict rationality and raises.
+
+For a (q+1)-regular undirected graph the xi functional equation is
+decided exactly, by the identity between the reversal of the polynomial
+and the polynomial itself that remains once the common factors cancel
+(see _xi_holds); for q = 1 it is a palindrome test.
 """
 
 from __future__ import annotations
@@ -117,8 +122,11 @@ def _squares_above(chi: tuple, bound: int) -> int:
 
 def _q_reversal(p: IntPoly, q: int) -> IntPoly:
     """(qz)^deg(p) * p(1/(qz)) as an integer polynomial."""
-    d = p.degree
-    return IntPoly(p.coeffs[d - j] * q ** j for j in range(d + 1))
+    out, power = [], 1
+    for c in reversed(p.coeffs):
+        out.append(c * power)
+        power *= q
+    return IntPoly(out)
 
 
 def xi_functional_check(g: MixedGraph) -> bool:
@@ -137,12 +145,33 @@ def xi_functional_check(g: MixedGraph) -> bool:
 
 
 def _xi_holds(denom: IntPoly, q: int, n: int, m: int) -> bool:
-    """xi functional equation for the reciprocal zeta polynomial denom of
-    a (q+1)-regular undirected graph with n nodes and m edges."""
-    numer = (IntPoly((1, 1)) ** (m - n) * IntPoly((1, -1)) ** m
-             * IntPoly((1, -q)) ** n)
-    lhs = numer * _q_reversal(denom, q) * IntPoly.term(q, 1) ** numer.degree
-    rhs = _q_reversal(numer, q) * denom * IntPoly.term(q, 1) ** denom.degree
+    """xi functional equation for the reciprocal zeta polynomial D =
+    denom, of degree d, of a (q+1)-regular undirected graph with n nodes
+    and m edges, so 2m = (q+1)n and m >= n.
+
+    With N = (1+z)^(m-n) (1-z)^m (1-qz)^n and rev_q(f) = (qz)^deg(f)
+    f(1/(qz)), the equation N/D = xi(1/(qz)) reads N (qz)^(2m) rev_q(D)
+    = rev_q(N) (qz)^d D.  rev_q(N) = (-1)^m (-q)^n (1+qz)^(m-n) (1-qz)^m
+    (1-z)^n, so the common factor (1-z)^n (1-qz)^n q^(n+d) z^d cancels to
+
+        q^(2m-n-d) z^(2m-d) (1-z^2)^(m-n) rev_q(D)
+            = (-1)^(m+n) (1-q^2 z^2)^(m-n) D,
+
+    a power of z with a negative exponent moving to the other side.
+    Every factor but that power is nonzero at z = 0 (D(0) = 1), so the
+    identity needs d = 2m and then reads
+
+        (1-z^2)^(m-n) rev_q(D) = (-1)^(m+n) q^n (1-q^2 z^2)^(m-n) D.
+
+    The binomial powers are equal for q = 1, which leaves a palindrome
+    test."""
+    if denom.degree != 2 * m:
+        return False
+    lhs = _q_reversal(denom, q)
+    rhs = denom * (-q ** n if (m + n) & 1 else q ** n)
+    if q > 1:
+        lhs = lhs * IntPoly((1, 0, -1)) ** (m - n)
+        rhs = rhs * IntPoly((1, 0, -q * q)) ** (m - n)
     return lhs == rhs
 
 

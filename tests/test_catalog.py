@@ -1,8 +1,10 @@
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
+from zetaforge import catalog
 from zetaforge.catalog import (DIMER_FLAG_ERRATA, CatalogError, ade_graph,
                                dimer_graph, dimer_rh, dimer_zeta_closed,
                                load_catalog, parse_ade_spec, quiver_to_graph,
@@ -271,6 +273,42 @@ class TestVerification:
             records[0].quiver_flag)
         result = verify_catalog([bad])
         assert not result.ok
+
+    def test_each_distinct_dimer_is_verified_once(self, monkeypatch):
+        seen = []
+        real = catalog._verdict
+
+        def spy(g):
+            seen.append(g)
+            return real(g)
+
+        monkeypatch.setattr(catalog, "_verdict", spy)
+        records = load_catalog()
+        assert verify_catalog(records).ok
+        dimers = {dimer_graph(list(rec.valencies)) for rec in records}
+        assert len(dimers) == 15
+        assert sorted(seen.count(g) for g in dimers) == [1] * 15
+        assert len(seen) == 15 + len(records)  # and one per quiver
+        # the memo lives in one call: a second call verifies them again
+        verify_catalog(records[:1])
+        assert len(seen) == 15 + len(records) + 2
+
+    def test_rows_are_per_record(self):
+        """A record that shares its valencies with good ones but carries
+        a wrong tiling polynomial or flag fails alone, with the messages
+        it gets when verified by itself."""
+        records = load_catalog()
+        first = records[0]
+        bad_zeta = replace(first, id=1000,
+                           dimer_zeta=first.dimer_zeta + IntPoly((0, 1)))
+        bad_flag = replace(first, id=1001, dimer_flag="N"
+                           if first.dimer_flag != "N" else "S")
+        mixed = [first, bad_zeta] + records[1:] + [bad_flag, first]
+        rows = verify_catalog(mixed).rows
+        alone = [verify_catalog([rec]).rows[0] for rec in mixed]
+        assert rows == alone
+        assert [row.ok for row in rows] == \
+            [True, False] + [True] * (len(records) - 1) + [False, True]
 
     def test_valency_test_matches_annulus_on_all_records(self):
         for rec in load_catalog():

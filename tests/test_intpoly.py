@@ -6,8 +6,8 @@ import pytest
 
 import zetaforge.intpoly as intpoly
 from zetaforge.intpoly import (_MERSENNE_EXPONENTS, DivisibilityError,
-                               IntPoly, SeriesError, _add, _mul, _norm, _yun,
-                               exact_div, log_derivative_series,
+                               IntPoly, SeriesError, _add, _gcd_mod, _mul,
+                               _norm, _yun, exact_div, log_derivative_series,
                                mobius_invert, poly_gcd, primitive_part,
                                squarefree_factors)
 
@@ -62,6 +62,40 @@ def oracle_split(p):
             out.append((h, i))
         v, w, i = exact_div(v, h), exact_div(y, h), i + 1
     return out
+
+
+def list_gcd_mod(a, b, p):
+    """Monic gcd modulo p by Euclid on coefficient lists: the reference
+    for the packed _gcd_mod (a subtraction adds under p^2, so each step
+    reduces once)."""
+    x, y = [c % p for c in a], [c % p for c in b]
+    while y:
+        db = len(y) - 1
+        inv = pow(y[-1], -1, p)
+        for k in range(len(x) - 1 - db, -1, -1):
+            q = x[k + db] * inv % p
+            if q:
+                x[k:k + db] = [u - q * v for u, v in zip(x[k:k + db], y)]
+        x, y = y, list(_norm([c % p for c in x[:db]]))
+    inv = pow(x[-1], -1, p)
+    return tuple(c * inv % p for c in x)
+
+
+def lacunary_poly(rng, k):
+    """A random p = c * z^j * g(z^k), with j zero roots, an integer
+    content c that may be negative, repeated factors of g, and roots of g
+    at 1 and -1; returned with j."""
+    g = IntPoly((rng.choice((-6, -2, -1, 1, 3, 4)),))
+    for _ in range(rng.randint(1, 3)):
+        base = IntPoly([rng.randint(-4, 4) for _ in range(rng.randint(1, 3))]
+                       + [rng.choice((-3, -1, 1, 2))])
+        if base.constant_term:
+            g = g * base ** rng.randint(1, 3)
+    g = g * P(-1, 1) ** rng.randint(0, 3) * P(1, 1) ** rng.randint(0, 3)
+    zeros = rng.randint(0, 3)
+    spread = [0] * (k * g.degree + 1)
+    spread[::k] = g.coeffs
+    return IntPoly((0,) * zeros + tuple(spread)), zeros
 
 
 def lucas_lehmer(e):
@@ -318,6 +352,127 @@ class TestGcdSquarefree:
                     p = p * base ** rng.randint(1, 3)
             p = p * P(-1, 1) ** rng.randint(0, 3) * P(1, 1) ** rng.randint(0, 3)
             assert squarefree_factors(p) == yun_split(p) == oracle_split(p)
+
+
+class TestLacunarySplit:
+    def test_lacunary_splits_match_yun_and_oracle(self):
+        rng = random.Random(23)
+        for trial in range(100):
+            p, _ = lacunary_poly(rng, 2 + trial % 5)
+            assert squarefree_factors(p) == yun_split(p) == oracle_split(p)
+
+    def test_euclid_runs_on_the_base(self, monkeypatch):
+        """Every gcd of the split of c * z^j * g(z^k) is taken modulo a
+        listed Mersenne prime, on polynomials of degree at most deg g."""
+        seen = []
+        real = intpoly._gcd_mod
+
+        def spy(a, b, p):
+            seen.append((max(len(a), len(b)) - 1, p))
+            return real(a, b, p)
+
+        monkeypatch.setattr(intpoly, "_gcd_mod", spy)
+        rng = random.Random(29)
+        runs = 0
+        for trial in range(100):
+            k = 2 + trial % 5
+            p, zeros = lacunary_poly(rng, k)
+            seen.clear()
+            factors = squarefree_factors(p)
+            runs += bool(seen)
+            assert all(degree <= (p.degree - zeros) // k
+                       and modulus == (1 << modulus.bit_length()) - 1
+                       and modulus.bit_length() in _MERSENNE_EXPONENTS
+                       for degree, modulus in seen)
+            recon = IntPoly((1,))
+            for f, m in factors:
+                recon = recon * f ** m
+            assert recon == primitive_part(p)
+        assert runs > 50
+
+    def test_cycle_zeta_is_split_as_one_minus_u(self, monkeypatch):
+        """(1 - z^n)^2 is (1 - u)^2 at u = z^n: synthetic division
+        finishes it, and no gcd is taken."""
+        monkeypatch.setattr(intpoly, "_gcd_mod", None)
+        for n in (3, 10, 101):
+            unit = IntPoly((-1,) + (0,) * (n - 1) + (1,))
+            assert squarefree_factors(unit ** 2) == [(unit, 2)]
+            assert squarefree_factors(P(0, 0, 0, -5) * unit ** 2) == \
+                [(unit, 2), (P(0, 1), 3)]
+
+    def test_zero_roots(self):
+        z = P(0, 1)
+        assert squarefree_factors(z) == [(z, 1)]
+        assert squarefree_factors(-7 * z ** 4) == [(z, 4)]
+        assert squarefree_factors(z ** 2 * P(2, 1)) == [(P(2, 1), 1), (z, 2)]
+        assert squarefree_factors(z ** 2 * P(-1, 0, 1) ** 2) == \
+            [(P(0, -1, 0, 1), 2)]
+
+
+class TestPackedEuclid:
+    MODULI = [(1 << e) - 1 for e in _MERSENNE_EXPONENTS if e <= 127] \
+        + [(1 << 521) - 1]
+
+    def test_random_pairs(self):
+        """Common factors, coefficients at or above p and negative ones."""
+        rng = random.Random(41)
+        for p in self.MODULI:
+            for _ in range(60):
+                g = [rng.randint(-2 * p, 3 * p)
+                     for _ in range(rng.randint(1, 5))]
+                a = _mul(tuple(g), tuple(rng.randint(-p, p) for _ in
+                                         range(rng.randint(1, 25))))
+                b = _mul(tuple(g), tuple(rng.randint(-9, 9) for _ in
+                                         range(rng.randint(1, 25))))
+                if not a or not b or not a[-1] % p or not b[-1] % p:
+                    continue
+                assert _gcd_mod(a, b, p) == list_gcd_mod(a, b, p)
+                assert _gcd_mod(b, a, p) == list_gcd_mod(b, a, p)
+
+    def test_leading_coefficient_vanishes_mod_p(self):
+        """a = b * u + r with the top of r a multiple of p: the remainder
+        drops one degree, or several when more of its top vanishes, and
+        quotients with zero coefficients skip division steps."""
+        rng = random.Random(43)
+        for p in self.MODULI:
+            for drop in range(1, 5):
+                for _ in range(8):
+                    b = tuple(rng.randint(-p, p) for _ in range(6)) + (1,)
+                    u = tuple(rng.choice((0, 0, 1, -1, p + 2, -p))
+                              for _ in range(rng.randint(1, 6))) + (3,)
+                    r = tuple(rng.randint(1, p - 1) for _ in range(6 - drop)) \
+                        + tuple(rng.choice((p, -p, 2 * p))
+                                for _ in range(drop))
+                    a = _add(_mul(b, u), r)
+                    assert _gcd_mod(a, b, p) == list_gcd_mod(a, b, p)
+                    # a common factor behind the vanishing remainder
+                    f = (rng.randint(-p, p), rng.randint(-p, p), 1)
+                    a2, b2 = _mul(a, f), _mul(b, f)
+                    image = _gcd_mod(a2, b2, p)
+                    assert image == list_gcd_mod(a2, b2, p)
+                    assert len(image) >= 3
+
+    def test_long_divisions_fold_between_steps(self):
+        """a = b * u + r with b = z^520 - 1 (plus multiples of p), every
+        quotient coefficient p - 1 and r = z^8 - 1: each of the 561
+        division steps adds (p - 1) * 2p to 519 slots, and a slot of
+        2e + 10 bits (e = 107, 127) holds 512 of them at most.  The gcd
+        is r itself, so a slot that overflows shows."""
+        rng = random.Random(47)
+        r = (-1,) + (0,) * 7 + (1,)
+        for p in self.MODULI:
+            b = (-1 + p * rng.randint(-2, 2),) \
+                + tuple(p * rng.randint(-2, 2) for _ in range(519)) + (1,)
+            a = _add(_mul(b, (p - 1,) * 561), r)
+            assert _gcd_mod(a, b, p) == list_gcd_mod(a, b, p) \
+                == (p - 1,) + r[1:]
+
+    def test_constant_and_equal_inputs(self):
+        for p in self.MODULI:
+            assert _gcd_mod((5, 7, 2), (p + 3,), p) == (1,)
+            assert _gcd_mod((4,), (5, 7, 2), p) == (1,)
+            a = (2 * p - 1, 0, -3)
+            assert _gcd_mod(a, a, p) == list_gcd_mod(a, a, p)
 
 
 class TestPolyGcd:

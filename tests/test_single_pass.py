@@ -113,8 +113,12 @@ def test_analyze_regular_graph(calls):
 
 
 def test_verify_catalog_one_zeta_per_graph(calls):
-    assert verify_catalog(load_catalog()).ok
-    assert calls["zeta_inverse"] == 82
+    """One zeta polynomial per quiver, and one per distinct dimer: the 41
+    records hold 15 valency tuples."""
+    records = load_catalog()
+    assert verify_catalog(records).ok
+    assert len({rec.valencies for rec in records}) == 15
+    assert calls["zeta_inverse"] == 41 + 15
     assert calls["adjacency_spectrum"] == 0
 
 

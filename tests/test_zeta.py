@@ -7,11 +7,12 @@ import pytest
 from zetaforge import polydet
 from zetaforge.catalog import ade_graph, dimer_graph
 from zetaforge.census import _successors, build_darts
-from zetaforge.graphs import MixedGraph, matrices, normalize
+from zetaforge.graphs import (MixedGraph, degree_profile, matrices,
+                              normalize)
 from zetaforge.intpoly import IntPoly
 from zetaforge.polydet import char_poly
 from zetaforge.zeta import (STRONG, TRIVIAL, VIOLATED, _squares_above,
-                            adjacency_spectrum, analyze,
+                            _xi_holds, adjacency_spectrum, analyze,
                             directed_zeta_inverse, is_ramanujan,
                             xi_functional_check, zeta_inverse)
 
@@ -509,7 +510,53 @@ class TestRamanujan:
                 assert is_ramanujan(g)
 
 
+def product_xi_holds(denom, q, n, m):
+    """The xi functional equation as the product identity
+    N (qz)^deg(N) rev_q(D) = rev_q(N) (qz)^deg(D) D, with
+    N = (1+z)^(m-n) (1-z)^m (1-qz)^n and rev_q(f) = (qz)^deg(f) f(1/(qz)):
+    the reference for the reduced identity of _xi_holds."""
+    def rev(p):
+        d = p.degree
+        return IntPoly(p.coeffs[d - j] * q ** j for j in range(d + 1))
+
+    numer = P(1, 1) ** (m - n) * P(1, -1) ** m * P(1, -q) ** n
+    lhs = numer * rev(denom) * IntPoly.term(q, 1) ** numer.degree
+    rhs = rev(numer) * denom * IntPoly.term(q, 1) ** denom.degree
+    return lhs == rhs
+
+
 class TestXiFunctionalEquation:
+    def test_reduced_identity_matches_the_product_identity(self):
+        """Seeded regular multigraphs with q = 1..4, their zeta
+        polynomial D as it is (true) and perturbed by + z^j, * (1 + z) and
+        * (1 - z^2); each q sees both verdicts."""
+        rng = random.Random(61)
+        verdicts = {q: set() for q in range(1, 5)}
+        cases = 0
+        while cases < 1200:
+            g = random_regular_multigraph(rng)
+            q = degree_profile(g).max_degree - 1
+            if q not in verdicts:
+                continue
+            d = zeta_inverse(g)
+            n, m = g.node_count, g.edge_count
+            assert _xi_holds(d, q, n, m) is True
+            j = rng.randint(1, d.degree + 2)
+            for denom in (d, d + IntPoly.term(rng.choice((-1, 1)), j),
+                          d * P(1, 1), d * P(1, 0, -1)):
+                want = product_xi_holds(denom, q, n, m)
+                assert _xi_holds(denom, q, n, m) == want, (g, denom)
+                verdicts[q].add(want)
+                cases += 1
+        assert all(v == {True, False} for v in verdicts.values())
+
+    def test_palindromes_at_q_one(self):
+        """For q = 1, where m = n, the identity is z^(2m-d) rev(D) = D."""
+        assert _xi_holds(P(1, -2, 1), 1, 1, 1)
+        assert not _xi_holds(P(1, 0, -1), 1, 1, 1)
+        assert not _xi_holds(P(1, 2, 1), 1, 2, 2)  # degree below 2m
+        assert _xi_holds(P(1, 2, 1), 1, 1, 1)
+
     def test_cycles(self):
         for n in (2, 3, 6):
             assert xi_functional_check(ade_graph("A", n))
