@@ -14,6 +14,7 @@ polynomial modulo Mersenne primes.
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 from operator import add, index, neg, sub
 from typing import Iterable, Iterator
 
@@ -461,8 +462,23 @@ def poly_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
 
 def _root_split(a: tuple, root: int) -> tuple[int, tuple]:
     """Multiplicity of an integer root in a, and a with it divided out
-    (synthetic division until the remainder is nonzero)."""
+    (synthetic division until the remainder is nonzero).  At the root 1
+    the quotient's coefficients are the suffix sums of a, which
+    accumulate takes; the root -1 of a is the root 1 of a(-z)."""
     mult = 0
+    if root == 1:
+        while len(a) > 1:
+            sums = list(accumulate(reversed(a)))
+            if sums.pop():  # a(1)
+                break
+            sums.reverse()
+            a = tuple(sums)
+            mult += 1
+        return mult, a
+    if root == -1:
+        # a / (z + 1)^m = (-1)^m q(-z) for q = a(-z) / (z - 1)^m
+        mult, quot = _root_split(_negate_from(a, 1), 1)
+        return mult, _negate_from(quot, 1 - mult % 2)
     while len(a) > 1:
         quot = [0] * (len(a) - 1)
         acc = 0
@@ -474,6 +490,13 @@ def _root_split(a: tuple, root: int) -> tuple[int, tuple]:
         a = tuple(quot)
         mult += 1
     return mult, a
+
+
+def _negate_from(a: tuple, start: int) -> tuple:
+    """a with the coefficients start, start + 2, ... negated."""
+    out = list(a)
+    out[start::2] = map(neg, a[start::2])
+    return tuple(out)
 
 
 def squarefree_factors(p: IntPoly) -> list[tuple[IntPoly, int]]:

@@ -165,16 +165,15 @@ def _aberth(poly: tuple[int, ...]) -> list[complex]:
                 continue
             w = val / der
             s = 0j
-            for zj in z[:k]:
-                diff = zk - zj
-                if not diff:
-                    diff = _TOL
-                s += 1.0 / diff
-            for zj in z[k + 1:]:
-                diff = zk - zj
-                if not diff:
-                    diff = _TOL
-                s += 1.0 / diff
+            try:
+                for zj in z[:k]:
+                    s += 1.0 / (zk - zj)
+                for zj in z[k + 1:]:
+                    s += 1.0 / (zk - zj)
+            except ZeroDivisionError:  # a coincident iterate counts at _TOL
+                s = 0j
+                for zj in z[:k] + z[k + 1:]:
+                    s += 1.0 / ((zk - zj) or _TOL)
             denom = 1.0 - w * s
             step = w if denom == 0 else w / denom
             z[k] = zk - step

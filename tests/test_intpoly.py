@@ -7,7 +7,7 @@ import pytest
 import zetaforge.intpoly as intpoly
 from zetaforge.intpoly import (_MERSENNE_EXPONENTS, DivisibilityError,
                                IntPoly, SeriesError, _add, _gcd_mod, _mul,
-                               _norm, _yun, exact_div, log_derivative_series,
+                               _norm, _root_split, _yun, exact_div, log_derivative_series,
                                mobius_invert, poly_gcd, primitive_part,
                                squarefree_factors)
 
@@ -254,6 +254,55 @@ class TestExactDiv:
             if a.is_zero or b.is_zero:
                 continue
             assert exact_div(a * b, b) == a
+
+
+def synthetic_root_split(a, root):
+    """Repeated synthetic division by z - root: the reference for
+    _root_split."""
+    mult = 0
+    while len(a) > 1:
+        quot = [0] * (len(a) - 1)
+        acc = 0
+        for k in range(len(a) - 1, 0, -1):
+            acc = a[k] + root * acc
+            quot[k - 1] = acc
+        if a[0] + root * acc:
+            break
+        a = tuple(quot)
+        mult += 1
+    return mult, a
+
+
+class TestRootSplit:
+    def test_matches_synthetic_division(self):
+        """Seeded polynomials times (z - 1)^i (z + 1)^j (z - 2)^l, with
+        content and either sign of the leading coefficient, at the roots
+        +-1 by suffix sums and +-2 by the division loop."""
+        rng = random.Random(29)
+        for _ in range(300):
+            a = random_coeffs(rng, 8) or (rng.choice((1, -3)),)
+            for root, times in ((1, rng.randint(0, 6)),
+                                (-1, rng.randint(0, 6)),
+                                (2, rng.randint(0, 2))):
+                for _ in range(times):
+                    a = _mul(a, (-root, 1))
+            a = tuple(c * rng.choice((1, -1, 6)) for c in a)
+            for root in (1, -1, 2, -2):
+                got = _root_split(a, root)
+                assert got == synthetic_root_split(a, root)
+                assert type(got[1]) is tuple
+
+    def test_constants_and_linear_factors(self):
+        for a in ((5,), (-1, 1), (1, 1), (0, 1), (1, 0, -1), (1, 0, 1)):
+            for root in (1, -1):
+                assert _root_split(a, root) == synthetic_root_split(a, root)
+
+    def test_high_multiplicity(self):
+        """The (1 - z^2)^81 prefactor of D40 with loops, times 2z - 1."""
+        a = (P(1, 0, -1) ** 81 * P(-1, 2)).coeffs
+        ones, rest = _root_split(a, 1)
+        minus_ones, rest = _root_split(rest, -1)
+        assert (ones, minus_ones, rest) == (81, 81, (1, -2))
 
 
 class TestGcdSquarefree:

@@ -271,6 +271,18 @@ def test_aberth_matches_reference_bit_for_bit(family, monkeypatch):
         assert 0 < raised < len(fast)
 
 
+def test_coincident_iterates_match_reference_bit_for_bit(monkeypatch):
+    """Two starting points on top of each other: the pairwise sum meets a
+    zero difference, which counts at TOL, as in the reference loop."""
+    starts = rootfind._starts
+    monkeypatch.setattr(rootfind, "_starts",
+                        lambda poly: [0.5 + 0.5j] * 2 + starts(poly)[2:])
+    polys = [(-6, 11, -6, 1), (1, 0, 0, 0, 0, 1), (-1,) + (0,) * 6 + (1,),
+             (2, -3, 0, 7, 1, -5, 1)]
+    for poly in polys:
+        assert repr(rootfind._aberth(poly)) == repr(reference_aberth(poly))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 201, 400])
 def test_starts_of_roots_of_unity_lie_on_the_unit_circle(n):
     z = _starts((-1,) + (0,) * (n - 1) + (1,))
