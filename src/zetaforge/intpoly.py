@@ -461,35 +461,45 @@ def poly_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
 
 
 def _root_split(a: tuple, root: int) -> tuple[int, tuple]:
-    """Multiplicity of an integer root in a, and a with it divided out
-    (synthetic division until the remainder is nonzero).  At the root 1
-    the quotient's coefficients are the suffix sums of a, which
-    accumulate takes; the root -1 of a is the root 1 of a(-z)."""
-    mult = 0
-    if root == 1:
-        while len(a) > 1:
-            sums = list(accumulate(reversed(a)))
-            if sums.pop():  # a(1)
-                break
-            sums.reverse()
-            a = tuple(sums)
-            mult += 1
-        return mult, a
+    """Multiplicity of the root 1 or -1 in a, and a with it divided out.
+    The quotient by z - 1 has the suffix sums of a as its coefficients,
+    which accumulate takes, and the last sum is a(1); the root -1 of a
+    is the root 1 of a(-z)."""
     if root == -1:
         # a / (z + 1)^m = (-1)^m q(-z) for q = a(-z) / (z - 1)^m
         mult, quot = _root_split(_negate_from(a, 1), 1)
         return mult, _negate_from(quot, 1 - mult % 2)
+    mult = 0
     while len(a) > 1:
-        quot = [0] * (len(a) - 1)
-        acc = 0
-        for k in range(len(a) - 1, 0, -1):
-            acc = a[k] + root * acc
-            quot[k - 1] = acc
-        if a[0] + root * acc:
+        sums = list(accumulate(reversed(a)))
+        if sums.pop():  # a(1)
             break
-        a = tuple(quot)
+        sums.reverse()
+        a = tuple(sums)
         mult += 1
     return mult, a
+
+
+def _roots_between(h: tuple, lo: int, hi: int) -> int:
+    """Sign variations of (1 + t)^d h(lo + (hi - lo)/(1 + t)), d = deg h,
+    lo < hi: as t runs over (0, inf), lo + (hi - lo)/(1 + t) runs over
+    (lo, hi), so when h has only real roots Descartes' rule counts its
+    roots in the open interval (lo, hi) exactly, with multiplicity
+    (Collins-Akritas 1976).  Built by a Taylor shift by lo, a scaling by
+    hi - lo, a reversal and a Taylor shift by 1."""
+    a = _taylor_shift(h, lo)
+    a = _taylor_shift([c * (hi - lo) ** i for i, c in enumerate(a)][::-1], 1)
+    signs = [c > 0 for c in a if c]
+    return sum(x != y for x, y in zip(signs, signs[1:]))
+
+
+def _taylor_shift(a, by: int) -> list:
+    """Coefficients of a(z + by), by repeated synthetic division."""
+    a = list(a)
+    for i in range(len(a) - 1):
+        for j in range(len(a) - 2, i - 1, -1):
+            a[j] += by * a[j + 1]
+    return a
 
 
 def _negate_from(a: tuple, start: int) -> tuple:

@@ -108,7 +108,10 @@ def _starts(coeffs: tuple[int, ...]) -> list[complex]:
     z = []
     for (i, yi), (j, yj) in zip(hull, hull[1:]):
         count = j - i
-        radius = math.exp((yi - yj) / count)
+        try:
+            radius = math.exp((yi - yj) / count)
+        except OverflowError:
+            raise NumericalError("root moduli beyond float range") from None
         z += [cmath.rect(radius, 2.0 * math.pi * (t / count + i / deg)
                          + _ANGLE_OFFSET) for t in range(count)]
     return z
@@ -144,6 +147,8 @@ def _aberth(poly: tuple[int, ...]) -> list[complex]:
     coeffs = _float_coeffs(poly)
     deg = len(coeffs) - 1
     if deg == 1:
+        if not coeffs[1]:  # scaled below the smallest float
+            raise NumericalError("root beyond float range")
         return [-coeffs[0] / coeffs[1]]
     z = _starts(poly)
     done = [False] * deg

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 from .graphs import MixedGraph, degree_profile, is_connected, matrices
-from .intpoly import IntPoly, _root_split, exact_div
+from .intpoly import IntPoly, _roots_between, exact_div
 from .polydet import char_poly, det_poly
 from .rootfind import RootSet, find_roots
 
@@ -82,11 +82,12 @@ def is_ramanujan(g: MixedGraph) -> bool:
     eigenvalues (those other than +-degree) within 2*sqrt(degree - 1) in
     absolute value.
 
-    Decided exactly, with no eigenvalue computed: the eigenvalues of the
-    symmetric integer adjacency matrix are real, so Descartes' rule
-    counts those with lambda^2 > 4(k - 1) exactly (see _squares_above).
-    The graph is Ramanujan iff they are just the trivial eigenvalues +-k,
-    which exceed the bound unless k = 2.
+    Decided exactly, with no eigenvalue computed.  Every eigenvalue of a
+    k-regular graph has |lambda| <= k, so the graph is Ramanujan iff no
+    lambda^2 lies in the open interval (4(k - 1), k^2), which is empty
+    for k = 2 alone.  With chi(x) = E(x^2) + x O(x^2), H(y) = E(y)^2 -
+    y O(y)^2 has the roots lambda^2, all real, so _roots_between counts
+    them exactly.
     """
     if not g.is_undirected:
         raise ValueError("Ramanujan test requires an undirected graph")
@@ -94,30 +95,12 @@ def is_ramanujan(g: MixedGraph) -> bool:
     if not profile.is_regular:
         raise ValueError("Ramanujan test requires a regular graph")
     k = profile.max_degree
+    if k == 2:
+        return True
     chi = char_poly(matrices(g).adjacency).coeffs
-    trivial = 0
-    if k != 2:
-        trivial = _root_split(chi, k)[0]
-        if k:
-            trivial += _root_split(chi, -k)[0]
-    return _squares_above(chi, 4 * (k - 1)) == trivial
-
-
-def _squares_above(chi: tuple, bound: int) -> int:
-    """Number of roots lambda of chi, all real, with lambda^2 > bound,
-    counted with multiplicity.
-
-    With chi(x) = E(x^2) + x O(x^2), H(y) = E(y)^2 - y O(y)^2 has the
-    roots lambda^2; the Taylor shift H(y + bound) has only real roots,
-    so its sign variations count its positive roots exactly.
-    """
     even, odd = IntPoly(chi[0::2]), IntPoly(chi[1::2])
-    h = list((even * even - IntPoly.term(1, 1) * odd * odd).coeffs)
-    for i in range(len(h) - 1):
-        for j in range(len(h) - 2, i - 1, -1):
-            h[j] += bound * h[j + 1]
-    signs = [c > 0 for c in h if c]
-    return sum(a != b for a, b in zip(signs, signs[1:]))
+    h = even * even - IntPoly.term(1, 1) * odd * odd
+    return not _roots_between(h.coeffs, 4 * (k - 1), k * k)
 
 
 def _q_reversal(p: IntPoly, q: int) -> IntPoly:

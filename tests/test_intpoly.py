@@ -7,7 +7,8 @@ import pytest
 import zetaforge.intpoly as intpoly
 from zetaforge.intpoly import (_MERSENNE_EXPONENTS, DivisibilityError,
                                IntPoly, SeriesError, _add, _gcd_mod, _mul,
-                               _norm, _root_split, _yun, exact_div, log_derivative_series,
+                               _norm, _root_split, _roots_between, _yun,
+                               exact_div, log_derivative_series,
                                mobius_invert, poly_gcd, primitive_part,
                                squarefree_factors)
 
@@ -277,7 +278,7 @@ class TestRootSplit:
     def test_matches_synthetic_division(self):
         """Seeded polynomials times (z - 1)^i (z + 1)^j (z - 2)^l, with
         content and either sign of the leading coefficient, at the roots
-        +-1 by suffix sums and +-2 by the division loop."""
+        +-1."""
         rng = random.Random(29)
         for _ in range(300):
             a = random_coeffs(rng, 8) or (rng.choice((1, -3)),)
@@ -287,7 +288,7 @@ class TestRootSplit:
                 for _ in range(times):
                     a = _mul(a, (-root, 1))
             a = tuple(c * rng.choice((1, -1, 6)) for c in a)
-            for root in (1, -1, 2, -2):
+            for root in (1, -1):
                 got = _root_split(a, root)
                 assert got == synthetic_root_split(a, root)
                 assert type(got[1]) is tuple
@@ -303,6 +304,27 @@ class TestRootSplit:
         ones, rest = _root_split(a, 1)
         minus_ones, rest = _root_split(rest, -1)
         assert (ones, minus_ones, rest) == (81, 81, (1, -2))
+
+
+class TestRootsBetween:
+    def test_matches_a_direct_count(self):
+        """Seeded products c * prod (z - r)^m with integer roots at, just
+        inside and just outside both endpoints and far away, m <= 4, and
+        a content factor c of either sign."""
+        rng = random.Random(31)
+        for _ in range(300):
+            lo = rng.randint(-12, 12)
+            hi = lo + rng.randint(1, 9)
+            pool = [lo - 1, lo, lo + 1, hi - 1, hi, hi + 1,
+                    rng.randint(-40, 40)]
+            roots = {rng.choice(pool): rng.randint(1, 4)
+                     for _ in range(rng.randint(0, 5))}
+            a = (rng.choice((1, -1, 6, -10)),)
+            for r, m in roots.items():
+                for _ in range(m):
+                    a = _mul(a, (-r, 1))
+            want = sum(m for r, m in roots.items() if lo < r < hi)
+            assert _roots_between(a, lo, hi) == want, (a, lo, hi)
 
 
 class TestGcdSquarefree:

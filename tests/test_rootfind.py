@@ -314,6 +314,16 @@ def test_starts_never_overflow():
     assert all(abs(math.log10(r) - 400 / 3) < 1e-9 for r in radii[1:])
 
 
+@pytest.mark.parametrize("coeffs", [
+    (10 ** 700, 0, 1),  # as g(z^2), g of degree 1 scaled to 1 + 0.0 u
+    (-(10 ** 400), 1),  # likewise, on a linear polynomial itself
+    (10 ** 1000, 1, 0, 1),  # a Newton-polygon radius of 10^500
+])
+def test_roots_beyond_float_range_raise(coeffs):
+    with pytest.raises(NumericalError, match="beyond float range"):
+        find_roots(IntPoly(coeffs))
+
+
 @pytest.mark.parametrize("k", range(2, 10))
 def test_kth_roots_put_real_w_on_the_axes(k):
     """Starting points solve z^k = w to float accuracy; for real w those

@@ -9,10 +9,12 @@ from zetaforge.catalog import ade_graph, dimer_graph
 from zetaforge.census import _successors, build_darts
 from zetaforge.graphs import (MixedGraph, degree_profile, matrices,
                               normalize)
-from zetaforge.intpoly import IntPoly
+from zetaforge import zeta
+from zetaforge.cli import main
+from zetaforge.intpoly import IntPoly, _roots_between
 from zetaforge.polydet import char_poly
-from zetaforge.zeta import (STRONG, TRIVIAL, VIOLATED, _squares_above,
-                            _xi_holds, adjacency_spectrum, analyze,
+from zetaforge.zeta import (STRONG, TRIVIAL, VIOLATED, _xi_holds,
+                            adjacency_spectrum, analyze,
                             directed_zeta_inverse, is_ramanujan,
                             xi_functional_check, zeta_inverse)
 
@@ -439,6 +441,29 @@ def random_regular_multigraph(rng):
     return MixedGraph(n, edges=tuple(zip(stubs[::2], stubs[1::2])))
 
 
+def squares_poly(chi):
+    """H(y) = E(y)^2 - y O(y)^2 for chi(x) = E(x^2) + x O(x^2): the roots
+    of H are the squares of the roots of chi."""
+    even, odd = IntPoly(chi[0::2]), IntPoly(chi[1::2])
+    return (even * even - P(0, 1) * odd * odd).coeffs
+
+
+def disjoint_copies(g, copies):
+    n = g.node_count
+    return MixedGraph(n * copies, edges=tuple(
+        (i + c * n, j + c * n) for c in range(copies) for i, j in g.edges))
+
+
+# the trivial eigenvalues with multiplicity two: two K_3,3 (+-3 twice) and
+# two K_4 (3 twice)
+BOUNDARY_GRAPHS = (
+    disjoint_copies(MixedGraph(6, edges=tuple(
+        (i, j) for i in range(3) for j in range(3, 6))), 2),
+    disjoint_copies(MixedGraph(4, edges=tuple(
+        (i, j) for i in range(4) for j in range(i + 1, 4))), 2),
+)
+
+
 class TestRamanujan:
     def test_plain_cycles(self):
         for n in (2, 5, 9):
@@ -459,9 +484,34 @@ class TestRamanujan:
             is_ramanujan(DP0)
 
     def test_matches_strong_classification_on_regular(self):
-        for g in (ade_graph("A", 3), dimer_graph([4]),
-                  ade_graph("A", 8, with_loops=True)):
+        graphs = ([ade_graph("A", n) for n in range(31)]
+                  + [ade_graph("A", n, with_loops=True) for n in range(13)]
+                  + [dimer_graph([r]) for r in range(2, 7)]
+                  + [dimer_graph([r] * 3) for r in range(2, 6)]
+                  + list(BOUNDARY_GRAPHS))
+        assert len(graphs) == 55
+        for g in graphs:
             assert is_ramanujan(g) == (analyze(g).classification == STRONG)
+
+    def test_trivial_eigenvalues_of_multiplicity_two(self):
+        """lambda^2 = k^2 at the upper end of the open interval, twice."""
+        for g, spectrum in zip(BOUNDARY_GRAPHS, ([-3, -3] + [0] * 8 + [3, 3],
+                                                 [-1] * 6 + [3, 3])):
+            assert jacobi_eigenvalues(matrices(g).adjacency) == \
+                pytest.approx(spectrum, abs=1e-9)
+            assert is_ramanujan(g) is reference_ramanujan(g) is True
+
+    def test_two_regular_graphs_build_no_characteristic_polynomial(
+            self, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(zeta, "char_poly",
+                            lambda rows: calls.append(rows) or char_poly(rows))
+        for argv, count in ((("--ade", "A99"), 0),
+                            (("--ade", "A10", "--loops"), 1)):
+            calls.clear()
+            assert main(["rh", *argv]) == 0
+            assert len(calls) == count, argv
+        capsys.readouterr()
 
     def test_edgeless_graph(self):
         assert is_ramanujan(MixedGraph(2))
@@ -503,7 +553,11 @@ class TestRamanujan:
                 for i in range(n + 1)))
         for n in range(3, 401):
             chi = (lucas[n][0] - 2,) + lucas[n][1:]
-            assert _squares_above(chi, 4) == 0
+            # the eigenvalues 2 cos(2 pi j / n): lambda^2 in (0, 4) for all
+            # but lambda = 2, lambda = -2 (n even) and lambda = 0 twice
+            # (4 | n)
+            inside = n - 1 - (n % 2 == 0) - 2 * (n % 4 == 0)
+            assert _roots_between(squares_poly(chi), 0, 4) == inside
             if n <= 100 or n in (199, 200, 201, 398, 399, 400):
                 g = ade_graph("A", n - 1)
                 assert char_poly(matrices(g).adjacency).coeffs == chi
