@@ -135,29 +135,27 @@ def _check_valencies(valencies):
 
 
 def quiver_to_graph(matrix) -> MixedGraph:
-    """Decode a quiver adjacency matrix: diagonal entries are twice the
-    loop count, matched off-diagonal pairs become edges, surplus becomes
-    arrows."""
+    """Decode a quiver adjacency matrix of non-negative ints (bools
+    rejected): diagonal entries are twice the loop count and off-diagonal
+    entry (i, j) counts the arrows i -> j, which normalize pairs with the
+    arrows j -> i into edges, leaving the surplus as arrows."""
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise ValueError("quiver matrix is not square")
-    edges = []
-    arrows = []
-    for i in range(n):
-        if matrix[i][i] % 2 or matrix[i][i] < 0:
+    if not all(_is_int(x) for row in matrix for x in row):
+        raise ValueError("quiver matrix entries must be integers")
+    edges, arrows = [], []
+    for i, row in enumerate(matrix):
+        if row[i] % 2 or row[i] < 0:
             raise ValueError(
-                f"diagonal entry {matrix[i][i]} at node {i} is not twice "
+                f"diagonal entry {row[i]} at node {i} is not twice "
                 "a loop count")
-        edges.extend([(i, i)] * (matrix[i][i] // 2))
-        for j in range(i + 1, n):
-            fwd, bwd = matrix[i][j], matrix[j][i]
-            if fwd < 0 or bwd < 0:
-                raise ValueError("negative multiplicity in quiver matrix")
-            paired = min(fwd, bwd)
-            edges.extend([(i, j)] * paired)
-            arrows.extend([(i, j)] * (fwd - paired))
-            arrows.extend([(j, i)] * (bwd - paired))
-    return MixedGraph(n, tuple(edges), tuple(arrows))
+        if any(row[j] < 0 or matrix[j][i] < 0 for j in range(i + 1, n)):
+            raise ValueError("negative multiplicity in quiver matrix")
+        edges.extend([(i, i)] * (row[i] // 2))
+        arrows.extend((i, j) for j, m in enumerate(row) if j != i
+                      for _ in range(m))
+    return normalize(MixedGraph(n, tuple(edges), tuple(arrows)))
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +337,7 @@ def verify_catalog(records: list[CatalogRecord]) -> CatalogVerification:
                     f"tiling flag {dimer_flag} differs from reference "
                     f"{rec.dimer_flag}")
         q_zi, q_poles, q_r, _, q_class = _verdict(
-            normalize(quiver_to_graph(rec.quiver)))
+            quiver_to_graph(rec.quiver))
         if q_zi != rec.quiver_zeta:
             row.issues.append("quiver zeta differs from reference")
         q_flag = _FLAGS[q_class]

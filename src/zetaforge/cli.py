@@ -39,10 +39,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-class _InputError(ValueError):
-    pass
-
-
 @cache
 def _build_parser() -> _Parser:
     """The parser, built on the first call and shared by every later
@@ -145,11 +141,11 @@ def _load_graph(args, parser: _Parser) -> MixedGraph:
                 doc = json.load(fh)
             g = MixedGraph.from_dict(doc)
         except OSError as err:
-            raise _InputError(f"cannot read {args.graph}: {err}") from err
+            raise ValueError(f"cannot read {args.graph}: {err}") from err
         except json.JSONDecodeError as err:
-            raise _InputError(f"{args.graph}: not valid JSON: {err}") from err
+            raise ValueError(f"{args.graph}: not valid JSON: {err}") from err
         except GraphFormatError as err:
-            raise _InputError(f"{args.graph}: {err}") from err
+            raise ValueError(f"{args.graph}: {err}") from err
         return normalize(g)
     if args.ade is not None:
         return _spec_graph("ade", args.ade, args.loops, parser)
@@ -316,9 +312,6 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as err:
-        return err.code if isinstance(err.code, int) else EXIT_USAGE
-    try:
         return args.run(args, parser)
     except SystemExit as err:
         return err.code if isinstance(err.code, int) else EXIT_USAGE

@@ -160,15 +160,8 @@ def matrices(g: MixedGraph) -> MatrixBundle:
 
 def total_degrees(g: MixedGraph) -> list[int]:
     """Undirected degree (loops twice) plus arrow in- and out-degree."""
-    n = g.node_count
-    deg = [0] * n
-    for i, j in g.edges:
-        if i == j:
-            deg[i] += 2
-        else:
-            deg[i] += 1
-            deg[j] += 1
-    for i, j in g.arrows:
+    deg = [0] * g.node_count
+    for i, j in g.edges + g.arrows:  # a loop (i, i) adds 2
         deg[i] += 1
         deg[j] += 1
     return deg

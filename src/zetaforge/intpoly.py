@@ -86,34 +86,45 @@ def _unpack(x, length, width):
             for i in range(0, length * width, width)]
 
 
-def _slot_width(*bits):
-    """Bytes per slot for values of absolute value below 2**sum(bits)."""
-    return (sum(bits) + 8) // 8
-
-
 # From this length of the shorter factor on, one big-int product of the
 # packed factors beats the slice kernel's len(b) passes over a; shorter
 # factors (the entries of a walk matrix among them) stay on the slices.
 _KRONECKER_MIN = 16
 
 
+def _dot(terms):
+    """Sum of a * b, negated where flagged, over a list of (a, b, negated)
+    terms of nonzero factors: each factor packed once (Kronecker
+    substitution), the products summed, the sum unpacked once.  A slot
+    holds the coefficient bits of both sides, the bits of the largest
+    min-length and of the term count, and a sign byte."""
+    if not terms:
+        return ()
+    bits = (max(max(map(abs, a)) for a, _, _ in terms).bit_length()
+            + max(max(map(abs, b)) for _, b, _ in terms).bit_length()
+            + max(min(len(a), len(b)) for a, b, _ in terms).bit_length()
+            + len(terms).bit_length())
+    width = bits // 8 + 1
+    total = 0
+    for a, b, negated in terms:
+        term = _pack(a, width) * _pack(b, width)
+        total = total - term if negated else total + term
+    length = max(len(a) + len(b) for a, b, _ in terms) - 1
+    return _norm(_unpack(total, length, width))
+
+
 def _mul(a, b):
     """Product.  A short factor scales the longer one by each of its
     nonzero coefficients, written or added into the output by slice (a
-    coefficient of 1 or -1 needs no multiply); two long factors are packed
-    into one int each (Kronecker substitution) and multiplied once, in
-    slots wide enough for min(len) products of the largest coefficients."""
+    coefficient of 1 or -1 needs no multiply); two long factors are
+    multiplied as one packed product by _dot."""
     if len(a) < len(b):
         a, b = b, a
     if not b:
         return ()
     la = len(a)
     if len(b) >= _KRONECKER_MIN:
-        width = _slot_width(max(map(abs, a)).bit_length(),
-                            max(map(abs, b)).bit_length(),
-                            len(b).bit_length())
-        return _norm(_unpack(_pack(a, width) * _pack(b, width),
-                             la + len(b) - 1, width))
+        return _dot([(a, b, False)])
     out = [0] * (la + len(b) - 1)
     fresh = True  # nothing written yet: the slice still holds zeros
     for i, y in enumerate(b):

@@ -22,9 +22,10 @@ the matrix, before any arithmetic:
   sweeps on complementary column sets,
   det = sum over U of T[U] * B[V] * (-1)**(sum of the column indices in
   V).  Both sweeps count a sign against all n columns, which leaves only
-  that factor.  Each half's polynomials reach about half the degree, so
-  a long cycle costs about half as much; below ``_SPLIT`` rows a single
-  top-down sweep beats the join;
+  that factor; intpoly's packed-product kernel, which also multiplies
+  long polynomials, takes the sum.  Each half's polynomials reach about
+  half the degree, so a long cycle costs about half as much; below
+  ``_SPLIT`` rows a single top-down sweep beats the join;
 * evaluation and interpolation for every wider matrix, modulo one prime
   p = 2**e - c just above twice B (above _SEARCH_BITS bits, the least
   Mersenne prime 2**e - 1 above it), Hadamard's bound: the square root of
@@ -59,8 +60,7 @@ from math import gcd, isqrt, prod
 from operator import add, index, neg, sub
 from typing import Sequence, Union
 
-from .intpoly import (_MERSENNE_EXPONENTS, IntPoly, _norm, _pack,
-                      _slot_width, _unpack)
+from .intpoly import _MERSENNE_EXPONENTS, IntPoly, _dot, _norm
 
 _SWEEP_WIDTH = 11  # at most 2**11 sweep states per row
 _SPLIT = 16  # from this many rows on the sweep runs from both ends
@@ -131,8 +131,8 @@ def _join(top, bottom, n):
     """Laplace expansion along the rows of the top sweep: the sum over its
     states U of top[U] * bottom[V] * (-1)**(sum of the columns in V), with
     V the columns outside U.  The signs of both sweeps count free columns
-    among all n, which leaves only that factor.  Each pair's product is
-    taken on packed ints and the sum is unpacked once."""
+    among all n, which leaves only that factor.  The sign-flagged pairs
+    go to intpoly's packed-product kernel _dot as one sum."""
     full = (1 << n) - 1
     odd_columns = sum(1 << c for c in range(1, n, 2))
     pairs = []
@@ -141,19 +141,7 @@ def _join(top, bottom, n):
         if b is not None:
             odd = ((full ^ used) & odd_columns).bit_count() & 1
             pairs.append((t, b, odd))
-    if not pairs:
-        return ()
-    width = _slot_width(
-        max(max(map(abs, t)) for t, _, _ in pairs).bit_length(),
-        max(max(map(abs, b)) for _, b, _ in pairs).bit_length(),
-        max(min(len(t), len(b)) for t, b, _ in pairs).bit_length(),
-        len(pairs).bit_length())
-    total = 0
-    for t, b, odd in pairs:
-        term = _pack(t, width) * _pack(b, width)
-        total = total - term if odd else total + term
-    return _norm(_unpack(total, max(len(t) + len(b) - 1 for t, b, _ in pairs),
-                         width))
+    return _dot(pairs)
 
 
 def _spans(rows, n):

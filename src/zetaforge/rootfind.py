@@ -378,18 +378,13 @@ def find_roots(p: IntPoly) -> RootSet:
         raise ValueError("zero polynomial has every point as a root")
     if p.degree == 0:
         return RootSet((), 0.0)
-    zero_mult = 0
-    while p.coeffs[zero_mult] == 0:
-        zero_mult += 1
-    if zero_mult:
-        p_reduced = IntPoly(p.coeffs[zero_mult:])
-    else:
-        p_reduced = p
-    factors = []
-    if p_reduced.degree > 0:
-        factors = [(f.coeffs, m, _factor_roots(f.coeffs))
-                   for f, m in squarefree_factors(p_reduced)]
-    head = [(0j, zero_mult)] if zero_mult else []
+    head, factors = [], []
+    for f, m in squarefree_factors(p):
+        f = f.coeffs
+        if not f[0]:  # z times the rest of the factor of multiplicity m
+            head, f = [(0j, m)], f[1:]
+        if len(f) > 1:
+            factors.append((f, m, _factor_roots(f)))
     _check_power_sums(p, head + [(z, m) for _, m, zs in factors for z in zs])
     roots = sorted(head + [(z, m) for f, m, zs in factors
                            for z in _refined(f, zs)],

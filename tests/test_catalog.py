@@ -162,6 +162,21 @@ class TestQuiverDecode:
             g = quiver_to_graph(m)
             assert [[r[j] for j in range(n)]
                     for r in matrices(g).adjacency] == m
+            assert normalize(g) == g
+            for i in range(n):
+                for j in range(i + 1, n):
+                    assert g.edges.count((i, j)) == min(m[i][j], m[j][i])
+
+    def test_rejects_non_integers(self):
+        for m in ([[0, 1.5], [0, 0]], [[0, True], [False, 0]], [[2.0]],
+                  [[0, "1"], [1, 0]]):
+            with pytest.raises(ValueError, match="must be integers"):
+                quiver_to_graph(m)
+        # the other messages stand
+        with pytest.raises(ValueError, match="not twice a loop count"):
+            quiver_to_graph([[0, 1], [1, 3]])
+        with pytest.raises(ValueError, match="negative multiplicity"):
+            quiver_to_graph([[0, 1], [-1, 0]])
 
 
 class TestCatalogData:

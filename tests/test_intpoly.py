@@ -6,8 +6,9 @@ import pytest
 
 import zetaforge.intpoly as intpoly
 from zetaforge.intpoly import (_MERSENNE_EXPONENTS, DivisibilityError,
-                               IntPoly, SeriesError, _add, _gcd_mod, _mul,
-                               _norm, _root_split, _roots_between, _yun,
+                               IntPoly, SeriesError, _add, _dot, _gcd_mod,
+                               _mul, _norm, _root_split, _roots_between,
+                               _sub, _yun,
                                exact_div, log_derivative_series,
                                mobius_invert, poly_gcd, primitive_part,
                                squarefree_factors)
@@ -169,6 +170,26 @@ class TestKernels:
                     expect = tuple(a * b * min(k + 1, n, 2 * n - 1 - k)
                                    for k in range(2 * n - 1))
                     assert _mul((a,) * n, (b,) * n) == expect
+
+    def test_dot_matches_schoolbook_sum(self):
+        # factors of equal coefficients 2**b - 1 meet the bound that sizes
+        # the packed slots almost with equality: coefficient 30 of every
+        # product below is 31 * (2**b - 1)**2, and b runs over enough
+        # values that the bound, rounded up to whole bytes, keeps no slack
+        for count in (1, 2, 17, 300):
+            for b in range(1, 25):
+                c = (1 << b) - 1
+                shapes = [((c,) * 31, (c,) * n) for n in (31, 32, 33)]
+                products = [schoolbook_mul(x, y) for x, y in shapes]
+                for flags in ((False,), (True,), (False, True)):
+                    terms = [shapes[k % 3] + (flags[k % len(flags)],)
+                             for k in range(count)]
+                    expect = ()
+                    for k, (_, _, negated) in enumerate(terms):
+                        step = _sub if negated else _add
+                        expect = step(expect, products[k % 3])
+                    assert _dot(terms) == expect, (count, b, flags)
+        assert _dot([]) == ()
 
     def test_powers_of_one_minus_z_squared(self):
         base = P(1, 0, -1)

@@ -68,6 +68,12 @@ class TestFindRoots:
         rs = find_roots(P(0, 0, 0, 1, -1))  # z^3 (1 - z)
         found = dict((round(r.real, 9), m) for r, m in rs)
         assert found == {0.0: 3, 1.0: 1}
+        # the root 0 in a factor of the square-free split with other roots
+        for p, expect in ((P(0, 0, 1, 0, 2, 0, 1), {0j: 2, 1j: 2, -1j: 2}),
+                          (P(0, -2, 1), {0j: 1, 2 + 0j: 1})):
+            found = {complex(round(r.real, 9), round(r.imag, 9)): m
+                     for r, m in find_roots(p)}
+            assert found == expect
 
     def test_high_multiplicity_cluster(self):
         p = P(-1, 1) ** 18 * P(1, 1) ** 17 * P(1, -3)
