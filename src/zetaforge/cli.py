@@ -48,11 +48,6 @@ def _build_parser() -> _Parser:
                                  "multigraphs")
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def add_noop_options(p):
-        for flag in ("--tol", "--merge"):
-            p.add_argument(flag, type=float,
-                           help="no effect; accepted for compatibility")
-
     def add_graph_options(p, run, horizon=False,
                           formats=("text", "json", "csv")):
         p.set_defaults(run=run)
@@ -66,8 +61,8 @@ def _build_parser() -> _Parser:
         p.add_argument("--loops", action="store_true",
                        help="decorate an --ade diagram with two loops "
                             "per node")
-        add_noop_options(p)
-        p.add_argument("--format", choices=formats, default="text")
+        if formats:
+            p.add_argument("--format", choices=formats, default="text")
         p.add_argument("--out", metavar="PATH",
                        help="write output to a file instead of stdout")
         if horizon:
@@ -87,7 +82,7 @@ def _build_parser() -> _Parser:
                       help="adjacency eigenvalues"), _cmd_spectrum)
     add_graph_options(sub.add_parser("export-plot",
                       help="CSV of poles and eigenvalues (re,im,kind)"),
-                      _cmd_export_plot)
+                      _cmd_export_plot, formats=())
 
     for name in ("ade", "dimer"):
         p = sub.add_parser(name, help=f"emit a generated {name} graph "
@@ -105,7 +100,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--catalog", metavar="PATH",
                    help="catalog file (overrides ZETAFORGE_CATALOG and "
                         "the bundled data)")
-    add_noop_options(p)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--out", metavar="PATH")
     return parser

@@ -191,6 +191,8 @@ class IntPoly:
     @classmethod
     def term(cls, coeff: int, power: int) -> "IntPoly":
         """coeff * z**power"""
+        if power < 0:
+            raise ValueError("negative polynomial power")
         coeff = index(coeff)
         if coeff == 0:
             return ZERO
@@ -391,11 +393,8 @@ def _gcd_mod(a: tuple, b: tuple, p: int) -> tuple:
         v = ((v >> e) & high) + (v & low)
         return ((v >> e) & high) + (v & low)
 
-    def pack(cs):
-        return int.from_bytes(b"".join(
-            [(c % p).to_bytes(width, "little") for c in cs]), "little")
-
-    x, dx, y, dy = pack(a), len(a) - 1, pack(b), len(b) - 1
+    x, dx = _pack([c % p for c in a], width), len(a) - 1
+    y, dy = _pack([c % p for c in b], width), len(b) - 1
     while True:
         below = (1 << w * dy) - 1
         inv = pow((y >> w * dy) % p, -1, p)
@@ -418,9 +417,7 @@ def _gcd_mod(a: tuple, b: tuple, p: int) -> tuple:
         if dx < 0:
             break
         x, dx, y, dy = y, dy, x, dx
-    data = y.to_bytes(width * (dy + 1), "little")
-    image = [int.from_bytes(data[i:i + width], "little") % p
-             for i in range(0, len(data), width)]
+    image = [c % p for c in _unpack(y, dy + 1, width)]
     inv = pow(image[-1], -1, p)
     return tuple(c * inv % p for c in image)
 

@@ -36,10 +36,10 @@ the matrix, before any arithmetic:
   0, 1, ..., deg, with deg the sum over rows of the largest entry degree,
   and each row is one Python int of n fixed-width slots, so an
   elimination step is a handful of big-int operations per row rather
-  than one per entry.  The rows and columns are first put in one
-  minimum-degree order of the symmetric support, ties to the lowest
-  index, which leaves little fill: a row whose entry in the column being
-  eliminated is exactly 0 has multiplier 0 and only shifts.  The points
+  than one per entry.  The rows and columns are first sorted by their
+  degree in the symmetric support, ties to the lowest index, which
+  leaves little fill: a row whose entry in the column being eliminated
+  is exactly 0 has multiplier 0 and only shifts.  The points
   are eliminated _BATCH at a time in lockstep.  At each step every point
   of the batch finds and folds its pivot, and one modular inverse of the
   product of those pivots gives the inverse of each (Montgomery's trick);
@@ -56,7 +56,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from functools import cache
-from math import gcd, isqrt, prod
+from math import isqrt
 from operator import add, index, neg, sub
 from typing import Sequence, Union
 
@@ -221,58 +221,34 @@ def _is_probable_prime(m):
     return True
 
 
-def _odd_prime_product(n):
-    """The product of the odd primes below n, by a sieve of Eratosthenes."""
-    sieve = bytearray([1]) * n
-    for i in range(3, isqrt(n) + 1, 2):
-        if sieve[i]:
-            sieve[i * i::2 * i] = bytes(len(range(i * i, n, 2 * i)))
-    return prod(i for i in range(3, n, 2) if sieve[i])
-
-
-# one gcd against it passes on to Miller-Rabin about two in five of the
-# odd candidates that trial division by the twelve bases lets through
-_SCREEN = _odd_prime_product(1 << 13)
-
-
 @cache
 def _prime_below(e):
     """(p, c) with p = 2**q - c a prime and q >= e: up to _SEARCH_BITS
-    bits, q = e and p the largest probable prime below 2**e (e >= 14, so p
-    exceeds every prime in the screen); beyond, where each Miller-Rabin
-    test costs milliseconds, the least listed Mersenne prime 2**q - 1,
-    and the search again past the list."""
+    bits, q = e and p the largest probable prime below 2**e, found by
+    Miller-Rabin on each odd candidate downwards; beyond, where each test
+    costs milliseconds, the least listed Mersenne prime 2**q - 1, and the
+    search again past the list."""
     if e > _SEARCH_BITS:
         for q in _MERSENNE_EXPONENTS:
             if q >= e:
                 return (1 << q) - 1, 1
     c = 1
-    while not (gcd((1 << e) - c, _SCREEN) == 1
-               and _is_probable_prime((1 << e) - c)):
+    while not _is_probable_prime((1 << e) - c):
         c += 2
     return (1 << e) - c, c
 
 
-def _min_degree_order(rows, n):
-    """The rows and columns in one minimum-degree order of the symmetric
-    support: each step takes the vertex with the fewest neighbours left,
-    the lowest index on a tie, and joins its neighbours into a clique, the
-    fill its elimination would make."""
-    adj = [set() for _ in range(n)]
-    for i, row in enumerate(rows):
-        for j in row:
-            if j != i:
-                adj[i].add(j)
-                adj[j].add(i)
-    left, order = set(range(n)), []
-    while left:
-        v = min(left, key=lambda u: (len(adj[u]), u))
-        left.remove(v)
-        order.append(v)
-        for u in adj[v]:
-            adj[u] |= adj[v]
-            adj[u] -= {u, v}
-    return order
+def _degree_order(rows, n):
+    """The rows and columns sorted by their degree in the symmetric
+    support, the number of other indices they share a nonzero entry
+    with, the lowest index on a tie."""
+    pairs = {(min(i, j), max(i, j))
+             for i, row in enumerate(rows) for j in row if j != i}
+    degree = [0] * n
+    for i, j in pairs:
+        degree[i] += 1
+        degree[j] += 1
+    return sorted(range(n), key=degree.__getitem__)
 
 
 def _interpolated_det(rows, n):
@@ -314,9 +290,9 @@ def _interpolated_det(rows, n):
     low, high = ones * ((1 << e) - 1), ones * ((1 << (w - e)) - 1)
     mask = (1 << w) - 1
     # row k and slot k hold row and column order[k]: a simultaneous
-    # permutation keeps the determinant, and fewer fill-ins leave more
-    # rows whose slot 0 is exactly 0 when their step comes
-    order = _min_degree_order(rows, n)
+    # permutation keeps the determinant, and sparse rows and columns first
+    # leave more rows whose slot 0 is exactly 0 when their step comes
+    order = _degree_order(rows, n)
     slot = [0] * n
     for k, j in enumerate(order):
         slot[j] = k

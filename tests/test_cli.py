@@ -127,14 +127,25 @@ class TestNumericalVerdicts:
         assert err.startswith("zetaforge: Aberth iteration did not reach")
         assert err.count("\n") == 1
 
-    def test_tol_and_merge_have_no_effect(self, capsys):
-        """--tol and --merge are accepted for compatibility and change
-        nothing: no roots are merged, however coarse the distance."""
-        for argv in (["spectrum", "--ade", "A39"], ["rh", "--dimer", "3,4"],
-                     ["export-plot", "--ade", "A5"], ["catalog-verify"]):
-            plain = run(capsys, *argv)
-            flagged = run(capsys, *argv, "--merge", "0.05", "--tol", "1e-3")
-            assert plain[0] == 0 and flagged == plain, argv
+    def test_options_without_effect_are_usage_errors(self, capsys):
+        """--tol and --merge changed nothing, and export-plot wrote CSV
+        whatever its --format: none of them is an option any more."""
+        graph = ("--ade", "A5")
+        calls = [(verb, *graph) for verb in
+                 ("zeta", "rh", "primes", "spectrum", "export-plot")]
+        calls.append(("catalog-verify",))
+        for argv in calls:
+            assert run(capsys, *argv)[0] == 0, argv
+            for extra in (("--tol", "1e-3"), ("--merge", "0.05")):
+                code, out, err = run(capsys, *argv, *extra)
+                assert (code, out) == (1, ""), (argv, extra)
+                assert err.startswith("usage: zetaforge")
+                assert f"unrecognized arguments: {' '.join(extra)}" in err
+        code, out, err = run(capsys, "export-plot", *graph,
+                             "--format", "json")
+        assert (code, out) == (1, "")
+        assert err.startswith("usage: zetaforge")
+        assert "unrecognized arguments: --format json" in err
 
     def test_json_floats_are_finite_near_a_large_pole(self, capsys, tmp_path):
         """Degree 94 with a pole of modulus 5385: residual_bound used to

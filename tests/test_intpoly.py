@@ -227,6 +227,13 @@ class TestArithmetic:
                 IntPoly.term(bad, 2)
         assert IntPoly.term(3, 2).coeffs == (0, 0, 3)
 
+    def test_negative_term_power_rejected(self):
+        # term(3, -2) used to return the constant 3
+        for coeff, power in ((3, -2), (1, -1), (0, -1)):
+            with pytest.raises(ValueError, match="negative polynomial power"):
+                IntPoly.term(coeff, power)
+        assert IntPoly.term(3, 0) == P(3)
+
     def test_ring_ops(self):
         a = P(1, 2)
         b = P(0, 0, 3)

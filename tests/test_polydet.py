@@ -7,9 +7,9 @@ import pytest
 
 from zetaforge.intpoly import _MERSENNE_EXPONENTS, IntPoly, _norm
 from zetaforge import polydet
-from zetaforge.polydet import (_BATCH, _SEARCH_BITS, _SPLIT, _frontier_det,
-                               _interpolated_det, _prime_below, char_poly,
-                               det_poly)
+from zetaforge.polydet import (_BATCH, _SEARCH_BITS, _SPLIT, _degree_order,
+                               _frontier_det, _interpolated_det, _prime_below,
+                               char_poly, det_poly)
 from zetaforge.zeta import zeta_inverse
 
 from test_zeta import dense_family, random_mixed
@@ -509,12 +509,36 @@ class TestModularRoute:
             assert p == (1 << e) - c and 0 < c < 1 << 20
             assert strong_probable_prime(p, FIRST_20_PRIMES), e
 
+    def test_prime_below_is_the_largest_strong_probable_prime(self):
+        # the search goes down the odd numbers below 2^e and must stop
+        # at the first one that the first twenty prime bases pass
+        for e in range(62, 257):
+            c = 1
+            while not strong_probable_prime((1 << e) - c, FIRST_20_PRIMES):
+                c += 2
+            assert _prime_below(e) == ((1 << e) - c, c), e
+
 
 class TestLockstep:
     """The wide route eliminates up to _BATCH evaluation points in
-    lockstep, in one minimum-degree order of rows and columns, with one
-    modular inverse per step for all the points of a batch, and a row
-    whose slot 0 is 0 only shifts."""
+    lockstep, with rows and columns sorted by their degree in the
+    symmetric support, with one modular inverse per step for all the
+    points of a batch, and a row whose slot 0 is 0 only shifts."""
+
+    def test_degree_order(self):
+        # the symmetric support has the pairs 0-1, 0-2, 0-3, 2-3 and 3-4:
+        # 0 is a hub by its column alone, and 2-3 is one pair although
+        # both of its entries are nonzero; diagonal entries count for
+        # nothing.  Leaves 1 and 4 (degree 1) come first, then 2 (degree
+        # 2), then the hubs 0 and 3 (degree 3), each tie in index order
+        rows = [{0: (1,)}, {0: (1,)}, {0: (1,), 3: (0, 2)},
+                {0: (1,), 2: (1,), 3: (4,)}, {3: (1,), 4: (1,)}]
+        assert _degree_order(rows, 5) == [1, 4, 2, 0, 3]
+        # no off-diagonal entry: every degree is 0, so the natural order
+        assert _degree_order([{i: (1,)} for i in range(4)], 4) == [0, 1, 2, 3]
+        # a full matrix: one degree, so the natural order again
+        full = [{j: (1,) for j in range(3)} for _ in range(3)]
+        assert _degree_order(full, 3) == [0, 1, 2]
 
     def test_matches_per_point_elimination_on_graph_matrices(
             self, monkeypatch):
@@ -597,7 +621,8 @@ class TestLockstep:
 
     def test_simultaneous_permutation_keeps_the_determinant(self):
         # both routes on seeded permutations of sweep-shaped and wide
-        # matrices: the min-degree order must not depend on the labels
+        # matrices: the determinant under the degree order must not
+        # depend on the labels
         rng = random.Random(101)
         for n in (3, 6, 9, 12):
             for _ in range(4):

@@ -236,8 +236,8 @@ class TestDartOracle:
         assert len(wide) > 150  # one determinant per graph
 
     def test_relabelled_graphs_on_the_wide_route(self):
-        # the wide route orders rows and columns by minimum degree, which
-        # this oracle never does: the dense family and random mixed graphs
+        # the wide route sorts rows and columns by degree, which this
+        # oracle never does: the dense family and random mixed graphs
         # under a seeded relabelling
         rng = random.Random(59)
         graphs = dense_family()
