@@ -12,15 +12,13 @@ recomputation are tracked as data errata rather than failures.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 from importlib import resources
 
 from .graphs import MixedGraph, _is_int, normalize
-from .intpoly import IntPoly, exact_div
-from .zeta import _FLAGS, STRONG, _verdict, classify_moduli
-
-ENV_CATALOG = "ZETAFORGE_CATALOG"
+from .intpoly import IntPoly
+from .zeta import (_FLAGS, STRONG, _times_one_minus_z2, _verdict,
+                   classify_moduli)
 
 
 class CatalogError(ValueError):
@@ -112,11 +110,7 @@ def dimer_zeta_closed(valencies: list[int]) -> IntPoly:
     prod = IntPoly((1,))
     for r in valencies:
         prod = prod * (IntPoly((1, 0, r - 1)) ** 2 - IntPoly((0, r)) ** 2)
-    shift = sum(valencies) - 2 * len(valencies)
-    one_minus_z2 = IntPoly((1, 0, -1))
-    if shift >= 0:
-        return prod * one_minus_z2 ** shift
-    return exact_div(prod, one_minus_z2 ** (-shift))
+    return _times_one_minus_z2(prod, sum(valencies) - 2 * len(valencies))
 
 
 def dimer_rh(valencies: list[int]) -> bool:
@@ -134,24 +128,36 @@ def _check_valencies(valencies):
         raise ValueError("valencies must be a nonempty list of integers >= 1")
 
 
-def quiver_to_graph(matrix) -> MixedGraph:
-    """Decode a quiver adjacency matrix of non-negative ints (bools
-    rejected): diagonal entries are twice the loop count and off-diagonal
-    entry (i, j) counts the arrows i -> j, which normalize pairs with the
-    arrows j -> i into edges, leaving the surplus as arrows."""
+def _check_quiver(matrix) -> int:
+    """Node count of a quiver matrix: a non-empty square list (or tuple)
+    of rows of non-negative ints, bools rejected, with an even diagonal;
+    anything else raises ValueError."""
+    if not isinstance(matrix, (list, tuple)) or not matrix:
+        raise ValueError("quiver matrix must be a non-empty list of rows")
     n = len(matrix)
-    if any(len(row) != n for row in matrix):
+    if any(not isinstance(row, (list, tuple)) or len(row) != n
+           for row in matrix):
         raise ValueError("quiver matrix is not square")
     if not all(_is_int(x) for row in matrix for x in row):
         raise ValueError("quiver matrix entries must be integers")
-    edges, arrows = [], []
     for i, row in enumerate(matrix):
         if row[i] % 2 or row[i] < 0:
             raise ValueError(
                 f"diagonal entry {row[i]} at node {i} is not twice "
                 "a loop count")
-        if any(row[j] < 0 or matrix[j][i] < 0 for j in range(i + 1, n)):
-            raise ValueError("negative multiplicity in quiver matrix")
+    if min(map(min, matrix)) < 0:
+        raise ValueError("negative multiplicity in quiver matrix")
+    return n
+
+
+def quiver_to_graph(matrix) -> MixedGraph:
+    """Decode a quiver adjacency matrix (see _check_quiver): diagonal
+    entries are twice the loop count and off-diagonal entry (i, j) counts
+    the arrows i -> j, which normalize pairs with the arrows j -> i into
+    edges, leaving the surplus as arrows."""
+    n = _check_quiver(matrix)
+    edges, arrows = [], []
+    for i, row in enumerate(matrix):
         edges.extend([(i, i)] * (row[i] // 2))
         arrows.extend((i, j) for j, m in enumerate(row) if j != i
                       for _ in range(m))
@@ -192,11 +198,9 @@ DIMER_FLAG_ERRATA: dict[int, str] = {
 
 
 def load_catalog(path: str | None = None) -> list[CatalogRecord]:
-    """Load catalog records from path, the ZETAFORGE_CATALOG override, or
-    the bundled data file.  Raises CatalogError naming the failing record
-    on any structural problem."""
-    if path is None:
-        path = os.environ.get(ENV_CATALOG)
+    """Load catalog records from path, by default the bundled data file.
+    Raises CatalogError naming the failing record on any structural
+    problem."""
     try:
         if path is None:
             raw = (resources.files("zetaforge") / "data" / "tilings41.json"
@@ -236,11 +240,10 @@ def _parse_record(pos: int, entry, seen: set) -> CatalogRecord:
         raise CatalogError(f"{where}: duplicate id {rid}")
     seen.add(rid)
     where = f"record {pos + 1} (id {rid})"
-    if (not isinstance(quiver, list) or not quiver
-            or any(not isinstance(row, list) or len(row) != len(quiver)
-                   for row in quiver)
-            or any(not _is_int(x) for row in quiver for x in row)):
-        raise CatalogError(f"{where}: quiver must be a square integer matrix")
+    try:
+        _check_quiver(quiver)
+    except ValueError as err:
+        raise CatalogError(f"{where}: {err}") from None
     if (not isinstance(valencies, list) or not valencies
             or any(not _is_int(r) or r < 1 for r in valencies)):
         raise CatalogError(f"{where}: bad valency list")

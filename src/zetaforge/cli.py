@@ -5,7 +5,9 @@ dimer (emit generated graphs as JSON), catalog-verify (recompute the
 bundled 41-record reference catalog) and export-plot (scatter CSV of
 poles and eigenvalues).  Graphs come from a JSON file (--graph), an
 affine diagram spec (--ade A2, optionally --loops) or a dimer valency
-list (--dimer 3,4).
+list (--dimer 3,4).  Each verb returns its text, rendered by _render in
+the format asked for, and its exit code; main writes the text once, to
+stdout or --out.
 
 Exit codes: 0 success, 1 usage, 2 input parse, 3 numerical failure,
 4 verification mismatch.
@@ -87,7 +89,7 @@ def _build_parser() -> _Parser:
     for name in ("ade", "dimer"):
         p = sub.add_parser(name, help=f"emit a generated {name} graph "
                                       "as JSON")
-        p.set_defaults(run=_cmd_generate)
+        p.set_defaults(run=_cmd_generate, loops=False)
         p.add_argument("spec", help="A2/D4/E6 style spec" if name == "ade"
                                     else "valency list, e.g. 3,4")
         if name == "ade":
@@ -98,8 +100,7 @@ def _build_parser() -> _Parser:
                        help="recompute the bundled tiling catalog")
     p.set_defaults(run=_cmd_catalog_verify)
     p.add_argument("--catalog", metavar="PATH",
-                   help="catalog file (overrides ZETAFORGE_CATALOG and "
-                        "the bundled data)")
+                   help="catalog file (default: the bundled data)")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--out", metavar="PATH")
     return parser
@@ -147,8 +148,8 @@ def _load_graph(args, parser: _Parser) -> MixedGraph:
 
 
 def _emit(text: str, out_path):
-    if not text.endswith("\n"):
-        text += "\n"
+    # no rendered text ends in a newline
+    text += "\n"
     if out_path:
         try:
             with open(out_path, "w", encoding="utf-8") as fh:
@@ -164,54 +165,47 @@ def _fmt_float(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _cmd_zeta(args, parser) -> int:
-    g = _load_graph(args, parser)
-    zi = zeta_inverse(g)
-    if args.format == "json":
-        text = json.dumps({"zeta_inverse": [str(c) for c in zi.coeffs]},
-                          indent=2)
-    elif args.format == "csv":
-        lines = ["power,coefficient"]
-        lines += [f"{k},{c}" for k, c in enumerate(zi.coeffs)]
-        text = "\n".join(lines)
-    else:
-        text = ", ".join(str(c) for c in zi.coeffs)
-    _emit(text, args.out)
-    return EXIT_OK
+def _render(fmt: str, doc=None, header: str = "", rows=(),
+            text=None) -> str:
+    """A verb's output in format fmt, building that format alone: json is
+    doc() at indent 2, csv the header line and then each row joined by
+    commas (str of a float is its repr), text the lines of text()."""
+    if fmt == "json":
+        return json.dumps(doc(), indent=2)
+    if fmt == "csv":
+        return "\n".join([header, *(",".join(map(str, row)) for row in rows)])
+    return "\n".join(text())
 
 
-def _cmd_rh(args, parser) -> int:
-    g = _load_graph(args, parser)
-    report = analyze(g)
-    if args.format == "json":
-        text = json.dumps(report.to_json_dict(), indent=2)
-    else:
-        lines = [
-            f"zeta_inverse: {report.zeta_inverse}",
-            "coefficients: " + ", ".join(str(c)
-                                         for c in report.zeta_inverse.coeffs),
-        ]
-        for root, mult in report.poles:
-            lines.append(
-                f"pole: {_fmt_float(root.real)} {root.imag:+.12g}i"
-                f"  multiplicity {mult}  modulus {_fmt_float(abs(root))}")
-        lines += [
-            f"R_G: {_fmt_float(report.r_g)}",
-            f"p: {report.p}",
-            f"q: {report.q}  (total degree: undirected + in- + out-arrows)",
-            f"classification: {report.classification}"
-            f" ({_FLAGS[report.classification]})",
-            f"ramanujan: {report.ramanujan}",
-            f"kotani_sunada_ok: {report.kotani_sunada_ok}",
-            f"xi_functional_ok: {report.xi_functional_ok}",
-            f"connected: {report.connected}",
-        ]
-        text = "\n".join(lines)
-    _emit(text, args.out)
-    return EXIT_OK
+def _cmd_zeta(args, parser) -> tuple[str, int]:
+    coeffs = zeta_inverse(_load_graph(args, parser)).coeffs
+    return _render(args.format,
+                   lambda: {"zeta_inverse": [str(c) for c in coeffs]},
+                   "power,coefficient", enumerate(coeffs),
+                   lambda: [", ".join(map(str, coeffs))]), EXIT_OK
 
 
-def _cmd_primes(args, parser) -> int:
+def _cmd_rh(args, parser) -> tuple[str, int]:
+    report = analyze(_load_graph(args, parser))
+    return _render(args.format, report.to_json_dict, text=lambda: [
+        f"zeta_inverse: {report.zeta_inverse}",
+        "coefficients: " + ", ".join(map(str, report.zeta_inverse.coeffs)),
+        *(f"pole: {_fmt_float(root.real)} {root.imag:+.12g}i"
+          f"  multiplicity {mult}  modulus {_fmt_float(abs(root))}"
+          for root, mult in report.poles),
+        f"R_G: {_fmt_float(report.r_g)}",
+        f"p: {report.p}",
+        f"q: {report.q}  (total degree: undirected + in- + out-arrows)",
+        f"classification: {report.classification}"
+        f" ({_FLAGS[report.classification]})",
+        f"ramanujan: {report.ramanujan}",
+        f"kotani_sunada_ok: {report.kotani_sunada_ok}",
+        f"xi_functional_ok: {report.xi_functional_ok}",
+        f"connected: {report.connected}",
+    ]), EXIT_OK
+
+
+def _cmd_primes(args, parser) -> tuple[str, int]:
     if not 1 <= args.horizon <= HORIZON_LIMIT:
         parser.error(f"horizon -L must be in 1..{HORIZON_LIMIT}")
     g = _load_graph(args, parser)
@@ -225,88 +219,60 @@ def _cmd_primes(args, parser) -> int:
         except NumericalError as err:
             # the counts are exact; only the ratios need R_G
             print(f"zetaforge: no pnt ratios: {err}", file=sys.stderr)
-    rows = []
-    for m in range(1, args.horizon + 1):
-        ratio = _fmt_float(ratios[m]) if m in ratios else "-"
-        rows.append((m, census.closed_counts[m - 1],
-                     census.prime_counts[m - 1], ratio))
-    if args.format == "json":
-        text = json.dumps({
-            "horizon": census.horizon,
-            "delta": census.delta,
-            "closed_counts": census.closed_counts,
-            "prime_counts": census.prime_counts,
-            "pnt_ratios": {str(m): ratios[m] for m in ratios},
-        }, indent=2)
-    elif args.format == "csv":
-        lines = ["m,closed_walks,primes,pnt_ratio"]
-        lines += [f"{m},{n},{p},{r}" for m, n, p, r in rows]
-        text = "\n".join(lines)
-    else:
-        lines = [f"delta: {census.delta}",
-                 f"{'m':>3} {'N_m':>10} {'pi(m)':>10} {'pnt_ratio':>14}"]
-        lines += [f"{m:>3} {n:>10} {p:>10} {r:>14}" for m, n, p, r in rows]
-        text = "\n".join(lines)
-    _emit(text, args.out)
-    return EXIT_OK
+    rows = [(m, census.closed_counts[m - 1], census.prime_counts[m - 1],
+             _fmt_float(ratios[m]) if m in ratios else "-")
+            for m in range(1, args.horizon + 1)]
+    return _render(args.format, lambda: {
+        "horizon": census.horizon,
+        "delta": census.delta,
+        "closed_counts": census.closed_counts,
+        "prime_counts": census.prime_counts,
+        "pnt_ratios": {str(m): ratios[m] for m in ratios},
+    }, "m,closed_walks,primes,pnt_ratio", rows, lambda: [
+        f"delta: {census.delta}",
+        f"{'m':>3} {'N_m':>10} {'pi(m)':>10} {'pnt_ratio':>14}",
+        *(f"{m:>3} {n:>10} {p:>10} {r:>14}" for m, n, p, r in rows)]), EXIT_OK
 
 
-def _cmd_spectrum(args, parser) -> int:
-    g = _load_graph(args, parser)
-    spec = adjacency_spectrum(g)
-    if args.format == "json":
-        text = json.dumps({"eigenvalues": [
-            {"re": lam.real, "im": lam.imag, "multiplicity": mult}
-            for lam, mult in spec]}, indent=2)
-    elif args.format == "csv":
-        lines = ["re,im,multiplicity"]
-        lines += [f"{lam.real!r},{lam.imag!r},{mult}" for lam, mult in spec]
-        text = "\n".join(lines)
-    else:
-        lines = [f"{_fmt_float(lam.real)} {_fmt_float(lam.imag)}i  "
+def _cmd_spectrum(args, parser) -> tuple[str, int]:
+    spec = adjacency_spectrum(_load_graph(args, parser))
+    return _render(args.format, lambda: {"eigenvalues": [
+        {"re": lam.real, "im": lam.imag, "multiplicity": mult}
+        for lam, mult in spec]},
+        "re,im,multiplicity",
+        ((lam.real, lam.imag, mult) for lam, mult in spec),
+        lambda: [f"{_fmt_float(lam.real)} {_fmt_float(lam.imag)}i  "
                  f"multiplicity {mult}" for lam, mult in spec]
-        text = "\n".join(lines) if lines else "(no eigenvalues)"
-    _emit(text, args.out)
-    return EXIT_OK
+        or ["(no eigenvalues)"]), EXIT_OK
 
 
-def _cmd_export_plot(args, parser) -> int:
-    g = _load_graph(args, parser)
-    lines = ["re,im,kind"]
-    lines += [f"{re!r},{im!r},{kind}"
-              for re, im, kind in plot_points(g)]
-    _emit("\n".join(lines), args.out)
-    return EXIT_OK
+def _cmd_export_plot(args, parser) -> tuple[str, int]:
+    return _render("csv", header="re,im,kind",
+                   rows=plot_points(_load_graph(args, parser))), EXIT_OK
 
 
-def _cmd_generate(args, parser) -> int:
-    g = _spec_graph(args.verb, args.spec,
-                    args.verb == "ade" and args.loops, parser)
-    _emit(json.dumps(g.to_dict(), indent=2), args.out)
-    return EXIT_OK
+def _cmd_generate(args, parser) -> tuple[str, int]:
+    g = _spec_graph(args.verb, args.spec, args.loops, parser)
+    return _render("json", g.to_dict), EXIT_OK
 
 
-def _cmd_catalog_verify(args, parser) -> int:
-    records = load_catalog(args.catalog)
-    result = verify_catalog(records)
-    if args.format == "json":
-        text = json.dumps({
-            "ok": result.ok,
-            "rows": [{"id": row.record_id, "ok": row.ok,
-                      "issues": row.issues, "notes": row.notes}
-                     for row in result.rows],
-        }, indent=2)
-    else:
-        text = "\n".join(result.summary_lines())
-    _emit(text, args.out)
-    return EXIT_OK if result.ok else EXIT_VERIFY
+def _cmd_catalog_verify(args, parser) -> tuple[str, int]:
+    result = verify_catalog(load_catalog(args.catalog))
+    return _render(args.format, lambda: {
+        "ok": result.ok,
+        "rows": [{"id": row.record_id, "ok": row.ok,
+                  "issues": row.issues, "notes": row.notes}
+                 for row in result.rows],
+    }, text=result.summary_lines), EXIT_OK if result.ok else EXIT_VERIFY
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.run(args, parser)
+        text, code = args.run(args, parser)
+        _emit(text, args.out)
+        return code
     except SystemExit as err:
         return err.code if isinstance(err.code, int) else EXIT_USAGE
     except (NumericalError, CensusError) as err:

@@ -3,7 +3,7 @@
 The reciprocal zeta function of a partially directed multigraph is the
 exact integer polynomial
 
-    (1 - z^2)^(n - m) * det(I - A z + Q z^2 + P z^3)
+    (1 - z^2)^(m - n) * det(I - A z + Q z^2 + P z^3)
 
 with A the full adjacency matrix, P the arrows-only matrix, Q the
 diagonal of undirected degrees minus one, n the node count and m the
@@ -37,8 +37,6 @@ _FLAGS = {STRONG: "S", WEAK: "W", VIOLATED: "N", TRIVIAL: "T"}
 _ANNULUS_EPS = 1e-9   # open-annulus slack: boundary poles do not violate
 _MODULUS_TOL = 1e-8
 
-_ONE_MINUS_Z2 = IntPoly((1, 0, -1))
-
 
 def zeta_inverse(g: MixedGraph) -> IntPoly:
     """Reciprocal zeta polynomial of a normalized graph; constant term 1."""
@@ -49,14 +47,17 @@ def zeta_inverse(g: MixedGraph) -> IntPoly:
         row = {j: IntPoly((0, -a, 0, arr[j])) for j, a in adj.items()}
         row[i] = IntPoly((1, -adj[i], b.degree_diag[i], arr[i]))
         rows.append(row)
-    det = det_poly(rows)
-    e = b.exponent
-    if e <= 0:
-        result = det * _ONE_MINUS_Z2 ** (-e)
-    else:
-        result = exact_div(det, _ONE_MINUS_Z2 ** e)
+    # the bundle's exponent is n - m
+    result = _times_one_minus_z2(det_poly(rows), -b.exponent)
     assert result.constant_term == 1
     return result
+
+
+def _times_one_minus_z2(p: IntPoly, power: int) -> IntPoly:
+    """p * (1 - z^2)^power; a negative power is an exact division, which
+    raises DivisibilityError unless (1 - z^2)^-power divides p."""
+    factor = IntPoly((1, 0, -1)) ** abs(power)
+    return p * factor if power >= 0 else exact_div(p, factor)
 
 
 def directed_zeta_inverse(g: MixedGraph) -> IntPoly:
@@ -153,7 +154,7 @@ def _xi_holds(denom: IntPoly, q: int, n: int, m: int) -> bool:
     lhs = _q_reversal(denom, q)
     rhs = denom * (-q ** n if (m + n) & 1 else q ** n)
     if q > 1:
-        lhs = lhs * IntPoly((1, 0, -1)) ** (m - n)
+        lhs = _times_one_minus_z2(lhs, m - n)
         rhs = rhs * IntPoly((1, 0, -q * q)) ** (m - n)
     return lhs == rhs
 

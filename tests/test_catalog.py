@@ -9,6 +9,7 @@ from zetaforge.catalog import (DIMER_FLAG_ERRATA, CatalogError, ade_graph,
                                dimer_graph, dimer_rh, dimer_zeta_closed,
                                load_catalog, parse_ade_spec, quiver_to_graph,
                                verify_catalog)
+from zetaforge.cli import main
 from zetaforge.graphs import (bipartition, degree_profile, matrices,
                               normalize)
 from zetaforge.intpoly import IntPoly
@@ -254,7 +255,11 @@ class TestCatalogData:
         path.write_text(json.dumps([dict(good, id=i) for i in (3, 1, 2)]))
         assert [r.id for r in load_catalog(str(path))] == [3, 1, 2]
 
-    def test_env_override(self, tmp_path, monkeypatch):
+    def test_only_a_path_names_the_catalog(self, tmp_path, monkeypatch,
+                                           capsys):
+        """load_catalog(path) and --catalog PATH name the catalog file; no
+        environment variable does, so ZETAFORGE_CATALOG pointing at a
+        one-record file leaves the default at the 41 bundled records."""
         path = tmp_path / "cat.json"
         path.write_text(json.dumps([{
             "id": 1, "quiver": [[6]], "valencies": [3],
@@ -262,7 +267,37 @@ class TestCatalogData:
             "quiver_zeta": [1, -6, 3, 12, -9, -6, 5],
             "dimer_flag": "S", "quiver_flag": "S"}]))
         monkeypatch.setenv("ZETAFORGE_CATALOG", str(path))
-        assert len(load_catalog()) == 1
+        assert len(load_catalog()) == 41
+        assert len(load_catalog(str(path))) == 1
+        assert main(["catalog-verify"]) == 0
+        assert capsys.readouterr().out.endswith("41/41 records verified\n")
+        assert main(["catalog-verify", "--catalog", str(path)]) == 0
+        assert capsys.readouterr().out == ("record 1: ok\n"
+                                           "1/1 records verified\n")
+
+    def test_undecodable_quiver_names_its_record(self, tmp_path, capsys):
+        """A quiver that loads must decode: an odd diagonal or a negative
+        entry is a CatalogError naming the record, and catalog-verify
+        exits 2 with that message."""
+        good = {"id": 7, "quiver": [[6]], "valencies": [3],
+                "dimer_zeta": [1, 0, -6, 0, 9, 0, -4],
+                "quiver_zeta": [1, -6, 3, 12, -9, -6, 5],
+                "dimer_flag": "S", "quiver_flag": "S"}
+        path = tmp_path / "cat.json"
+        for quiver, message in (
+                ([[3]], "diagonal entry 3 at node 0 is not twice a loop "
+                        "count"),
+                ([[0, -1], [0, 0]], "negative multiplicity in quiver "
+                                    "matrix"),
+                ([], "quiver matrix must be a non-empty list of rows"),
+                ([[0, 1], [1]], "quiver matrix is not square")):
+            path.write_text(json.dumps([dict(good, quiver=quiver)]))
+            expected = f"record 1 (id 7): {message}"
+            with pytest.raises(CatalogError) as err:
+                load_catalog(str(path))
+            assert str(err.value) == expected
+            assert main(["catalog-verify", "--catalog", str(path)]) == 2
+            assert capsys.readouterr() == ("", f"zetaforge: {expected}\n")
 
 
 class TestVerification:

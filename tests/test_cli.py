@@ -318,6 +318,39 @@ class TestExportPlot:
             assert "Traceback" not in err
 
 
+class TestOutFile:
+    def test_out_holds_what_stdout_would(self, capsys, tmp_path):
+        """For every verb and format, --out PATH writes exactly the bytes
+        that stdout gets without it, with the same exit code and stderr,
+        and stdout stays empty; a mismatching catalog still exits 4."""
+        bad = [{"id": 1, "quiver": [[6]], "valencies": [3],
+                "dimer_zeta": [1, 0, -6, 0, 9, 0, -4],
+                "quiver_zeta": [1, -6, 3, 12, -9, -6, 4],  # wrong tail
+                "dimer_flag": "S", "quiver_flag": "S"}]
+        mismatch = tmp_path / "cat.json"
+        mismatch.write_text(json.dumps(bad))
+        source = ["--ade", "D5", "--loops"]
+        calls = [[verb, *source, *extra, "--format", fmt]
+                 for verb, extra in (("zeta", []), ("primes", ["-L", "4"]),
+                                     ("spectrum", []))
+                 for fmt in ("text", "json", "csv")]
+        calls += [["rh", *source, "--format", fmt] for fmt in ("text", "json")]
+        calls += [["export-plot", *source], ["ade", "E6", "--loops"],
+                  ["dimer", "3,4"]]
+        calls += [["catalog-verify", *extra, "--format", fmt]
+                  for extra in ([], ["--catalog", str(mismatch)])
+                  for fmt in ("text", "json")]
+        target = tmp_path / "out.txt"
+        codes = []
+        for argv in calls:
+            code, out, err = run(capsys, *argv)
+            assert out
+            assert run(capsys, *argv, "--out", str(target)) == (code, "", err)
+            assert target.read_bytes() == out.encode("utf-8"), argv
+            codes.append(code)
+        assert codes == [0] * 16 + [4, 4]
+
+
 class TestCatalogVerify:
     def test_ok_exit_zero(self, capsys):
         code, out, _ = run(capsys, "catalog-verify")
