@@ -12,10 +12,9 @@ recomputation are tracked as data errata rather than failures.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from importlib import resources
 
-from .graphs import MixedGraph, _is_int, normalize
+from .graphs import MixedGraph, _Frozen, _is_int, _Value, normalize
 from .intpoly import IntPoly
 from .zeta import (_FLAGS, STRONG, _times_one_minus_z2, _verdict,
                    classify_moduli)
@@ -168,15 +167,14 @@ def quiver_to_graph(matrix) -> MixedGraph:
 # bundled reference data
 
 
-@dataclass(frozen=True)
-class CatalogRecord:
-    id: int
-    quiver: tuple[tuple[int, ...], ...]
-    valencies: tuple[int, ...]
-    dimer_zeta: IntPoly
-    quiver_zeta: IntPoly
-    dimer_flag: str
-    quiver_flag: str
+class CatalogRecord(_Frozen):
+    def __init__(self, id: int, quiver: tuple[tuple[int, ...], ...],
+                 valencies: tuple[int, ...], dimer_zeta: IntPoly,
+                 quiver_zeta: IntPoly, dimer_flag: str, quiver_flag: str):
+        self.__dict__.update(
+            id=id, quiver=quiver, valencies=valencies, dimer_zeta=dimer_zeta,
+            quiver_zeta=quiver_zeta, dimer_flag=dimer_flag,
+            quiver_flag=quiver_flag)
 
 
 # Reference entries whose printed flag disagrees with recomputation.
@@ -269,20 +267,21 @@ def _parse_record(pos: int, entry, seen: set) -> CatalogRecord:
 # verification
 
 
-@dataclass
-class RowCheck:
-    record_id: int
-    issues: list[str] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
+class RowCheck(_Value):
+    def __init__(self, record_id: int, issues: list[str] | None = None,
+                 notes: list[str] | None = None):
+        self.record_id = record_id
+        self.issues = [] if issues is None else issues
+        self.notes = [] if notes is None else notes
 
     @property
     def ok(self) -> bool:
         return not self.issues
 
 
-@dataclass
-class CatalogVerification:
-    rows: list[RowCheck]
+class CatalogVerification(_Value):
+    def __init__(self, rows: list[RowCheck]):
+        self.rows = rows
 
     @property
     def ok(self) -> bool:

@@ -56,11 +56,10 @@ the oracle that the zeta-derived series is checked against.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import accumulate
 from math import gcd
 
-from .graphs import MixedGraph
+from .graphs import MixedGraph, _Frozen
 
 HORIZON_LIMIT = 12
 
@@ -73,20 +72,20 @@ class CensusLimitError(CensusError):
     """Requested horizon beyond the enumeration guard."""
 
 
-@dataclass(frozen=True)
-class Dart:
-    id: int
-    tail: int
-    head: int
-    inverse: int | None
+class Dart(_Frozen):
+    def __init__(self, id: int, tail: int, head: int, inverse: int | None):
+        self.__dict__.update(id=id, tail=tail, head=head, inverse=inverse)
 
 
-@dataclass(frozen=True)
-class PrimeCensus:
-    horizon: int
-    closed_counts: list[int]   # index m-1: closed walks of length m
-    prime_counts: list[int]    # index m-1: primitive rotation classes
-    delta: int                 # gcd of lengths with primes, 0 if none
+class PrimeCensus(_Frozen):
+    """closed_counts[m - 1] counts the closed walks of length m and
+    prime_counts[m - 1] the primitive rotation classes; delta is the gcd
+    of the lengths with primes, 0 if none."""
+
+    def __init__(self, horizon: int, closed_counts: list[int],
+                 prime_counts: list[int], delta: int):
+        self.__dict__.update(horizon=horizon, closed_counts=closed_counts,
+                             prime_counts=prime_counts, delta=delta)
 
 
 def build_darts(g: MixedGraph) -> list[Dart]:

@@ -11,7 +11,6 @@ sparse, one Counter of the nonzero entries per row.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from typing import NamedTuple
 
 
@@ -24,32 +23,65 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-@dataclass(frozen=True)
-class MixedGraph:
-    node_count: int
-    edges: tuple[tuple[int, int], ...] = ()
-    arrows: tuple[tuple[int, int], ...] = ()
+class _Value:
+    """Base of the package's value classes.  A subclass's __init__ puts
+    its fields, in order, into the instance dict; two instances of one
+    class are equal when their fields are, and the repr is the keyword
+    call that builds the instance.  Instances are mutable and unhashable
+    unless the class is a _Frozen."""
 
-    def __post_init__(self):
-        if not _is_int(self.node_count) or self.node_count < 1:
-            raise GraphFormatError("node_count must be a positive integer")
-        canon_edges = []
-        for pair in self.edges:
-            i, j = pair
-            self._check(i), self._check(j)
-            canon_edges.append((i, j) if i <= j else (j, i))
-        canon_arrows = []
-        for pair in self.arrows:
-            i, j = pair
-            self._check(i), self._check(j)
-            canon_arrows.append((i, j))
-        object.__setattr__(self, "edges", tuple(sorted(canon_edges)))
-        object.__setattr__(self, "arrows", tuple(sorted(canon_arrows)))
+    __hash__ = None
 
-    def _check(self, i):
-        if not _is_int(i) or not 0 <= i < self.node_count:
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.__dict__ == other.__dict__
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in self.__dict__.items())
+        return f"{type(self).__qualname__}({fields})"
+
+
+class _Frozen(_Value):
+    """A _Value whose fields cannot be assigned or deleted, hashed by its
+    fields (so unhashable when a field is)."""
+
+    def __hash__(self) -> int:
+        return hash(tuple(self.__dict__.values()))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+def _canonical(pairs, n: int, kind: str, undirected: bool) -> tuple:
+    """The pairs sorted, each edge as (min, max); raises GraphFormatError
+    on a pair that is not two node indices in [0, n)."""
+    out = []
+    for pair in pairs:
+        try:
+            i, j = pair
+        except (TypeError, ValueError):
             raise GraphFormatError(
-                f"node index {i!r} outside [0, {self.node_count})")
+                f"{kind} {pair!r} is not a pair of node indices") from None
+        for k in (i, j):
+            if not _is_int(k) or not 0 <= k < n:
+                raise GraphFormatError(f"node index {k!r} outside [0, {n})")
+        out.append((j, i) if undirected and j < i else (i, j))
+    out.sort()
+    return tuple(out)
+
+
+class MixedGraph(_Frozen):
+    def __init__(self, node_count: int, edges=(), arrows=()):
+        if not _is_int(node_count) or node_count < 1:
+            raise GraphFormatError("node_count must be a positive integer")
+        self.__dict__.update(
+            node_count=node_count,
+            edges=_canonical(edges, node_count, "edge", True),
+            arrows=_canonical(arrows, node_count, "arrow", False))
 
     @property
     def edge_count(self) -> int:
@@ -87,8 +119,7 @@ class MixedGraph:
                 "arrows": [list(p) for p in self.arrows]}
 
 
-@dataclass(frozen=True)
-class MatrixBundle:
+class MatrixBundle(_Frozen):
     """Walk matrices of a normalized graph.
 
     adjacency[i][j] counts length-one walks i->j along edges or arrows,
@@ -100,10 +131,11 @@ class MatrixBundle:
     identically.
     """
 
-    adjacency: tuple[Counter, ...]
-    arrows: tuple[Counter, ...]
-    degree_diag: tuple[int, ...]
-    exponent: int
+    def __init__(self, adjacency: tuple[Counter, ...],
+                 arrows: tuple[Counter, ...], degree_diag: tuple[int, ...],
+                 exponent: int):
+        self.__dict__.update(adjacency=adjacency, arrows=arrows,
+                             degree_diag=degree_diag, exponent=exponent)
 
 
 class DegreeProfile(NamedTuple):

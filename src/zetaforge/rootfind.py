@@ -25,8 +25,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
+from .graphs import _Frozen
 from .intpoly import IntPoly, squarefree_factors
 
 _TOL = 1e-12  # relative Aberth correction at which _aberth stops
@@ -46,15 +46,15 @@ class NumericalError(RuntimeError):
     failed."""
 
 
-@dataclass(frozen=True)
-class RootSet:
+class RootSet(_Frozen):
     """Roots with multiplicities, plus residual_bound = 2^-52 * max|z|:
     a bound on the distance from each root to the exact root it rounds,
     since rounding each component to nearest moves z by at most
     2^-53 * |z|."""
 
-    roots: tuple[tuple[complex, int], ...]
-    residual_bound: float
+    def __init__(self, roots: tuple[tuple[complex, int], ...],
+                 residual_bound: float):
+        self.__dict__.update(roots=roots, residual_bound=residual_bound)
 
     def __iter__(self):
         return iter(self.roots)

@@ -19,9 +19,9 @@ and the polynomial itself that remains once the common factors cancel
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .graphs import MixedGraph, degree_profile, is_connected, matrices
+from .graphs import (MixedGraph, _Frozen, degree_profile, is_connected,
+                     matrices)
 from .intpoly import IntPoly, _roots_between, exact_div
 from .polydet import char_poly, det_poly
 from .rootfind import RootSet, find_roots
@@ -159,8 +159,7 @@ def _xi_holds(denom: IntPoly, q: int, n: int, m: int) -> bool:
     return lhs == rhs
 
 
-@dataclass(frozen=True)
-class ZetaReport:
+class ZetaReport(_Frozen):
     """Pole analysis and classification verdicts for one graph.
 
     classification is Strong/Weak/Violated per the open pole-free annuli
@@ -172,16 +171,15 @@ class ZetaReport:
     graphs (where the theorem lives) and vacuously true otherwise.
     """
 
-    zeta_inverse: IntPoly
-    poles: RootSet
-    r_g: float
-    p: int
-    q: int
-    classification: str
-    ramanujan: bool | None
-    kotani_sunada_ok: bool
-    xi_functional_ok: bool | None
-    connected: bool
+    def __init__(self, zeta_inverse: IntPoly, poles: RootSet, r_g: float,
+                 p: int, q: int, classification: str,
+                 ramanujan: bool | None, kotani_sunada_ok: bool,
+                 xi_functional_ok: bool | None, connected: bool):
+        self.__dict__.update(
+            zeta_inverse=zeta_inverse, poles=poles, r_g=r_g, p=p, q=q,
+            classification=classification, ramanujan=ramanujan,
+            kotani_sunada_ok=kotani_sunada_ok,
+            xi_functional_ok=xi_functional_ok, connected=connected)
 
     def to_json_dict(self) -> dict:
         return {

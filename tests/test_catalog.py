@@ -1,13 +1,13 @@
 import json
 import random
-from dataclasses import replace
 
 import pytest
 
 from zetaforge import catalog
-from zetaforge.catalog import (DIMER_FLAG_ERRATA, CatalogError, ade_graph,
-                               dimer_graph, dimer_rh, dimer_zeta_closed,
-                               load_catalog, parse_ade_spec, quiver_to_graph,
+from zetaforge.catalog import (DIMER_FLAG_ERRATA, CatalogError,
+                               CatalogRecord, ade_graph, dimer_graph,
+                               dimer_rh, dimer_zeta_closed, load_catalog,
+                               parse_ade_spec, quiver_to_graph,
                                verify_catalog)
 from zetaforge.cli import main
 from zetaforge.graphs import (bipartition, degree_profile, matrices,
@@ -349,10 +349,14 @@ class TestVerification:
         it gets when verified by itself."""
         records = load_catalog()
         first = records[0]
-        bad_zeta = replace(first, id=1000,
-                           dimer_zeta=first.dimer_zeta + IntPoly((0, 1)))
-        bad_flag = replace(first, id=1001, dimer_flag="N"
-                           if first.dimer_flag != "N" else "S")
+        bad_zeta = CatalogRecord(
+            1000, first.quiver, first.valencies,
+            first.dimer_zeta + IntPoly((0, 1)), first.quiver_zeta,
+            first.dimer_flag, first.quiver_flag)
+        bad_flag = CatalogRecord(
+            1001, first.quiver, first.valencies, first.dimer_zeta,
+            first.quiver_zeta, "N" if first.dimer_flag != "N" else "S",
+            first.quiver_flag)
         mixed = [first, bad_zeta] + records[1:] + [bad_flag, first]
         rows = verify_catalog(mixed).rows
         alone = [verify_catalog([rec]).rows[0] for rec in mixed]

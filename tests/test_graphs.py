@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -50,6 +51,14 @@ class TestConstruction:
             MixedGraph(2, edges=((0, 2),))
         with pytest.raises(GraphFormatError):
             MixedGraph(0)
+
+    def test_malformed_pair_is_named(self):
+        for edges, arrows, message in (
+                (((0, 1, 2),), (), "edge (0, 1, 2) is not a pair"),
+                ((5,), (), "edge 5 is not a pair"),
+                ((), ((0,),), "arrow (0,) is not a pair")):
+            with pytest.raises(GraphFormatError, match=re.escape(message)):
+                MixedGraph(3, edges, arrows)
 
     def test_round_trip_dict(self):
         g = MixedGraph(3, edges=((0, 1), (1, 1)), arrows=((2, 0),))
