@@ -12,7 +12,7 @@ recomputation are tracked as data errata rather than failures.
 from __future__ import annotations
 
 import json
-from importlib import resources
+import os
 
 from .graphs import MixedGraph, _Frozen, _is_int, _Value, normalize
 from .intpoly import IntPoly
@@ -123,8 +123,10 @@ def dimer_rh(valencies: list[int]) -> bool:
 
 
 def _check_valencies(valencies):
-    if not valencies or any(not _is_int(r) or r < 1 for r in valencies):
-        raise ValueError("valencies must be a nonempty list of integers >= 1")
+    if (not isinstance(valencies, (list, tuple)) or not valencies
+            or any(not _is_int(r) or r < 1 for r in valencies)):
+        raise ValueError("bad valency list: expected a non-empty list of "
+                         "integers >= 1")
 
 
 def _check_quiver(matrix) -> int:
@@ -196,16 +198,15 @@ DIMER_FLAG_ERRATA: dict[int, str] = {
 
 
 def load_catalog(path: str | None = None) -> list[CatalogRecord]:
-    """Load catalog records from path, by default the bundled data file.
-    Raises CatalogError naming the failing record on any structural
-    problem."""
+    """Load catalog records from path, by default the bundled data file
+    next to this module.  Raises CatalogError naming the failing record
+    on any structural problem, and on a catalog with no records."""
+    if path is None:
+        path = os.path.join(os.path.dirname(__file__), "data",
+                            "tilings41.json")
     try:
-        if path is None:
-            raw = (resources.files("zetaforge") / "data" / "tilings41.json"
-                   ).read_text()
-        else:
-            with open(path, "r", encoding="utf-8") as fh:
-                raw = fh.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = fh.read()
     except OSError as err:
         raise CatalogError(f"cannot read catalog: {err}") from err
     try:
@@ -214,6 +215,8 @@ def load_catalog(path: str | None = None) -> list[CatalogRecord]:
         raise CatalogError(f"catalog is not valid JSON: {err}") from err
     if not isinstance(doc, list):
         raise CatalogError("catalog must be a JSON list of records")
+    if not doc:
+        raise CatalogError("catalog has no records")
     seen = set()
     return [_parse_record(pos, entry, seen) for pos, entry in enumerate(doc)]
 
@@ -240,11 +243,9 @@ def _parse_record(pos: int, entry, seen: set) -> CatalogRecord:
     where = f"record {pos + 1} (id {rid})"
     try:
         _check_quiver(quiver)
+        _check_valencies(valencies)
     except ValueError as err:
         raise CatalogError(f"{where}: {err}") from None
-    if (not isinstance(valencies, list) or not valencies
-            or any(not _is_int(r) or r < 1 for r in valencies)):
-        raise CatalogError(f"{where}: bad valency list")
     for name, coeffs in (("dimer_zeta", dimer_zeta),
                          ("quiver_zeta", quiver_zeta)):
         if (not isinstance(coeffs, list) or not coeffs

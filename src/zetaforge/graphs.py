@@ -10,8 +10,7 @@ sparse, one Counter of the nonzero entries per row.
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import NamedTuple
+from collections import Counter, namedtuple
 
 
 class GraphFormatError(ValueError):
@@ -58,16 +57,17 @@ class _Frozen(_Value):
 
 def _canonical(pairs, n: int, kind: str, undirected: bool) -> tuple:
     """The pairs sorted, each edge as (min, max); raises GraphFormatError
-    on a pair that is not two node indices in [0, n)."""
+    on a pair that is not a list or tuple of two node indices in [0, n)."""
     out = []
     for pair in pairs:
-        try:
-            i, j = pair
-        except (TypeError, ValueError):
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise GraphFormatError(
-                f"{kind} {pair!r} is not a pair of node indices") from None
+                f"{kind} {pair!r} is not a pair of node indices")
+        i, j = pair
         for k in (i, j):
-            if not _is_int(k) or not 0 <= k < n:
+            if not _is_int(k):
+                raise GraphFormatError(f"node index {k!r} is not an integer")
+            if not 0 <= k < n:
                 raise GraphFormatError(f"node index {k!r} outside [0, {n})")
         out.append((j, i) if undirected and j < i else (i, j))
     out.sort()
@@ -106,12 +106,9 @@ class MixedGraph(_Frozen):
         edges = doc.get("edges", [])
         arrows = doc.get("arrows", [])
         for name, pairs in (("edges", edges), ("arrows", arrows)):
-            if not isinstance(pairs, list) or any(
-                    not isinstance(p, (list, tuple)) or len(p) != 2
-                    for p in pairs):
+            if not isinstance(pairs, list):
                 raise GraphFormatError(f"'{name}' must be a list of [i, j] pairs")
-        return cls(nodes, tuple(tuple(p) for p in edges),
-                   tuple(tuple(p) for p in arrows))
+        return cls(nodes, edges, arrows)
 
     def to_dict(self) -> dict:
         return {"nodes": self.node_count,
@@ -138,10 +135,8 @@ class MatrixBundle(_Frozen):
                              degree_diag=degree_diag, exponent=exponent)
 
 
-class DegreeProfile(NamedTuple):
-    min_degree: int
-    max_degree: int
-    is_regular: bool
+DegreeProfile = namedtuple("DegreeProfile",
+                           "min_degree max_degree is_regular")
 
 
 def normalize(g: MixedGraph) -> MixedGraph:

@@ -14,9 +14,9 @@ polynomial modulo Mersenne primes.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from itertools import accumulate
 from operator import add, index, neg, sub
-from typing import Iterable, Iterator
 
 
 class DivisibilityError(ArithmeticError):

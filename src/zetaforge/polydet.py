@@ -54,11 +54,10 @@ a Fraction raises TypeError instead of being truncated.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from functools import cache
 from math import isqrt
 from operator import add, index, neg, sub
-from typing import Sequence, Union
 
 from .intpoly import _MERSENNE_EXPONENTS, IntPoly, _dot, _norm
 
@@ -66,8 +65,6 @@ _SWEEP_WIDTH = 11  # at most 2**11 sweep states per row
 _SPLIT = 16  # from this many rows on the sweep runs from both ends
 _BATCH = 16  # evaluation points the wide route eliminates in lockstep
 _SEARCH_BITS = 1100  # the widest modulus found by a prime search
-
-Row = Union[Sequence, Mapping]
 
 
 def _sweep(rows, expiring):
@@ -374,7 +371,7 @@ def _interpolated_det(rows, n):
     return _norm([a - p if a > half else a for a in acc])
 
 
-def _sparse(matrix: Sequence[Row], entry) -> list[dict]:
+def _sparse(matrix: Sequence[Sequence | Mapping], entry) -> list[dict]:
     """The matrix as one {column: coefficient tuple} dict per row, with the
     entry x at column j given by entry(x) and zero entries left out.  A
     row is a dense sequence of length n or a mapping from column indices
@@ -410,7 +407,7 @@ def _det(rows, n) -> IntPoly:
     return IntPoly._raw(_interpolated_det(rows, n))
 
 
-def det_poly(matrix: Sequence[Row]) -> IntPoly:
+def det_poly(matrix: Sequence[Sequence | Mapping]) -> IntPoly:
     """Exact determinant of a square matrix of IntPoly (or int) entries,
     given as dense rows or as {column: entry} rows."""
     rows = _sparse(matrix, lambda e: e.coeffs if isinstance(e, IntPoly)
@@ -418,7 +415,7 @@ def det_poly(matrix: Sequence[Row]) -> IntPoly:
     return _det(rows, len(rows))
 
 
-def char_poly(matrix: Sequence[Row]) -> IntPoly:
+def char_poly(matrix: Sequence[Sequence | Mapping]) -> IntPoly:
     """Monic characteristic polynomial det(x*I - M) of an integer matrix,
     given as dense rows or as {column: entry} rows."""
     rows = _sparse(matrix, lambda x: _norm((-index(x),)))

@@ -78,6 +78,17 @@ def adjacency_spectrum(g: MixedGraph) -> RootSet:
     return find_roots(char_poly(matrices(g).adjacency))
 
 
+def _regular_degree(g: MixedGraph, what: str) -> int:
+    """The degree of an undirected regular graph; raises ValueError,
+    naming what needs it, on any other graph."""
+    if not g.is_undirected:
+        raise ValueError(f"{what} requires an undirected graph")
+    profile = degree_profile(g)
+    if not profile.is_regular:
+        raise ValueError(f"{what} requires a regular graph")
+    return profile.max_degree
+
+
 def is_ramanujan(g: MixedGraph) -> bool:
     """Whether a regular undirected graph has all nontrivial adjacency
     eigenvalues (those other than +-degree) within 2*sqrt(degree - 1) in
@@ -90,12 +101,7 @@ def is_ramanujan(g: MixedGraph) -> bool:
     y O(y)^2 has the roots lambda^2, all real, so _roots_between counts
     them exactly.
     """
-    if not g.is_undirected:
-        raise ValueError("Ramanujan test requires an undirected graph")
-    profile = degree_profile(g)
-    if not profile.is_regular:
-        raise ValueError("Ramanujan test requires a regular graph")
-    k = profile.max_degree
+    k = _regular_degree(g, "Ramanujan test")
     if k == 2:
         return True
     chi = char_poly(matrices(g).adjacency).coeffs
@@ -117,12 +123,7 @@ def xi_functional_check(g: MixedGraph) -> bool:
     """Exact check of the xi functional equation xi(z) = xi(1/(qz)) for a
     (q+1)-regular undirected graph, q >= 1, where
     xi(z) = (1+z)^(m-n) (1-z)^m (1-qz)^n / zeta_inverse(z)."""
-    if not g.is_undirected:
-        raise ValueError("xi functional equation requires an undirected graph")
-    profile = degree_profile(g)
-    if not profile.is_regular:
-        raise ValueError("xi functional equation requires a regular graph")
-    q = profile.max_degree - 1
+    q = _regular_degree(g, "xi functional equation") - 1
     if q < 1:
         raise ValueError("degree-1 regular graph: no functional equation")
     return _xi_holds(zeta_inverse(g), q, g.node_count, g.edge_count)

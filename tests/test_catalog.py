@@ -1,5 +1,10 @@
 import json
+import os
 import random
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -274,6 +279,54 @@ class TestCatalogData:
         assert main(["catalog-verify", "--catalog", str(path)]) == 0
         assert capsys.readouterr().out == ("record 1: ok\n"
                                            "1/1 records verified\n")
+
+    def test_default_is_the_bundled_file(self):
+        bundled = Path(catalog.__file__).parent / "data" / "tilings41.json"
+        assert load_catalog() == load_catalog(str(bundled))
+
+    def test_copied_package_verifies_its_catalog(self, tmp_path):
+        """The bundled catalog is read from the package's own directory,
+        so a copy of the package outside src, run without site-packages,
+        finds and verifies it."""
+        shutil.copytree(Path(catalog.__file__).parent,
+                        tmp_path / "zetaforge",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        env = dict(os.environ, PYTHONPATH=str(tmp_path),
+                   PYTHONDONTWRITEBYTECODE="1")
+        proc = subprocess.run(
+            [sys.executable, "-S", "-m", "zetaforge.cli", "catalog-verify"],
+            cwd=tmp_path, env=env, capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.endswith("41/41 records verified\n")
+
+    def test_empty_catalog_is_rejected(self, tmp_path, capsys):
+        """A catalog with no records verifies nothing, so it is malformed
+        rather than 0/0 verified."""
+        path = tmp_path / "cat.json"
+        path.write_text("[]")
+        with pytest.raises(CatalogError, match="^catalog has no records$"):
+            load_catalog(str(path))
+        assert main(["catalog-verify", "--catalog", str(path)]) == 2
+        assert capsys.readouterr() == ("",
+                                       "zetaforge: catalog has no records\n")
+
+    def test_bad_valency_list_names_its_record(self, tmp_path, capsys):
+        """The valencies of a record are checked by the rule dimer_graph
+        uses, with the record named."""
+        good = {"id": 7, "quiver": [[6]], "valencies": [3],
+                "dimer_zeta": [1, 0, -6, 0, 9, 0, -4],
+                "quiver_zeta": [1, -6, 3, 12, -9, -6, 5],
+                "dimer_flag": "S", "quiver_flag": "S"}
+        path = tmp_path / "cat.json"
+        expected = ("record 1 (id 7): bad valency list: expected a non-empty "
+                    "list of integers >= 1")
+        for valencies in ([], [0], [3.0], "3", {"3": 1}, None):
+            path.write_text(json.dumps([dict(good, valencies=valencies)]))
+            with pytest.raises(CatalogError) as err:
+                load_catalog(str(path))
+            assert str(err.value) == expected, valencies
+            assert main(["catalog-verify", "--catalog", str(path)]) == 2
+            assert capsys.readouterr() == ("", f"zetaforge: {expected}\n")
 
     def test_undecodable_quiver_names_its_record(self, tmp_path, capsys):
         """A quiver that loads must decode: an odd diagonal or a negative

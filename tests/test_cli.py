@@ -67,6 +67,26 @@ class TestZetaVerb:
             assert (code, out) == (2, ""), doc
             assert "must be a positive integer" in err or "node index" in err
 
+    def test_malformed_pair_or_index_is_named(self, capsys, tmp_path):
+        """A pair that is not a list of two entries is named as it was
+        written, and an index that is not an integer is named as such,
+        not as out of range."""
+        path = tmp_path / "g.json"
+        for doc, message in (
+                ({"nodes": 3, "edges": [[0, 1, 2]]},
+                 "edge [0, 1, 2] is not a pair of node indices"),
+                ({"nodes": 3, "edges": ["01"]},
+                 "edge '01' is not a pair of node indices"),
+                ({"nodes": 3, "arrows": [[0, 1], [0, 1, 2]]},
+                 "arrow [0, 1, 2] is not a pair of node indices"),
+                ({"nodes": 3, "edges": [[0, 1.0]]},
+                 "node index 1.0 is not an integer"),
+                ({"nodes": 3, "arrows": [[True, 1]]},
+                 "node index True is not an integer")):
+            path.write_text(json.dumps(doc))
+            assert run(capsys, "zeta", "--graph", str(path)) == (
+                2, "", f"zetaforge: {path}: {message}\n"), doc
+
     def test_normalizes_input(self, capsys, tmp_path):
         path = tmp_path / "g.json"
         path.write_text(json.dumps({"nodes": 2,

@@ -1,6 +1,6 @@
 """The package's value classes: repr, equality, hashing, immutability,
-pickling and construction, plus a cold start that does not load
-dataclasses."""
+pickling and construction, plus a cold start that loads neither
+dataclasses nor the modules behind importlib.resources and typing."""
 
 import os
 import pickle
@@ -151,17 +151,19 @@ class TestDefaults:
 
 
 def test_cold_start_loads_no_dataclasses():
-    """Without site-packages, importing the package and running one verb
-    does not load dataclasses, nor, before Python 3.12, inspect.  From
-    3.12 on, importlib.resources imports inspect itself."""
+    """Without site-packages, importing the package and running zeta and
+    catalog-verify loads none of dataclasses, inspect, typing,
+    importlib.resources, pathlib or tempfile."""
     src = Path(__file__).resolve().parent.parent / "src"
     script = (
         "import sys\n"
         "import zetaforge, zetaforge.cli\n"
-        "code = zetaforge.cli.main(['zeta', '--ade', 'E6'])\n"
-        "print(code, sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n")
+        "codes = [zetaforge.cli.main(['zeta', '--ade', 'E6']),\n"
+        "         zetaforge.cli.main(['catalog-verify'])]\n"
+        "print(codes, sorted({'dataclasses', 'inspect', 'typing',\n"
+        "                     'importlib.resources', 'pathlib',\n"
+        "                     'tempfile'} & set(sys.modules)))\n")
     env = dict(os.environ, PYTHONPATH=str(src))
     out = subprocess.run([sys.executable, "-S", "-c", script], env=env,
                          capture_output=True, text=True, check=True).stdout
-    loaded = [] if sys.version_info < (3, 12) else ["inspect"]
-    assert out.splitlines()[-1] == f"0 {loaded}"
+    assert out.splitlines()[-1] == "[0, 0] []"
