@@ -307,7 +307,10 @@ class CatalogVerification(_Value):
 def verify_catalog(records: list[CatalogRecord]) -> CatalogVerification:
     """Recompute every zeta polynomial and flag and compare with the
     reference values.  Known data errata and documented convention notes
-    are reported as notes, not failures."""
+    are reported as notes, not failures.  No records verify nothing, so
+    an empty list raises CatalogError, as an empty file does."""
+    if not records:
+        raise CatalogError("catalog has no records")
     rows = []
     # per valency tuple: the determinant route's polynomial and verdict,
     # the closed form and the valency test, computed once per call

@@ -113,23 +113,18 @@ def _dot(terms):
     return _norm(_unpack(total, length, width))
 
 
-def _mul(a, b):
-    """Product.  A short factor scales the longer one by each of its
-    nonzero coefficients, written or added into the output by slice (a
-    coefficient of 1 or -1 needs no multiply); two long factors are
-    multiplied as one packed product by _dot."""
-    if len(a) < len(b):
-        a, b = b, a
-    if not b:
-        return ()
+def _addmul(out, a, b, negated, fresh):
+    """Add a * b into the list out, or subtract it when negated; out holds
+    at least len(a) + len(b) - 1 entries, all zeros when fresh.  Each
+    nonzero coefficient of b scales a into its slice of out, written while
+    the list is fresh and added after (a coefficient of 1 or -1 needs no
+    multiply); with a the longer factor, the slices are fewer and longer."""
     la = len(a)
-    if len(b) >= _KRONECKER_MIN:
-        return _dot([(a, b, False)])
-    out = [0] * (la + len(b) - 1)
-    fresh = True  # nothing written yet: the slice still holds zeros
     for i, y in enumerate(b):
         if not y:
             continue
+        if negated:
+            y = -y
         j = i + la
         if fresh:
             out[i:j] = a if y == 1 else map(neg if y == -1 else y.__mul__, a)
@@ -140,6 +135,19 @@ def _mul(a, b):
             out[i:j] = map(sub, out[i:j], a)
         else:
             out[i:j] = map(add, out[i:j], map(y.__mul__, a))
+
+
+def _mul(a, b):
+    """Product.  A short factor goes through the slice kernel _addmul; two
+    long factors are multiplied as one packed product by _dot."""
+    if len(a) < len(b):
+        a, b = b, a
+    if not b:
+        return ()
+    if len(b) >= _KRONECKER_MIN:
+        return _dot([(a, b, False)])
+    out = [0] * (len(a) + len(b) - 1)
+    _addmul(out, a, b, False, True)
     return _norm(out)
 
 
@@ -235,6 +243,16 @@ class IntPoly:
 
     def __hash__(self) -> int:
         return hash(self.coeffs)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # rebuilt from coeffs: the default would set the slot by setattr
+        return type(self), (self.coeffs,)
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -393,8 +411,12 @@ def _gcd_mod(a: tuple, b: tuple, p: int) -> tuple:
         v = ((v >> e) & high) + (v & low)
         return ((v >> e) & high) + (v & low)
 
-    x, dx = _pack([c % p for c in a], width), len(a) - 1
-    y, dy = _pack([c % p for c in b], width), len(b) - 1
+    def pack(coeffs):  # residues need no sign offset
+        return int.from_bytes(b"".join(
+            [(c % p).to_bytes(width, "little") for c in coeffs]), "little")
+
+    x, dx = pack(a), len(a) - 1
+    y, dy = pack(b), len(b) - 1
     while True:
         below = (1 << w * dy) - 1
         inv = pow((y >> w * dy) % p, -1, p)
@@ -417,7 +439,9 @@ def _gcd_mod(a: tuple, b: tuple, p: int) -> tuple:
         if dx < 0:
             break
         x, dx, y, dy = y, dy, x, dx
-    image = [c % p for c in _unpack(y, dy + 1, width)]
+    data = y.to_bytes((dy + 1) * width, "little")
+    image = [int.from_bytes(data[i:i + width], "little") % p
+             for i in range(0, len(data), width)]
     inv = pow(image[-1], -1, p)
     return tuple(c * inv % p for c in image)
 

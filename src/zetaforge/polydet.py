@@ -22,8 +22,9 @@ the matrix, before any arithmetic:
   sweeps on complementary column sets,
   det = sum over U of T[U] * B[V] * (-1)**(sum of the column indices in
   V).  Both sweeps count a sign against all n columns, which leaves only
-  that factor; intpoly's packed-product kernel, which also multiplies
-  long polynomials, takes the sum.  Each half's polynomials reach about
+  that factor.  The join's sum goes to intpoly's packed kernel, which
+  long products use, and each state's sum in a sweep to its slice
+  kernel, which short products use.  Each half's polynomials reach about
   half the degree, so a long cycle costs about half as much; below
   ``_SPLIT`` rows a single top-down sweep beats the join;
 * evaluation and interpolation for every wider matrix, modulo one prime
@@ -57,9 +58,9 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 from functools import cache
 from math import isqrt
-from operator import add, index, neg, sub
+from operator import index
 
-from .intpoly import _MERSENNE_EXPONENTS, IntPoly, _dot, _norm
+from .intpoly import _MERSENNE_EXPONENTS, IntPoly, _addmul, _dot, _norm
 
 _SWEEP_WIDTH = 11  # at most 2**11 sweep states per row
 _SPLIT = 16  # from this many rows on the sweep runs from both ends
@@ -96,23 +97,7 @@ def _sweep(rows, expiring):
                     acc = nxt[key] = [0] * size
                 elif len(acc) < size:
                     acc += [0] * (size - len(acc))
-                odd = (low & ~used).bit_count() & 1
-                for k, a in enumerate(ent):
-                    if not a:
-                        continue
-                    if odd:
-                        a = -a
-                    j = k + m
-                    if fresh:
-                        acc[k:j] = val if a == 1 else map(
-                            neg if a == -1 else a.__mul__, val)
-                        fresh = False
-                    elif a == 1:
-                        acc[k:j] = map(add, acc[k:j], val)
-                    elif a == -1:
-                        acc[k:j] = map(sub, acc[k:j], val)
-                    else:
-                        acc[k:j] = map(add, acc[k:j], map(a.__mul__, val))
+                _addmul(acc, val, ent, (low & ~used).bit_count() & 1, fresh)
         states = {}
         for key, acc in nxt.items():
             while acc and not acc[-1]:

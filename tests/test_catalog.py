@@ -359,6 +359,12 @@ class TestVerification:
         assert result.ok
         assert len(result.rows) == 41
 
+    def test_empty_record_list_is_rejected(self):
+        """No records verify nothing: verify_catalog rejects an empty list
+        by the rule and message of load_catalog."""
+        with pytest.raises(CatalogError, match="^catalog has no records$"):
+            verify_catalog([])
+
     def test_known_erratum_is_note_not_failure(self):
         result = verify_catalog(load_catalog())
         erratum_rows = [r for r in result.rows

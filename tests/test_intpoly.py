@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -6,9 +7,9 @@ import pytest
 
 import zetaforge.intpoly as intpoly
 from zetaforge.intpoly import (_MERSENNE_EXPONENTS, DivisibilityError,
-                               IntPoly, SeriesError, _add, _dot, _gcd_mod,
-                               _mul, _norm, _root_split, _roots_between,
-                               _sub, _yun,
+                               IntPoly, SeriesError, _add, _addmul, _dot,
+                               _gcd_mod, _mul, _neg, _norm, _root_split,
+                               _roots_between, _sub, _yun,
                                exact_div, log_derivative_series,
                                mobius_invert, poly_gcd, primitive_part,
                                squarefree_factors)
@@ -171,6 +172,34 @@ class TestKernels:
                                    for k in range(2 * n - 1))
                     assert _mul((a,) * n, (b,) * n) == expect
 
+    def test_addmul_adds_or_subtracts_the_product(self):
+        """The slice kernel that _mul and the determinant sweep share:
+        a * b written into a fresh list of zeros, or added to (subtracted
+        from, when negated) a list that already holds a sum, which may be
+        longer than the product, for factors of lengths 1-20 rich in 0,
+        +-1 and 300-bit coefficients, zero factors included."""
+        rng = random.Random(53)
+        big = 1 << 300
+        pool = (0, 0, 1, 1, -1, -1, big, -big, big - 1, 7)
+        for _ in range(3000):
+            a, b = (tuple(rng.choice(pool) for _ in range(rng.randint(1, 20)))
+                    for _ in range(2))
+            size = len(a) + len(b) - 1 + rng.choice((0, 0, 1, 5))
+            product = schoolbook_mul(a, b)
+            for negated in (False, True):
+                term = _neg(product) if negated else product
+                out = [0] * size
+                _addmul(out, a, b, negated, True)
+                assert len(out) == size and _norm(out) == term
+                out = [0] * size
+                _addmul(out, a, b, negated, False)
+                assert _norm(out) == term
+                held = [rng.choice(pool) for _ in range(size)]
+                out = list(held)
+                _addmul(out, a, b, negated, False)
+                assert len(out) == size
+                assert _norm(out) == _add(_norm(held), term)
+
     def test_dot_matches_schoolbook_sum(self):
         # factors of equal coefficients 2**b - 1 meet the bound that sizes
         # the packed slots almost with equality: coefficient 30 of every
@@ -213,6 +242,23 @@ class TestKernels:
 
 
 class TestArithmetic:
+    def test_immutable_once_built(self):
+        """A polynomial used as a dict key keeps its coefficients: its
+        field can be neither assigned nor deleted, and a pickle round trip
+        rebuilds an equal polynomial."""
+        p = P(1, 0, -2)
+        table = {p: "key"}
+        with pytest.raises(AttributeError):
+            p.coeffs = (5,)
+        with pytest.raises(AttributeError):
+            del p.coeffs
+        assert p.coeffs == (1, 0, -2) and hash(p) == hash(P(1, 0, -2))
+        assert table[P(1, 0, -2)] == "key" and P(5) not in table
+        for q in (p, P(), P(-(1 << 300), 1)):
+            back = pickle.loads(pickle.dumps(q))
+            assert type(back) is IntPoly and back == q
+            assert hash(back) == hash(q) and back.coeffs == q.coeffs
+
     def test_normalization_strips_trailing_zeros(self):
         assert P(1, 2, 0, 0).coeffs == (1, 2)
         assert P(0, 0).coeffs == ()
