@@ -348,12 +348,12 @@ def verify_catalog(records: list[CatalogRecord]) -> CatalogVerification:
             row.issues.append("quiver zeta differs from reference")
         q_flag = _FLAGS[q_class]
         if q_flag != rec.quiver_flag:
-            strong_sides = (q_flag == "S") == (rec.quiver_flag == "S")
-            alt_flag = None
-            if strong_sides:
-                q_rowsum = max(sum(r) for r in rec.quiver) - 1
-                alt_flag = _FLAGS[classify_moduli(q_poles.moduli(), q_r,
-                                                  q_rowsum)]
+            # the two degree conventions differ only in q, and the strong
+            # annulus does not depend on q: a mismatch across the strong
+            # side is never reproduced, so it stays an issue
+            q_rowsum = max(sum(r) for r in rec.quiver) - 1
+            alt_flag = _FLAGS[classify_moduli(q_poles.moduli(), q_r,
+                                              q_rowsum)]
             if alt_flag == rec.quiver_flag:
                 row.notes.append(
                     f"quiver flag {q_flag} under the total-degree "

@@ -323,10 +323,7 @@ def enumerate_primes(g: MixedGraph, horizon: int) -> PrimeCensus:
             raise CensusError(
                 f"closed-walk count mismatch at length {m}: "
                 f"matrix {closed[m - 1]}, classes {derived}")
-    lengths = [m for m in range(1, horizon + 1) if prime_counts[m - 1]]
-    delta = 0
-    for m in lengths:
-        delta = gcd(delta, m)
+    delta = gcd(*(m for m, c in enumerate(prime_counts, 1) if c))
     return PrimeCensus(horizon, closed, prime_counts, delta)
 
 

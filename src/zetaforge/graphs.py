@@ -141,23 +141,20 @@ DegreeProfile = namedtuple("DegreeProfile",
 
 def normalize(g: MixedGraph) -> MixedGraph:
     """Fold arrow self-loops into loops and reciprocal arrow pairs into
-    edges, greedily by multiplicity.  Edges are untouched."""
+    edges: c arrows i->j and c' arrows j->i give min(c, c') edges, and
+    each direction keeps its surplus as arrows.  Edges are untouched."""
     edges = list(g.edges)
     counts = Counter(g.arrows)
     arrows = []
-    for (i, j), c in sorted(counts.items()):
+    for (i, j), c in counts.items():
         if i == j:
-            edges.extend([(i, i)] * c)
-            counts[(i, j)] = 0
-        elif i < j:
-            back = counts.get((j, i), 0)
-            paired = min(c, back)
-            edges.extend([(i, j)] * paired)
-            counts[(i, j)] = c - paired
-            counts[(j, i)] = back - paired
-    for (i, j), c in sorted(counts.items()):
-        arrows.extend([(i, j)] * c)
-    return MixedGraph(g.node_count, tuple(edges), tuple(arrows))
+            edges += [(i, i)] * c
+            continue
+        paired = min(c, counts[j, i])  # a missing key reads 0
+        if i < j:
+            edges += [(i, j)] * paired
+        arrows += [(i, j)] * (c - paired)
+    return MixedGraph(g.node_count, edges, arrows)
 
 
 def matrices(g: MixedGraph) -> MatrixBundle:
@@ -202,7 +199,7 @@ def degree_profile(g: MixedGraph) -> DegreeProfile:
 
 def _neighbours(g: MixedGraph) -> list[set[int]]:
     nbr: list[set[int]] = [set() for _ in range(g.node_count)]
-    for i, j in list(g.edges) + list(g.arrows):
+    for i, j in g.edges + g.arrows:  # a loop makes i its own neighbour
         nbr[i].add(j)
         nbr[j].add(i)
     return nbr
@@ -210,9 +207,8 @@ def _neighbours(g: MixedGraph) -> list[set[int]]:
 
 def bipartition(g: MixedGraph) -> tuple[int, ...] | None:
     """Two-coloring of the undirected support (arrows count as adjacency),
-    or None if an odd cycle or a loop makes one impossible."""
-    if any(i == j for i, j in list(g.edges) + list(g.arrows)):
-        return None
+    or None if an odd cycle or a loop makes one impossible.  A looped node
+    is its own neighbour, so the traversal finds it as a color clash."""
     nbr = _neighbours(g)
     color = [-1] * g.node_count
     for start in range(g.node_count):

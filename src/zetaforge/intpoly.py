@@ -52,11 +52,11 @@ def _neg(a):
 
 
 def _sub(a, b):
-    if not b:
-        return a
-    out = list(a) + [0] * (len(b) - len(a))
-    for i, x in enumerate(b):
-        out[i] -= x
+    out = list(map(sub, a, b))
+    if len(a) >= len(b):
+        out += a[len(b):]
+    else:
+        out += map(neg, b[len(a):])
     return _norm(out)
 
 
@@ -359,22 +359,12 @@ def exact_div(a: IntPoly, b: IntPoly) -> IntPoly:
     return IntPoly._raw(_div_exact(a.coeffs, b.coeffs))
 
 
-def content(p: IntPoly) -> int:
-    """Nonnegative gcd of the coefficients (0 for the zero polynomial)."""
-    g = 0
-    for c in p.coeffs:
-        g = math.gcd(g, c)
-        if g == 1:
-            break
-    return g
-
-
 def primitive_part(p: IntPoly) -> IntPoly:
     """p divided by its content, sign-normalized to a positive leading
     coefficient.  The zero polynomial maps to itself."""
     if p.is_zero:
         return ZERO
-    g = content(p)
+    g = math.gcd(*p.coeffs)
     if p.leading_coefficient < 0:
         g = -g
     return IntPoly._raw(tuple(c // g for c in p.coeffs))

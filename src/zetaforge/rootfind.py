@@ -145,10 +145,10 @@ def _aberth(poly: tuple[int, ...]) -> list[complex]:
     stops when every root is frozen or the largest correction of a sweep
     is at most _TOL relative to max(1, |z_k|)."""
     coeffs = _float_coeffs(poly)
+    if not (coeffs[0] and coeffs[-1]):  # scaled below the smallest float
+        raise NumericalError("coefficients beyond float range")
     deg = len(coeffs) - 1
     if deg == 1:
-        if not coeffs[1]:  # scaled below the smallest float
-            raise NumericalError("root beyond float range")
         return [-coeffs[0] / coeffs[1]]
     z = _starts(poly)
     done = [False] * deg

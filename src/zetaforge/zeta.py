@@ -230,11 +230,10 @@ def _verdict(g: MixedGraph):
 def analyze(g: MixedGraph) -> ZetaReport:
     """Full zeta report: polynomial, poles, R, classification, verdicts."""
     zi, poles, r_g, profile, classification = _verdict(g)
-    moduli = poles.moduli()
     q = profile.max_degree - 1
     p = profile.min_degree - 1
 
-    if moduli and g.is_undirected:
+    if poles and g.is_undirected:
         # degree-bound theorem for undirected graphs: 1/q <= R <= 1/p;
         # arrows break both bounds (a directed triple-cycle has R = 1/3
         # with total degree 6), so the test is skipped for them

@@ -19,7 +19,8 @@ from zetaforge.graphs import (bipartition, degree_profile, matrices,
                               normalize)
 from zetaforge.intpoly import IntPoly
 from zetaforge.rootfind import find_roots
-from zetaforge.zeta import STRONG, adjacency_spectrum, analyze, zeta_inverse
+from zetaforge.zeta import (STRONG, WEAK, adjacency_spectrum, analyze,
+                            zeta_inverse)
 
 
 def P(*coeffs):
@@ -372,6 +373,37 @@ class TestVerification:
         assert len(erratum_rows) == 1
         assert erratum_rows[0].ok
         assert any("tiling flag" in note for note in erratum_rows[0].notes)
+
+    def test_quiver_flag_across_strong_annulus_is_issue(self):
+        """Only q differs between the two degree conventions, and the
+        strong annulus does not depend on q: a reference flag on the other
+        side of it from the computed one is an issue, never a note."""
+        records = load_catalog()
+        computed = {rec.id: analyze(quiver_to_graph(rec.quiver))
+                    .classification for rec in records}
+        swapped = [(rec, "W" if computed[rec.id] == STRONG else "S")
+                   for rec in records if computed[rec.id] in (STRONG, WEAK)]
+        assert [flag for _, flag in swapped].count("W") == 18
+        assert len(swapped) == 18 + 21
+        for rec, flag in swapped:
+            bad = CatalogRecord(rec.id, rec.quiver, rec.valencies,
+                                rec.dimer_zeta, rec.quiver_zeta,
+                                rec.dimer_flag, flag)
+            row = verify_catalog([bad]).rows[0]
+            other = "W" if flag == "S" else "S"
+            assert row.issues == [
+                f"quiver flag {other} differs from reference {flag}"]
+            assert not any(n.startswith("quiver flag") for n in row.notes)
+
+    def test_row_sum_convention_notes(self):
+        """The quivers that are Weak under the total degree and Violated
+        under the row-sum degree, as their references say, are notes."""
+        rows = verify_catalog(load_catalog()).rows
+        noted = [row.record_id for row in rows
+                 if any(n.startswith("quiver flag W under the total-degree "
+                                     "convention") for n in row.notes)]
+        assert noted == [12, 14, 23, 24, 28, 29, 30, 31, 32, 33, 35, 36, 39]
+        assert all(row.ok and not row.issues for row in rows)
 
     def test_corrupted_polynomial_is_hard_issue(self):
         records = load_catalog()

@@ -1,5 +1,7 @@
 import random
 import re
+from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
@@ -104,6 +106,40 @@ class TestNormalize:
         for _ in range(100):
             g = normalize(random_graph(rng))
             assert normalize(g) == g
+
+    def test_matches_per_pair_reference(self):
+        """Each unordered pair {i, j} with a arrows i->j and b arrows j->i
+        gives min(a, b) edges and keeps both surpluses as arrows; each
+        arrow self-loop becomes a loop.  The arrows' order does not
+        matter."""
+        rng = random.Random(26)
+        for _ in range(500):
+            n = rng.randint(1, 6)
+            edges = [(rng.randrange(n), rng.randrange(n))
+                     for _ in range(rng.randint(0, 3))]
+            arrows = []
+            for _ in range(rng.randint(0, 8)):
+                i, j = rng.randrange(n), rng.randrange(n)
+                arrows += [(i, j)] * rng.randint(1, 4)
+                if rng.random() < 0.5:
+                    arrows += [(j, i)] * rng.randint(1, 4)
+            counts = Counter(arrows)
+            loops = [(i, i) for i in range(n) for _ in range(counts[i, i])]
+            pairs, rest = [], []
+            for i in range(n):
+                for j in range(i + 1, n):
+                    a, b = counts[i, j], counts[j, i]
+                    pairs += [(i, j)] * min(a, b)
+                    rest += [(i, j)] * (a - min(a, b))
+                    rest += [(j, i)] * (b - min(a, b))
+            want = MixedGraph(n, edges + loops + pairs, rest)
+            g = MixedGraph(n, edges, arrows)
+            assert normalize(g) == want
+            # MixedGraph sorts its arrows, so hand normalize them shuffled
+            # in a plain namespace
+            rng.shuffle(arrows)
+            assert normalize(SimpleNamespace(node_count=n, edges=g.edges,
+                                             arrows=tuple(arrows))) == want
 
 
 class TestMatrices:

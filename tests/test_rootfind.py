@@ -324,6 +324,8 @@ def test_starts_never_overflow():
     (10 ** 700, 0, 1),  # as g(z^2), g of degree 1 scaled to 1 + 0.0 u
     (-(10 ** 400), 1),  # likewise, on a linear polynomial itself
     (10 ** 1000, 1, 0, 1),  # a Newton-polygon radius of 10^500
+    (10 ** 400, 1, 1),  # leading coefficient scaled to 0.0, degree 2
+    (1, 1, 10 ** 400),  # constant coefficient scaled to 0.0
 ])
 def test_roots_beyond_float_range_raise(coeffs):
     with pytest.raises(NumericalError, match="beyond float range"):
