@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import os
 
-from .graphs import MixedGraph, _Frozen, _is_int, _Value, normalize
+from .graphs import MixedGraph, _Frozen, _is_int, normalize
 from .intpoly import IntPoly
 from .zeta import (_FLAGS, STRONG, _times_one_minus_z2, _verdict,
                    classify_moduli)
@@ -268,21 +268,18 @@ def _parse_record(pos: int, entry, seen: set) -> CatalogRecord:
 # verification
 
 
-class RowCheck(_Value):
-    def __init__(self, record_id: int, issues: list[str] | None = None,
-                 notes: list[str] | None = None):
-        self.record_id = record_id
-        self.issues = [] if issues is None else issues
-        self.notes = [] if notes is None else notes
+class RowCheck(_Frozen):
+    def __init__(self, record_id: int, issues: list[str], notes: list[str]):
+        self.__dict__.update(record_id=record_id, issues=issues, notes=notes)
 
     @property
     def ok(self) -> bool:
         return not self.issues
 
 
-class CatalogVerification(_Value):
+class CatalogVerification(_Frozen):
     def __init__(self, rows: list[RowCheck]):
-        self.rows = rows
+        self.__dict__.update(rows=rows)
 
     @property
     def ok(self) -> bool:
@@ -316,7 +313,7 @@ def verify_catalog(records: list[CatalogRecord]) -> CatalogVerification:
     # the closed form and the valency test, computed once per call
     dimers = {}
     for rec in records:
-        row = RowCheck(rec.id)
+        issues, notes = [], []
         if rec.valencies not in dimers:
             valencies = list(rec.valencies)
             dimer_zi, _, _, _, dimer_class = _verdict(dimer_graph(valencies))
@@ -325,27 +322,25 @@ def verify_catalog(records: list[CatalogRecord]) -> CatalogVerification:
                                      dimer_rh(valencies))
         dimer_zi, dimer_class, closed, valency_rh = dimers[rec.valencies]
         if dimer_zi != rec.dimer_zeta:
-            row.issues.append("tiling zeta (determinant route) differs from "
-                              "reference")
+            issues.append("tiling zeta (determinant route) differs from "
+                          "reference")
         if closed != rec.dimer_zeta:
-            row.issues.append("tiling zeta (closed form) differs from "
-                              "reference")
+            issues.append("tiling zeta (closed form) differs from reference")
         dimer_flag = _FLAGS[dimer_class]
         if valency_rh != (dimer_class == STRONG):
-            row.issues.append("valency inequality disagrees with the "
-                              "annulus test")
+            issues.append("valency inequality disagrees with the annulus test")
         if dimer_flag != rec.dimer_flag:
             known = DIMER_FLAG_ERRATA.get(rec.id)
             if known:
-                row.notes.append(f"tiling flag: {known}")
+                notes.append(f"tiling flag: {known}")
             else:
-                row.issues.append(
+                issues.append(
                     f"tiling flag {dimer_flag} differs from reference "
                     f"{rec.dimer_flag}")
         q_zi, q_poles, q_r, _, q_class = _verdict(
             quiver_to_graph(rec.quiver))
         if q_zi != rec.quiver_zeta:
-            row.issues.append("quiver zeta differs from reference")
+            issues.append("quiver zeta differs from reference")
         q_flag = _FLAGS[q_class]
         if q_flag != rec.quiver_flag:
             # the two degree conventions differ only in q, and the strong
@@ -355,14 +350,14 @@ def verify_catalog(records: list[CatalogRecord]) -> CatalogVerification:
             alt_flag = _FLAGS[classify_moduli(q_poles.moduli(), q_r,
                                               q_rowsum)]
             if alt_flag == rec.quiver_flag:
-                row.notes.append(
+                notes.append(
                     f"quiver flag {q_flag} under the total-degree "
                     f"convention; the row-sum degree convention "
                     f"(q={q_rowsum}) reproduces the reference "
                     f"{rec.quiver_flag}")
             else:
-                row.issues.append(
+                issues.append(
                     f"quiver flag {q_flag} differs from reference "
                     f"{rec.quiver_flag}")
-        rows.append(row)
+        rows.append(RowCheck(rec.id, issues, notes))
     return CatalogVerification(rows)

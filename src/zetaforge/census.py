@@ -312,10 +312,9 @@ def enumerate_primes(g: MixedGraph, horizon: int) -> PrimeCensus:
     closed-walk counts are cross-checked against the transition-matrix
     counts before returning.
     """
-    _check_horizon(horizon)
+    closed = count_closed_paths(g, horizon)  # checks the horizon first
     darts = build_darts(g)
     prime_counts = _lyndon_closed_walks(darts, _successors(darts), horizon)
-    closed = count_closed_paths(g, horizon)
     for m in range(1, horizon + 1):
         derived = sum(d * prime_counts[d - 1]
                       for d in range(1, m + 1) if m % d == 0)

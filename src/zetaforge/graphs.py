@@ -4,8 +4,9 @@ A graph mixes undirected edges (loops allowed, multiplicity via repeated
 pairs) with directed arrows.  The normalization convention replaces every
 arrow self-loop by an undirected loop and every mutually reciprocal arrow
 pair by a single edge, so that arrows carry only genuinely one-way
-adjacency.  A graph is immutable and hashable; its walk matrices are
-sparse, one Counter of the nonzero entries per row.
+adjacency.  A graph is immutable and hashable, like every value class of
+the package; its walk matrices are sparse, one Counter of the nonzero
+entries per row.
 """
 
 from __future__ import annotations
@@ -22,14 +23,12 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-class _Value:
+class _Frozen:
     """Base of the package's value classes.  A subclass's __init__ puts
     its fields, in order, into the instance dict; two instances of one
-    class are equal when their fields are, and the repr is the keyword
-    call that builds the instance.  Instances are mutable and unhashable
-    unless the class is a _Frozen."""
-
-    __hash__ = None
+    class are equal when their fields are, the repr is the keyword call
+    that builds the instance, and the hash is that of the fields (so
+    unhashable when a field is).  Fields cannot be assigned or deleted."""
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -39,11 +38,6 @@ class _Value:
     def __repr__(self) -> str:
         fields = ", ".join(f"{k}={v!r}" for k, v in self.__dict__.items())
         return f"{type(self).__qualname__}({fields})"
-
-
-class _Frozen(_Value):
-    """A _Value whose fields cannot be assigned or deleted, hashed by its
-    fields (so unhashable when a field is)."""
 
     def __hash__(self) -> int:
         return hash(tuple(self.__dict__.values()))
@@ -121,18 +115,15 @@ class MatrixBundle(_Frozen):
 
     adjacency[i][j] counts length-one walks i->j along edges or arrows,
     with diagonal entries twice the loop count; arrows[i][j] counts arrows
-    only.  Each row is a Counter that stores only its nonzero entries, so
-    a column outside its support reads 0.  degree_diag[i] is the
-    undirected degree (loops count twice) minus one.  exponent is node
-    count minus edge count and equals -(sum(degree_diag) - n)/2
-    identically.
+    only, so its diagonal is empty.  Each row is a Counter that stores
+    only its nonzero entries, so a column outside its support reads 0.
+    degree_diag[i] is the undirected degree (loops count twice) minus one.
     """
 
     def __init__(self, adjacency: tuple[Counter, ...],
-                 arrows: tuple[Counter, ...], degree_diag: tuple[int, ...],
-                 exponent: int):
+                 arrows: tuple[Counter, ...], degree_diag: tuple[int, ...]):
         self.__dict__.update(adjacency=adjacency, arrows=arrows,
-                             degree_diag=degree_diag, exponent=exponent)
+                             degree_diag=degree_diag)
 
 
 DegreeProfile = namedtuple("DegreeProfile",
@@ -161,10 +152,6 @@ def matrices(g: MixedGraph) -> MatrixBundle:
     """Extract the walk matrices; the graph must carry no arrow self-loops
     (normalize() first)."""
     n = g.node_count
-    for i, j in g.arrows:
-        if i == j:
-            raise GraphFormatError(
-                f"arrow self-loop at node {i}; call normalize() first")
     adj = [Counter() for _ in range(n)]
     arr = [Counter() for _ in range(n)]
     degrees = [0] * n  # undirected degree, loops twice
@@ -174,12 +161,12 @@ def matrices(g: MixedGraph) -> MatrixBundle:
         degrees[i] += 1
         degrees[j] += 1
     for i, j in g.arrows:
+        if i == j:
+            raise GraphFormatError(
+                f"arrow self-loop at node {i}; call normalize() first")
         adj[i][j] += 1
         arr[i][j] += 1
-    exponent = n - len(g.edges)
-    assert exponent == -(sum(degrees) - 2 * n) // 2
-    return MatrixBundle(tuple(adj), tuple(arr),
-                        tuple(d - 1 for d in degrees), exponent)
+    return MatrixBundle(tuple(adj), tuple(arr), tuple(d - 1 for d in degrees))
 
 
 def total_degrees(g: MixedGraph) -> list[int]:

@@ -8,7 +8,9 @@ exact integer polynomial
 with A the full adjacency matrix, P the arrows-only matrix, Q the
 diagonal of undirected degrees minus one, n the node count and m the
 edge count.  When n > m the prefactor becomes an exact division, whose
-failure would contradict rationality and raises.
+failure would contradict rationality and raises.  On an arrows-only
+graph it is det(I - A z), the characteristic polynomial of A with its
+coefficients reversed (directed_zeta_inverse).
 
 For a (q+1)-regular undirected graph the xi functional equation is
 decided exactly, by the identity between the reversal of the polynomial
@@ -43,12 +45,12 @@ def zeta_inverse(g: MixedGraph) -> IntPoly:
     b = matrices(g)
     rows = []
     for i, (adj, arr) in enumerate(zip(b.adjacency, b.arrows)):
-        # arrows count in the adjacency, so its support covers both
+        # arrows count in the adjacency, so its support covers both; the
+        # arrows' diagonal is empty (no arrow self-loops)
         row = {j: IntPoly((0, -a, 0, arr[j])) for j, a in adj.items()}
-        row[i] = IntPoly((1, -adj[i], b.degree_diag[i], arr[i]))
+        row[i] = IntPoly((1, -adj[i], b.degree_diag[i]))
         rows.append(row)
-    # the bundle's exponent is n - m
-    result = _times_one_minus_z2(det_poly(rows), -b.exponent)
+    result = _times_one_minus_z2(det_poly(rows), g.edge_count - g.node_count)
     assert result.constant_term == 1
     return result
 
@@ -61,16 +63,14 @@ def _times_one_minus_z2(p: IntPoly, power: int) -> IntPoly:
 
 
 def directed_zeta_inverse(g: MixedGraph) -> IntPoly:
-    """det(I - z A) for an arrows-only graph; equals zeta_inverse(g)."""
+    """det(I - z A) for an arrows-only graph; equals zeta_inverse(g).
+
+    With n nodes, det(I - z A) = z^n chi_A(1/z): the characteristic
+    polynomial of the adjacency matrix with its coefficients reversed."""
     if g.edges:
         raise ValueError("graph has undirected edges; only fully directed "
                          "graphs admit the det(I - zA) form")
-    rows = []
-    for i, adj in enumerate(matrices(g).adjacency):
-        row = {j: IntPoly((0, -a)) for j, a in adj.items()}
-        row[i] = IntPoly((1, -adj[i]))
-        rows.append(row)
-    return det_poly(rows)
+    return IntPoly(char_poly(matrices(g).adjacency).coeffs[::-1])
 
 
 def adjacency_spectrum(g: MixedGraph) -> RootSet:
@@ -220,10 +220,10 @@ def _verdict(g: MixedGraph):
     with no spectrum and no xi check."""
     zi = zeta_inverse(g)
     poles = find_roots(zi)
-    r_g = poles.min_modulus()
+    moduli = poles.moduli()
+    r_g = min(moduli, default=float("inf"))
     profile = degree_profile(g)
-    classification = classify_moduli(poles.moduli(), r_g,
-                                      profile.max_degree - 1)
+    classification = classify_moduli(moduli, r_g, profile.max_degree - 1)
     return zi, poles, r_g, profile, classification
 
 

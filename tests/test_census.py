@@ -99,11 +99,12 @@ def visited_nodes(filename, search, darts, succ, horizon):
         if code.co_name == "extend" and code.co_filename == filename:
             nodes.append((frame.f_locals["t"], frame.f_locals["p"]))
 
+    outer = sys.gettrace()  # a coverage run or a debugger keeps its tracer
     sys.settrace(spy)
     try:
         search(darts, succ, horizon)
     finally:
-        sys.settrace(None)
+        sys.settrace(outer)
     return nodes
 
 

@@ -149,14 +149,12 @@ class TestMatrices:
         assert [dict(r) for r in b.adjacency] == [{1: 1}, {0: 2, 1: 2}]
         assert [dict(r) for r in b.arrows] == [{}, {0: 1}]
         assert b.degree_diag == (0, 2)
-        assert b.exponent == 0
 
     def test_single_bare_node(self):
         b = matrices(MixedGraph(1))
         assert [dict(r) for r in b.adjacency] == [{}]
         assert b.adjacency[0][0] == 0
         assert b.degree_diag == (-1,)
-        assert b.exponent == 1
 
     def test_triangle(self):
         g = MixedGraph(3, edges=((0, 1), (1, 2), (0, 2)))
@@ -164,7 +162,6 @@ class TestMatrices:
         assert densify(b.adjacency) == ((0, 1, 1), (1, 0, 1), (1, 1, 0))
         assert densify(b.arrows) == ((0, 0, 0),) * 3
         assert b.degree_diag == (1, 1, 1)
-        assert b.exponent == 0
 
     def test_rejects_arrow_self_loop(self):
         with pytest.raises(GraphFormatError):
@@ -188,8 +185,7 @@ class TestMatrices:
             b = matrices(g)
             n = g.node_count
             trace = sum(q - 1 for q in b.degree_diag)
-            assert b.exponent == -trace // 2
-            assert b.exponent == n - len(g.edges)
+            assert n - len(g.edges) == -trace // 2
 
     def test_fully_undirected_has_zero_arrows(self):
         g = MixedGraph(4, edges=((0, 1), (2, 3), (1, 2)))

@@ -534,6 +534,23 @@ def test_failed_refinement_raises(monkeypatch):
         rootfind._refine((-2, 0, 1), 1, 1.41 + 0j)
 
 
+def near_pair(e):
+    """(z - 1)(2^e z - (2^e + 1)): two real roots 2^-e apart."""
+    a = 1 << e
+    return P(a + 1, -(2 * a + 1), a)
+
+
+def test_refinement_doubles_its_precision(monkeypatch):
+    """Roots 2^-50 apart settle only after _refine doubles its starting
+    precision; 1 + 2^-50 is a float, so the result is exact."""
+    assert [r for r, _ in find_roots(near_pair(50))] == [1.0, 1 + 2**-50]
+    with pytest.raises(NumericalError, match="did not settle at 2048 bits"):
+        find_roots(near_pair(60))
+    monkeypatch.setattr(rootfind, "_MAX_PREC", rootfind._PREC)
+    with pytest.raises(NumericalError, match="did not settle at 128 bits"):
+        find_roots(near_pair(50))
+
+
 @pytest.mark.parametrize("shift", [1e-3, 1e-5])
 def test_roots_missing_the_power_sums_raise(monkeypatch, shift):
     """Finite roots off by more than the tolerance: the forward sums catch

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from collections.abc import Mapping
 
 import pytest
@@ -330,6 +331,31 @@ class TestDirectedShortcut:
             if g.edges:
                 continue
             assert directed_zeta_inverse(g) == zeta_inverse(g)
+        # seeded arrows-only multigraphs with parallel arrows, sinks,
+        # sources and acyclic parts (one direction per node pair); a
+        # singular adjacency (chi_A(0) = 0) leaves low zeros that the
+        # reversal drops
+        rng = random.Random(37)
+        kinds = Counter()
+        for _ in range(200):
+            n = rng.randint(1, 10)
+            acyclic = rng.random() < 0.2
+            density = rng.choice((0.3, 0.6, 1.0))
+            arrows = []
+            for i in range(n):
+                for j in range(i + 1, n):
+                    if rng.random() < density:
+                        forward = acyclic or rng.random() < 0.5
+                        arrows += [(i, j) if forward else (j, i)] \
+                            * rng.randint(1, 3)
+            g = MixedGraph(n, arrows=arrows)
+            assert normalize(g) == g
+            zi = directed_zeta_inverse(g)
+            assert zi == zeta_inverse(g)
+            singular = char_poly(matrices(g).adjacency).constant_term == 0
+            kinds[singular, zi.degree > 0] += 1
+        # nilpotent (zeta^-1 = 1), singular with cycles, nonsingular
+        assert kinds[True, False] and kinds[True, True] and kinds[False, True]
 
 
 class TestAnalyze:
