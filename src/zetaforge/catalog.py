@@ -16,7 +16,7 @@ import os
 
 from .graphs import MixedGraph, _Frozen, _is_int, normalize
 from .intpoly import IntPoly
-from .zeta import (_FLAGS, STRONG, _times_one_minus_z2, _verdict,
+from .zeta import (_FLAGS, STRONG, TRIVIAL, _times_one_minus_z2, _verdict,
                    classify_moduli)
 
 
@@ -211,7 +211,7 @@ def load_catalog(path: str | None = None) -> list[CatalogRecord]:
         raise CatalogError(f"cannot read catalog: {err}") from err
     try:
         doc = json.loads(raw)
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # also an int past the integer-string limit
         raise CatalogError(f"catalog is not valid JSON: {err}") from err
     if not isinstance(doc, list):
         raise CatalogError("catalog must be a JSON list of records")
@@ -257,7 +257,7 @@ def _parse_record(pos: int, entry, seen: set) -> CatalogRecord:
                                f"{coeffs[0]}, expected 1")
     for name, flag in (("dimer_flag", dimer_flag),
                        ("quiver_flag", quiver_flag)):
-        if flag not in ("S", "W", "N"):
+        if flag == _FLAGS[TRIVIAL] or flag not in _FLAGS.values():
             raise CatalogError(f"{where}: {name} must be S, W or N")
     return CatalogRecord(rid, tuple(tuple(row) for row in quiver),
                          tuple(valencies), IntPoly(dimer_zeta),

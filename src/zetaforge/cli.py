@@ -137,10 +137,10 @@ def _load_graph(args, parser: _Parser) -> MixedGraph:
             g = MixedGraph.from_dict(doc)
         except OSError as err:
             raise ValueError(f"cannot read {args.graph}: {err}") from err
-        except json.JSONDecodeError as err:
-            raise ValueError(f"{args.graph}: not valid JSON: {err}") from err
         except GraphFormatError as err:
             raise ValueError(f"{args.graph}: {err}") from err
+        except ValueError as err:  # also an int past the integer-string limit
+            raise ValueError(f"{args.graph}: not valid JSON: {err}") from err
         return normalize(g)
     if args.ade is not None:
         return _spec_graph("ade", args.ade, args.loops, parser)
@@ -242,8 +242,7 @@ def _cmd_spectrum(args, parser) -> tuple[str, int]:
         "re,im,multiplicity",
         ((lam.real, lam.imag, mult) for lam, mult in spec),
         lambda: [f"{_fmt_float(lam.real)} {_fmt_float(lam.imag)}i  "
-                 f"multiplicity {mult}" for lam, mult in spec]
-        or ["(no eigenvalues)"]), EXIT_OK
+                 f"multiplicity {mult}" for lam, mult in spec]), EXIT_OK
 
 
 def _cmd_export_plot(args, parser) -> tuple[str, int]:

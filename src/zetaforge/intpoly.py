@@ -235,11 +235,8 @@ class IntPoly:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, IntPoly):
-            return self.coeffs == other.coeffs
-        if isinstance(other, int):
-            return self.coeffs == _norm((other,))
-        return NotImplemented
+        other = _coerce(other)
+        return other if other is NotImplemented else self.coeffs == other
 
     def __hash__(self) -> int:
         return hash(self.coeffs)
@@ -259,36 +256,24 @@ class IntPoly:
 
     # -- ring operations ----------------------------------------------------
 
-    def __add__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return IntPoly._raw(_add(self.coeffs, other))
+    def _ring(kernel):
+        """The operator that applies kernel to this polynomial's
+        coefficients and the coerced operand's, in that order."""
+        def op(self, other):
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+            return IntPoly._raw(kernel(self.coeffs, other))
+        return op
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return IntPoly._raw(_sub(self.coeffs, other))
-
-    def __rsub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return IntPoly._raw(_sub(other, self.coeffs))
+    __add__ = __radd__ = _ring(_add)
+    __sub__ = _ring(_sub)
+    __rsub__ = _ring(lambda a, b: _sub(b, a))
+    __mul__ = __rmul__ = _ring(_mul)
+    del _ring
 
     def __neg__(self):
         return IntPoly._raw(_neg(self.coeffs))
-
-    def __mul__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return IntPoly._raw(_mul(self.coeffs, other))
-
-    __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if n < 0:

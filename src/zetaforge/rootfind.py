@@ -192,27 +192,27 @@ def _aberth(poly: tuple[int, ...]) -> list[complex]:
         f"sweeps (degree {deg}, last correction {worst:.3e})")
 
 
-def _real_flags(roots: list[complex]) -> list[bool]:
-    """Which roots of a polynomial with real coefficients are taken as
-    real.  Non-real roots come in conjugate pairs, so the root nearest to
-    the conjugate of a non-real root is its partner, unless the iterates
-    are too rough to tell the two apart; a real root is its own nearest.
-    """
-    flags = []
+def _snapped(roots: list[complex]) -> list[complex]:
+    """The roots of a polynomial with real coefficients, with those taken
+    as real put on the axis.  Non-real roots come in conjugate pairs, so
+    the root nearest to the conjugate of a non-real root is its partner,
+    unless the iterates are too rough to tell the two apart; a real root
+    is its own nearest, and so is every root with imaginary part 0.0."""
+    out = []
     for i, z in enumerate(roots):
-        reach = 2.0 * abs(z.imag)
-        c = z.conjugate()
-        flags.append(not any(abs(w - c) < reach
-                             for j, w in enumerate(roots) if j != i))
-    return flags
+        reach, c = 2.0 * abs(z.imag), z.conjugate()
+        real = not any(abs(w - c) < reach
+                       for j, w in enumerate(roots) if j != i)
+        out.append(complex(z.real, 0.0) if real else z)
+    return out
 
 
-def _kth_roots(w: complex, k: int, real: bool) -> list[complex]:
+def _kth_roots(w: complex, k: int) -> list[complex]:
     """Starting points for the k solutions of z^k = w != 0.  For real w
-    (real=True) those at angles that are multiples of pi/2 are put
-    exactly on the axes, which _refine keeps them on."""
+    (imaginary part 0.0) those at angles that are multiples of pi/2 are
+    put exactly on the axes, which _refine keeps them on."""
     r = abs(w) ** (1.0 / k)
-    if not real:
+    if w.imag:
         phase = cmath.phase(w)
         return [cmath.rect(r, (phase + 2.0 * math.pi * t) / k)
                 for t in range(k)]
@@ -289,18 +289,17 @@ def _fixed(x: float, s: int) -> int:
 def _factor_roots(coeffs: tuple[int, ...]) -> list[complex]:
     """Float roots of a square-free factor with a nonzero constant term;
     a factor g(z^k) is solved as g, then mapped to k-th roots.  Roots
-    taken as real (_real_flags) have imaginary part exactly 0.0."""
+    taken as real (_snapped) have imaginary part exactly 0.0."""
     k = math.gcd(*(i for i, c in enumerate(coeffs) if c))
     ws = _aberth(coeffs[::k])
     bad = sum(not cmath.isfinite(w) for w in ws)
     if bad:
         raise NumericalError(
             f"{bad * k} of {len(coeffs) - 1} roots are not finite")
-    flags = _real_flags(ws)
-    ws = [complex(w.real, 0.0) if real else w for w, real in zip(ws, flags)]
+    ws = _snapped(ws)
     if k == 1:
         return ws
-    return [z for w, real in zip(ws, flags) for z in _kth_roots(w, k, real)]
+    return [z for w in ws for z in _kth_roots(w, k)]
 
 
 def _refined(coeffs: tuple[int, ...], roots: list[complex]) -> list[complex]:

@@ -241,6 +241,57 @@ class TestCatalogData:
         path.write_text(json.dumps([good]))
         assert len(load_catalog(str(path))) == 1
 
+    def test_structure_errors_are_exact(self, tmp_path):
+        """A document that is not a list, a record that is not an object,
+        a zeta list whose constant term is not 1, and a flag outside S, W
+        and N (Trivial's T included) each raise their own message."""
+        good = {"id": 4, "quiver": [[6]], "valencies": [3],
+                "dimer_zeta": [1, 0, -6, 0, 9, 0, -4],
+                "quiver_zeta": [1, -6, 3, 12, -9, -6, 5],
+                "dimer_flag": "S", "quiver_flag": "S"}
+        path = tmp_path / "cat.json"
+        for doc, message in (
+                ({"records": [good]},
+                 "catalog must be a JSON list of records"),
+                ("S", "catalog must be a JSON list of records"),
+                ([good, [good]], "record 2: not an object"),
+                ([dict(good, dimer_zeta=[2, 1])],
+                 "record 1 (id 4): dimer_zeta constant term is 2, "
+                 "expected 1"),
+                ([dict(good, quiver_zeta=[0, 1])],
+                 "record 1 (id 4): quiver_zeta constant term is 0, "
+                 "expected 1"),
+                ([dict(good, dimer_flag="T")],
+                 "record 1 (id 4): dimer_flag must be S, W or N"),
+                ([dict(good, quiver_flag="s")],
+                 "record 1 (id 4): quiver_flag must be S, W or N"),
+                ([dict(good, quiver_flag=["S"])],
+                 "record 1 (id 4): quiver_flag must be S, W or N")):
+            path.write_text(json.dumps(doc))
+            with pytest.raises(CatalogError) as err:
+                load_catalog(str(path))
+            assert str(err.value) == message, doc
+
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+        reason="no integer-string limit in this Python")
+    def test_integer_past_the_string_limit_is_not_valid_json(self, tmp_path,
+                                                             capsys):
+        """json raises a plain ValueError, not a JSONDecodeError, on an
+        integer literal longer than the integer-string limit; it is still
+        a CatalogError, and catalog-verify exits 2."""
+        digits = "9" * (sys.get_int_max_str_digits() + 1)
+        path = tmp_path / "cat.json"
+        path.write_text('[{"id": 1, "dimer_zeta": [1, %s]}]' % digits)
+        with pytest.raises(CatalogError) as err:
+            load_catalog(str(path))
+        assert str(err.value).startswith(
+            "catalog is not valid JSON: Exceeds the limit")
+        assert main(["catalog-verify", "--catalog", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(
+            "zetaforge: catalog is not valid JSON: Exceeds the limit")
+
     def test_ids_are_unique_integers(self, tmp_path):
         """An id that is not an int (true counts as not an int) or that an
         earlier record already has is a CatalogError."""

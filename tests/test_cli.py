@@ -1,4 +1,7 @@
 import json
+import sys
+
+import pytest
 
 from zetaforge import cli, rootfind
 from zetaforge.cli import main
@@ -86,6 +89,34 @@ class TestZetaVerb:
             path.write_text(json.dumps(doc))
             assert run(capsys, "zeta", "--graph", str(path)) == (
                 2, "", f"zetaforge: {path}: {message}\n"), doc
+
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+        reason="no integer-string limit in this Python")
+    def test_integer_past_the_string_limit_names_the_file(self, capsys,
+                                                          tmp_path):
+        """json raises a plain ValueError on an integer literal longer
+        than the integer-string limit; the message names the file like
+        every other malformed graph file's, and a format error stays a
+        format error."""
+        path = tmp_path / "g.json"
+        digits = "9" * (sys.get_int_max_str_digits() + 1)
+        path.write_text('{"nodes": 2, "edges": [[0, %s]]}' % digits)
+        code, out, err = run(capsys, "zeta", "--graph", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(
+            f"zetaforge: {path}: not valid JSON: Exceeds the limit")
+        path.write_text('{"nodes": 2, "edges": 5}')
+        assert run(capsys, "zeta", "--graph", str(path)) == (
+            2, "", f"zetaforge: {path}: 'edges' must be a list of [i, j] "
+                   "pairs\n")
+
+    def test_file_not_in_utf8_names_the_file(self, capsys, tmp_path):
+        path = tmp_path / "g.json"
+        path.write_bytes(b'\xff{"nodes": 1}')
+        code, out, err = run(capsys, "zeta", "--graph", str(path))
+        assert (code, out) == (2, "") and err.startswith(
+            f"zetaforge: {path}: not valid JSON: 'utf-8' codec can't decode")
 
     def test_normalizes_input(self, capsys, tmp_path):
         path = tmp_path / "g.json"

@@ -79,6 +79,11 @@ class TestConstruction:
                     {"nodes": 2, "arrows": [[False, 1]]}):
             with pytest.raises(GraphFormatError):
                 MixedGraph.from_dict(doc)
+        for name, value in (("edges", {"0": 1}), ("edges", "01"),
+                            ("arrows", 3), ("arrows", None)):
+            with pytest.raises(GraphFormatError) as err:
+                MixedGraph.from_dict({"nodes": 2, name: value})
+            assert str(err.value) == f"'{name}' must be a list of [i, j] pairs"
 
 
 class TestNormalize:

@@ -289,6 +289,28 @@ class TestArithmetic:
         assert (2 * a).coeffs == (2, 4)
         assert (a - 1).coeffs == (0, 2)
 
+    def test_operand_order_and_foreign_operands(self):
+        """An int on the left subtracts in its own order; == compares
+        with an int as with the constant polynomial; a str operand gets
+        NotImplemented from each operator, so Python raises TypeError or
+        falls back to identity."""
+        a = P(1, 2)
+        assert (1 - a).coeffs == (0, -2)
+        assert (3 - P(1, 0, 1)).coeffs == (2, 0, -1)
+        assert (0 - a) == -a and (1 - P(1)).coeffs == ()
+        assert P(5) == 5 and 5 == P(5) and P() == 0
+        assert P(5) != 6 and a != 1 and P(0, 1) != 0
+        for name in ("__add__", "__radd__", "__sub__", "__rsub__",
+                     "__mul__", "__rmul__", "__eq__"):
+            assert getattr(a, name)("z") is NotImplemented, name
+        with pytest.raises(TypeError):
+            a + "z"
+        with pytest.raises(TypeError):
+            "z" - a
+        with pytest.raises(TypeError):
+            a * "z"
+        assert (a == "z") is False and (a != "z") is True
+
     def test_pow(self):
         assert (P(1, 1) ** 4).coeffs == (1, 4, 6, 4, 1)
         assert (P(1, -1) ** 0).coeffs == (1,)

@@ -338,7 +338,7 @@ def test_kth_roots_put_real_w_on_the_axes(k):
     on the real and imaginary axes have the other component exactly 0."""
     for w in (1.0, -1.0, 2.5, -3.0, 1e-30, 16 + 1e-30j, -2 - 3j):
         real = not complex(w).imag
-        zs = _kth_roots(complex(w), k, real)
+        zs = _kth_roots(complex(w), k)
         assert len(zs) == k
         for z in zs:
             assert abs(z ** k - w) <= 1e-14 * abs(w)
