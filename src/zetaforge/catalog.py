@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import os
 
-from .graphs import MixedGraph, _Frozen, _is_int, normalize
+from .graphs import MixedGraph, _Frozen, _is_int
 from .intpoly import IntPoly
 from .zeta import (_FLAGS, STRONG, TRIVIAL, _times_one_minus_z2, _verdict,
                    classify_moduli)
@@ -154,15 +154,19 @@ def _check_quiver(matrix) -> int:
 def quiver_to_graph(matrix) -> MixedGraph:
     """Decode a quiver adjacency matrix (see _check_quiver): diagonal
     entries are twice the loop count and off-diagonal entry (i, j) counts
-    the arrows i -> j, which normalize pairs with the arrows j -> i into
-    edges, leaving the surplus as arrows."""
+    the arrows i -> j.  As normalize does, min(m_ij, m_ji) of the arrows
+    between i and j become edges and each direction keeps its surplus as
+    arrows."""
     n = _check_quiver(matrix)
     edges, arrows = [], []
     for i, row in enumerate(matrix):
-        edges.extend([(i, i)] * (row[i] // 2))
-        arrows.extend((i, j) for j, m in enumerate(row) if j != i
-                      for _ in range(m))
-    return normalize(MixedGraph(n, tuple(edges), tuple(arrows)))
+        edges += [(i, i)] * (row[i] // 2)
+        for j in range(i + 1, n):
+            out, back = row[j], matrix[j][i]
+            paired = min(out, back)
+            edges += [(i, j)] * paired
+            arrows += [(i, j)] * (out - paired) + [(j, i)] * (back - paired)
+    return MixedGraph(n, edges, arrows)
 
 
 # ---------------------------------------------------------------------------
@@ -205,13 +209,15 @@ def load_catalog(path: str | None = None) -> list[CatalogRecord]:
         path = os.path.join(os.path.dirname(__file__), "data",
                             "tilings41.json")
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "rb") as fh:
             raw = fh.read()
     except OSError as err:
         raise CatalogError(f"cannot read catalog: {err}") from err
     try:
-        doc = json.loads(raw)
-    except ValueError as err:  # also an int past the integer-string limit
+        # a ValueError also for bytes that are not UTF-8 and for an int
+        # past the integer-string limit
+        doc = json.loads(raw.decode("utf-8"))
+    except ValueError as err:
         raise CatalogError(f"catalog is not valid JSON: {err}") from err
     if not isinstance(doc, list):
         raise CatalogError("catalog must be a JSON list of records")
@@ -310,13 +316,15 @@ def verify_catalog(records: list[CatalogRecord]) -> CatalogVerification:
         raise CatalogError("catalog has no records")
     rows = []
     # per valency tuple: the determinant route's polynomial and verdict,
-    # the closed form and the valency test, computed once per call
-    dimers = {}
+    # the closed form and the valency test; per distinct polynomial, its
+    # poles.  Each is computed once per call
+    dimers, found = {}, {}
     for rec in records:
         issues, notes = [], []
         if rec.valencies not in dimers:
             valencies = list(rec.valencies)
-            dimer_zi, _, _, _, dimer_class = _verdict(dimer_graph(valencies))
+            dimer_zi, _, _, _, dimer_class = _verdict(
+                dimer_graph(valencies), found)
             dimers[rec.valencies] = (dimer_zi, dimer_class,
                                      dimer_zeta_closed(valencies),
                                      dimer_rh(valencies))
@@ -338,7 +346,7 @@ def verify_catalog(records: list[CatalogRecord]) -> CatalogVerification:
                     f"tiling flag {dimer_flag} differs from reference "
                     f"{rec.dimer_flag}")
         q_zi, q_poles, q_r, _, q_class = _verdict(
-            quiver_to_graph(rec.quiver))
+            quiver_to_graph(rec.quiver), found)
         if q_zi != rec.quiver_zeta:
             issues.append("quiver zeta differs from reference")
         q_flag = _FLAGS[q_class]

@@ -7,10 +7,14 @@ exact integer polynomial
 
 with A the full adjacency matrix, P the arrows-only matrix, Q the
 diagonal of undirected degrees minus one, n the node count and m the
-edge count.  When n > m the prefactor becomes an exact division, whose
-failure would contradict rationality and raises.  On an arrows-only
-graph it is det(I - A z), the characteristic polynomial of A with its
-coefficients reversed (directed_zeta_inverse).
+edge count.  A node with no undirected edge has Q_ii = -1 and only
+arrows in its row of A, so that row is (1 - z^2) times the row of
+I - A z: the determinant takes the shorter row, and each such node adds
+one to the prefactor's exponent.  When the exponent is negative the
+prefactor becomes an exact division, whose failure would contradict
+rationality and raises.  On an arrows-only graph the polynomial is
+det(I - A z), the characteristic polynomial of A with its coefficients
+reversed (directed_zeta_inverse).
 
 For a (q+1)-regular undirected graph the xi functional equation is
 decided exactly, by the identity between the reversal of the polynomial
@@ -44,13 +48,22 @@ def zeta_inverse(g: MixedGraph) -> IntPoly:
     """Reciprocal zeta polynomial of a normalized graph; constant term 1."""
     b = matrices(g)
     rows = []
-    for i, (adj, arr) in enumerate(zip(b.adjacency, b.arrows)):
-        # arrows count in the adjacency, so its support covers both; the
-        # arrows' diagonal is empty (no arrow self-loops)
-        row = {j: IntPoly((0, -a, 0, arr[j])) for j, a in adj.items()}
-        row[i] = IntPoly((1, -adj[i], b.degree_diag[i]))
+    power = g.edge_count - g.node_count
+    for i, (adj, arr, q) in enumerate(zip(b.adjacency, b.arrows,
+                                          b.degree_diag)):
+        if q < 0:
+            # no undirected edge: the row is (1 - z^2) * (e_i - z A_i),
+            # and the factor joins the prefactor
+            row = {j: IntPoly((0, -a)) for j, a in adj.items()}
+            row[i] = IntPoly((1,))
+            power += 1
+        else:
+            # arrows count in the adjacency, so its support covers both;
+            # the arrows' diagonal is empty (no arrow self-loops)
+            row = {j: IntPoly((0, -a, 0, arr[j])) for j, a in adj.items()}
+            row[i] = IntPoly((1, -adj[i], q))
         rows.append(row)
-    result = _times_one_minus_z2(det_poly(rows), g.edge_count - g.node_count)
+    result = _times_one_minus_z2(det_poly(rows), power)
     assert result.constant_term == 1
     return result
 
@@ -215,11 +228,15 @@ def classify_moduli(moduli: list[float], r_g: float, q: int) -> str:
     return VIOLATED
 
 
-def _verdict(g: MixedGraph):
+def _verdict(g: MixedGraph, found: dict):
     """(zeta polynomial, poles, R, degree profile, classification) of g,
-    with no spectrum and no xi check."""
+    with no spectrum and no xi check.  found maps the polynomials whose
+    roots the caller has found to their poles; g's are taken from it or
+    added to it."""
     zi = zeta_inverse(g)
-    poles = find_roots(zi)
+    poles = found.get(zi)
+    if poles is None:
+        poles = found[zi] = find_roots(zi)
     moduli = poles.moduli()
     r_g = min(moduli, default=float("inf"))
     profile = degree_profile(g)
@@ -229,7 +246,7 @@ def _verdict(g: MixedGraph):
 
 def analyze(g: MixedGraph) -> ZetaReport:
     """Full zeta report: polynomial, poles, R, classification, verdicts."""
-    zi, poles, r_g, profile, classification = _verdict(g)
+    zi, poles, r_g, profile, classification = _verdict(g, {})
     q = profile.max_degree - 1
     p = profile.min_degree - 1
 

@@ -8,15 +8,15 @@ from pathlib import Path
 
 import pytest
 
-from zetaforge import catalog
+from zetaforge import catalog, zeta
 from zetaforge.catalog import (DIMER_FLAG_ERRATA, CatalogError,
                                CatalogRecord, ade_graph, dimer_graph,
                                dimer_rh, dimer_zeta_closed, load_catalog,
                                parse_ade_spec, quiver_to_graph,
                                verify_catalog)
 from zetaforge.cli import main
-from zetaforge.graphs import (bipartition, degree_profile, matrices,
-                              normalize)
+from zetaforge.graphs import (MixedGraph, bipartition, degree_profile,
+                              matrices, normalize)
 from zetaforge.intpoly import IntPoly
 from zetaforge.rootfind import find_roots
 from zetaforge.zeta import (STRONG, WEAK, adjacency_spectrum, analyze,
@@ -174,6 +174,44 @@ class TestQuiverDecode:
                 for j in range(i + 1, n):
                     assert g.edges.count((i, j)) == min(m[i][j], m[j][i])
 
+    def test_one_pass_equals_normalized_raw_arrows(self):
+        """The decode pairs reciprocal arrows itself; it must equal the
+        graph of every off-diagonal entry as that many arrows, normalized,
+        on matrices with loops, reciprocal and repeated arrows and zero
+        rows."""
+        rng = random.Random(29)
+        for _ in range(300):
+            n = rng.randint(1, 8)
+            m = [[rng.choice((0, 0, 1, 2, 3)) for _ in range(n)]
+                 for _ in range(n)]
+            for i in range(n):
+                m[i][i] = 2 * rng.randint(0, 2)
+            if rng.random() < 0.3:
+                m[rng.randrange(n)] = [0] * n
+            loops = [(i, i) for i in range(n) for _ in range(m[i][i] // 2)]
+            arrows = [(i, j) for i in range(n) for j in range(n) if i != j
+                      for _ in range(m[i][j])]
+            assert quiver_to_graph(m) == normalize(
+                MixedGraph(n, loops, arrows)), m
+
+    def test_malformed_messages_are_exact(self):
+        for m, message in (
+                ([], "quiver matrix must be a non-empty list of rows"),
+                ("01", "quiver matrix must be a non-empty list of rows"),
+                ([[0, 1], [1]], "quiver matrix is not square"),
+                ([[0, 1], 5], "quiver matrix is not square"),
+                ([[0, None], [1, 0]],
+                 "quiver matrix entries must be integers"),
+                ([[0, 1], [1, 3]],
+                 "diagonal entry 3 at node 1 is not twice a loop count"),
+                ([[-2]],
+                 "diagonal entry -2 at node 0 is not twice a loop count"),
+                ([[0, 1], [-1, 0]],
+                 "negative multiplicity in quiver matrix")):
+            with pytest.raises(ValueError) as err:
+                quiver_to_graph(m)
+            assert str(err.value) == message, m
+
     def test_rejects_non_integers(self):
         for m in ([[0, 1.5], [0, 0]], [[0, True], [False, 0]], [[2.0]],
                   [[0, "1"], [1, 0]]):
@@ -291,6 +329,19 @@ class TestCatalogData:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith(
             "zetaforge: catalog is not valid JSON: Exceeds the limit")
+
+    def test_file_not_in_utf8_is_not_valid_json(self, tmp_path, capsys):
+        """A catalog whose bytes are not UTF-8 is a CatalogError worded
+        as the --graph reader words it, and catalog-verify exits 2."""
+        path = tmp_path / "cat.json"
+        path.write_bytes(b"\xff[]")
+        message = ("catalog is not valid JSON: 'utf-8' codec can't decode "
+                   "byte 0xff in position 0: invalid start byte")
+        with pytest.raises(CatalogError) as err:
+            load_catalog(str(path))
+        assert str(err.value) == message
+        assert main(["catalog-verify", "--catalog", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"zetaforge: {message}\n")
 
     def test_ids_are_unique_integers(self, tmp_path):
         """An id that is not an int (true counts as not an int) or that an
@@ -470,9 +521,9 @@ class TestVerification:
         seen = []
         real = catalog._verdict
 
-        def spy(g):
+        def spy(g, found):
             seen.append(g)
-            return real(g)
+            return real(g, found)
 
         monkeypatch.setattr(catalog, "_verdict", spy)
         records = load_catalog()
@@ -484,6 +535,30 @@ class TestVerification:
         # the memo lives in one call: a second call verifies them again
         verify_catalog(records[:1])
         assert len(seen) == 15 + len(records) + 2
+
+    def test_each_distinct_polynomial_is_rooted_once(self, monkeypatch):
+        """The 15 tiling and 41 quiver polynomials of the bundled catalog
+        are 51 distinct ones (records 5/38/41, 16/40, 29/31 and 30/33
+        share their quiver polynomial), so one call finds 51 root sets;
+        the memo lives in one call, so a second call finds them again."""
+        rooted = []
+        real = zeta.find_roots
+
+        def spy(p):
+            rooted.append(p)
+            return real(p)
+
+        monkeypatch.setattr(zeta, "find_roots", spy)
+        records = load_catalog()
+        assert verify_catalog(records).ok
+        assert len(rooted) == 51 and len(set(rooted)) == 51
+        shared = {}
+        for rec in records:
+            shared.setdefault(rec.quiver_zeta, []).append(rec.id)
+        assert sorted(ids for ids in shared.values() if len(ids) > 1) == [
+            [5, 38, 41], [16, 40], [29, 31], [30, 33]]
+        assert verify_catalog(records).ok
+        assert len(rooted) == 102 and set(rooted[51:]) == set(rooted[:51])
 
     def test_rows_are_per_record(self):
         """A record that shares its valencies with good ones but carries

@@ -277,6 +277,75 @@ class TestDartOracle:
                 assert zeta_mod(zi, z0) == dart_det(g, z0), g.node_count
 
 
+def edge_free_rich(rng):
+    """A random normalized mixed graph in which many nodes carry no
+    undirected edge: isolated nodes, arrow sinks and sources, and
+    arrows-only parts beside a part with edges and loops."""
+    n = rng.randint(2, 14)
+    edged = rng.sample(range(n), rng.randint(0, n // 2))
+    edges = []
+    if edged:
+        edges = [(rng.choice(edged), rng.choice(edged))
+                 for _ in range(rng.randint(0, 3 * len(edged)))]
+    arrows = []
+    for _ in range(rng.randint(0, 2 * n)):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i != j and (j, i) not in arrows:
+            arrows += [(i, j)] * rng.randint(1, 2)
+    return MixedGraph(n, edges, arrows)
+
+
+def unfactored_zeta_inverse(g):
+    """(1 - z^2)^(m - n) det(I - Az + Qz^2 + Pz^3), every row as it
+    stands."""
+    b = matrices(g)
+    rows = []
+    for i, (adj, arr) in enumerate(zip(b.adjacency, b.arrows)):
+        row = {j: P(0, -a, 0, arr[j]) for j, a in adj.items()}
+        row[i] = P(1, -adj[i], b.degree_diag[i])
+        rows.append(row)
+    return zeta._times_one_minus_z2(polydet.det_poly(rows),
+                                    g.edge_count - g.node_count)
+
+
+class TestEdgeFreeRows:
+    """A node with no undirected edge has its (1 - z^2) taken out of its
+    row and into the prefactor; the polynomial must not change."""
+
+    def test_random_graphs_rich_in_edge_free_nodes(self):
+        rng = random.Random(83)
+        kinds = Counter()
+        for _ in range(300):
+            g = edge_free_rich(rng)
+            assert normalize(g) == g
+            zi = zeta_inverse(g)
+            assert zi == unfactored_zeta_inverse(g), g
+            z0 = rng.randrange(2, DART_MOD)
+            assert zeta_mod(zi, z0) == dart_det(g, z0), g
+            b = matrices(g)
+            free = [i for i, q in enumerate(b.degree_diag) if q < 0]
+            power = g.edge_count - g.node_count + len(free)
+            kinds["divides" if power < 0 else "multiplies"] += 1
+            kinds["m >= n"] += g.edge_count >= g.node_count
+            for i in free:
+                out, into = bool(b.arrows[i]), any(i in r for r in b.arrows)
+                kinds[{(False, False): "isolated", (True, False): "source",
+                       (False, True): "sink", (True, True): "through"}[
+                           out, into]] += 1
+            kinds["arrows only"] += not g.edges and bool(g.arrows)
+        assert min(kinds[k] for k in (
+            "divides", "multiplies", "m >= n", "isolated", "source", "sink",
+            "through", "arrows only")) >= 10, kinds
+
+    def test_edgeless_graph_is_one(self):
+        assert zeta_inverse(MixedGraph(1000)) == P(1)
+
+    def test_directed_cycles(self):
+        for n in (3, 10, 300, 1000):
+            cycle = MixedGraph(n, arrows=[(i, (i + 1) % n) for i in range(n)])
+            assert zeta_inverse(cycle) == P(1, *[0] * (n - 1), -1), n
+
+
 class TestSparseWalkRows:
     def test_determinants_receive_mapping_rows(self, monkeypatch):
         """Every walk matrix reaches polydet as sparse rows, never as
