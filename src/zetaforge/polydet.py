@@ -27,30 +27,39 @@ the matrix, before any arithmetic:
   kernel, which short products use.  Each half's polynomials reach about
   half the degree, so a long cycle costs about half as much; below
   ``_SPLIT`` rows a single top-down sweep beats the join;
-* evaluation and interpolation for every wider matrix, modulo one prime
-  p = 2**e - c just above twice B (above _SEARCH_BITS bits, the least
-  Mersenne prime 2**e - 1 above it), Hadamard's bound: the square root of
-  the product over rows of the sum over the row's entries of the squared
-  sum of each entry's absolute coefficients.  Cauchy's estimate on the
-  unit circle and Hadamard's inequality make B a bound on every
-  coefficient of the determinant.  The matrix is evaluated at the points
-  0, 1, ..., deg, with deg the sum over rows of the largest entry degree,
-  and each row is one Python int of n fixed-width slots, so an
-  elimination step is a handful of big-int operations per row rather
-  than one per entry.  The rows and columns are first sorted by their
-  degree in the symmetric support, ties to the lowest index, which
-  leaves little fill: a row whose entry in the column being eliminated
-  is exactly 0 has multiplier 0 and only shifts.  The points
+* evaluation and interpolation for every wider matrix, at the points
+  0, 1, ..., deg, with deg = sum d_i - n + nu a bound on the degree: d_i
+  is the largest entry degree of row i, and nu the size of a maximum
+  matching of the rows to the columns on the support of L, the matrix of
+  the rows' z**d_i coefficients.  N(t) = diag(t**d_i) M(1/t) has
+  N(0) = L, so det N = t**(sum d_i) det M(1/t) vanishes at t = 0 to order
+  at least the nullity of L, and rank L <= nu.  Below 0, deg says that
+  det M = 0.  The work is modulo one prime p = 2**e - c, the largest
+  below 2**e (above _SEARCH_BITS bits, the least Mersenne prime
+  2**q - 1 with q >= e), with 2**(e - 1) above both 2B and 2 deg: the
+  first keeps the lift exact, the second the points distinct and
+  invertible.  B is Hadamard's bound, the square root of the product
+  over rows of the sum over the row's entries of the squared sum of
+  each entry's absolute coefficients; Cauchy's estimate on the unit
+  circle and Hadamard's inequality make it a bound on every coefficient
+  of the determinant.  Each row is one Python int of n fixed-width
+  slots, so an elimination step is a handful of big-int operations per
+  row rather than one per entry.  The rows and columns are first sorted
+  by their degree in the symmetric support, ties to the lowest index,
+  which leaves little fill: a row whose entry in the column being
+  eliminated is exactly 0 has multiplier 0 and only shifts.  The points
   are eliminated _BATCH at a time in lockstep.  At each step every point
-  of the batch finds and folds its pivot, and one modular inverse of the
+  of the batch finds and folds its pivot, the first remaining row tested
+  before the rest are scanned, and one modular inverse of the
   product of those pivots gives the inverse of each (Montgomery's trick);
   a point with no pivot has determinant 0 and leaves the batch.  The
   values are interpolated by Newton divided differences mod p, and each
   coefficient is read back from (-p/2, p/2).
 
 Both are exact over Z[z]; they are property-tested against each other and
-against cofactor expansion.  Entries must be ints or IntPolys: a float or
-a Fraction raises TypeError instead of being truncated.
+against cofactor expansion.  Entries must be ints or IntPolys: a float,
+a Fraction or a bool raises TypeError instead of being truncated or
+read as 0 or 1.
 """
 
 from __future__ import annotations
@@ -60,6 +69,7 @@ from functools import cache
 from math import isqrt
 from operator import index
 
+from .graphs import _is_int
 from .intpoly import _MERSENNE_EXPONENTS, IntPoly, _addmul, _dot, _norm
 
 _SWEEP_WIDTH = 11  # at most 2**11 sweep states per row
@@ -233,14 +243,70 @@ def _degree_order(rows, n):
     return sorted(range(n), key=degree.__getitem__)
 
 
+def _matching_size(adjacent, n):
+    """Size of a maximum matching of the rows to the n columns, with
+    adjacent[i] the columns row i may take: one augmenting-path search
+    per row, kept on an explicit stack, so hundreds of rows need no
+    recursion."""
+    owner = [-1] * n  # the row each column is matched to
+    seen = [-1] * n  # the last row whose search reached each column
+    size = 0
+    for root, columns in enumerate(adjacent):
+        # path[k] is the column taken by the row of stack[k]; the row of
+        # stack[k + 1] is its owner, who must move on
+        path, stack = [], [iter(columns)]
+        while stack:
+            for c in stack[-1]:
+                if seen[c] != root:
+                    seen[c] = root
+                    break
+            else:
+                stack.pop()
+                if path:
+                    path.pop()
+                continue
+            path.append(c)
+            if owner[c] < 0:
+                row = root
+                for col in path:
+                    owner[col], row = row, owner[col]
+                size += 1
+                break
+            stack.append(iter(adjacent[owner[c]]))
+    return size
+
+
+def _rows_at(packed, x):
+    """The packed rows at the point x, by Horner's rule over each row's
+    coefficient rows, the top degree first."""
+    out = []
+    for cs in packed:
+        acc = cs[0]
+        for a in cs[1:]:
+            acc = acc * x + a
+        out.append(acc)
+    return out
+
+
 def _interpolated_det(rows, n):
     """Determinant of the sparse rows by evaluation at the points
-    0, 1, ..., deg modulo one prime p > 2B, with B a bound on every
-    coefficient, and Newton interpolation mod p lifted to (-p/2, p/2)."""
+    0, 1, ..., deg modulo one prime p > max(2B, 2 deg), with B a bound on
+    every coefficient and deg one on the degree, and Newton interpolation
+    mod p lifted to (-p/2, p/2)."""
     if not all(rows):
         return ()  # a zero row
     lengths = [max(map(len, row.values())) for row in rows]
-    deg = sum(lengths) - n
+    # deg: with d_i the largest entry degree of row i and L the matrix of
+    # the rows' z^d_i coefficients, N(t) = diag(t^d_i) M(1/t) has N(0) = L,
+    # so det N = t^(sum d_i) det M(1/t) vanishes to order at least the
+    # nullity of L at t = 0.  The rank of L is at most the size of a
+    # maximum matching of its rows to its columns on its support, so
+    # deg det M <= sum d_i - n + that size
+    top_columns = [[j for j, ent in row.items() if len(ent) == top]
+                   for row, top in zip(rows, lengths)]
+    deg = sum(lengths) - 2 * n + _matching_size(top_columns, n)
+    if deg < 0:
+        return ()  # det M = 0
     # B: by Cauchy's estimate on |z| = 1 every coefficient of det M(z) is
     # at most max |det M(z)| there, and by Hadamard's inequality that is
     # at most the product over rows of their Euclidean norms, where
@@ -249,8 +315,10 @@ def _interpolated_det(rows, n):
     for row in rows:
         square *= sum(sum(map(abs, ent)) ** 2 for ent in row.values())
     bound = isqrt(square - 1) + 1
-    e = max(62, (2 * bound).bit_length() + 1)
-    p, c = _prime_below(e)  # p > 2**(e - 1) > 2B
+    # p > 2**(e - 1) is above 2B, so the lift is exact, and above 2 deg,
+    # so the points are distinct and 1, ..., deg invertible mod p
+    e = max((2 * bound).bit_length() + 1, deg.bit_length() + 2)
+    p, c = _prime_below(e)
     e = p.bit_length()  # p = 2**e - c: the folds below need this e
     # A row is n slots of w bits, slot j holding the entry of column j
     # plus a multiple of p, never negative.  A slot starts at most init
@@ -291,23 +359,18 @@ def _interpolated_det(rows, n):
         # the width of their remaining rows, and one pow inverts all the
         # pivots of a step.  live holds [det so far, remaining rows] per
         # point; a point leaves it when it runs out of rows or pivots
-        live = []
-        for x in range(start, min(start + _BATCH, deg + 1)):
-            m = []
-            for cs in packed:
-                acc = cs[0]
-                for a in cs[1:]:
-                    acc = acc * x + a
-                m.append(acc)
-            live.append([1, m])
+        live = [[1, _rows_at(packed, x)]
+                for x in range(start, min(start + _BATCH, deg + 1))]
         points = live[:]
         twop = 2 * p * ones
         while live:
             tops, pivots, kept = [], [], []
             for point in live:
                 m = point[1]
-                i = next((i for i, r in enumerate(m) if (r & mask) % p),
-                         None)
+                # the first row is the pivot most of the time: test it
+                # before the scan
+                i = 0 if (m[0] & mask) % p else next(
+                    (i for i, r in enumerate(m) if (r & mask) % p), None)
                 if i is None:
                     point[0] = 0
                     continue
@@ -365,7 +428,7 @@ def _sparse(matrix: Sequence[Sequence | Mapping], entry) -> list[dict]:
     rows = []
     for row in matrix:
         if isinstance(row, Mapping):
-            if not all(isinstance(j, int) and 0 <= j < n for j in row):
+            if not all(_is_int(j) and 0 <= j < n for j in row):
                 raise ValueError(f"column index outside [0, {n})")
             items = row.items()
         elif len(row) != n:
@@ -382,6 +445,14 @@ def _sparse(matrix: Sequence[Sequence | Mapping], entry) -> list[dict]:
     return rows
 
 
+def _integer(x) -> int:
+    """The int x; a bool raises TypeError, as a float or a Fraction
+    does, instead of counting as 0 or 1."""
+    if isinstance(x, bool):
+        raise TypeError(f"matrix entry {x!r} is a bool, not an integer")
+    return index(x)
+
+
 def _det(rows, n) -> IntPoly:
     """Determinant of n sparse rows: the sweep when the open width allows
     it, otherwise evaluation and interpolation."""
@@ -396,14 +467,14 @@ def det_poly(matrix: Sequence[Sequence | Mapping]) -> IntPoly:
     """Exact determinant of a square matrix of IntPoly (or int) entries,
     given as dense rows or as {column: entry} rows."""
     rows = _sparse(matrix, lambda e: e.coeffs if isinstance(e, IntPoly)
-                   else _norm((index(e),)))
+                   else _norm((_integer(e),)))
     return _det(rows, len(rows))
 
 
 def char_poly(matrix: Sequence[Sequence | Mapping]) -> IntPoly:
     """Monic characteristic polynomial det(x*I - M) of an integer matrix,
     given as dense rows or as {column: entry} rows."""
-    rows = _sparse(matrix, lambda x: _norm((-index(x),)))
+    rows = _sparse(matrix, lambda x: _norm((-_integer(x),)))
     for i, row in enumerate(rows):
         row[i] = (row.get(i, (0,))[0], 1)
     return _det(rows, len(rows))

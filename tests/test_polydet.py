@@ -7,8 +7,9 @@ import pytest
 
 from zetaforge.intpoly import _MERSENNE_EXPONENTS, IntPoly, _norm
 from zetaforge import polydet
-from zetaforge.polydet import (_BATCH, _SEARCH_BITS, _SPLIT, _degree_order,
-                               _frontier_det, _interpolated_det, _prime_below,
+from zetaforge.polydet import (_BATCH, _SEARCH_BITS, _SPLIT, _SWEEP_WIDTH,
+                               _degree_order, _frontier_det, _interpolated_det,
+                               _matching_size, _open_width, _prime_below,
                                char_poly, det_poly)
 from zetaforge.zeta import zeta_inverse
 
@@ -72,7 +73,10 @@ def fraction_det(m):
 def per_point_det(rows, n):
     """The wide route one point at a time, in the natural order, with one
     modular inverse per pivot and an update of every row: the reference
-    that the lockstep elimination is checked against."""
+    that the lockstep elimination is checked against.  It keeps the
+    looser sizes of the route's first form, so that it shares neither
+    bound with it: deg + 1 points with deg the sum of the rows' largest
+    entry degrees, and a modulus of at least 62 bits."""
     if not all(rows):
         return ()
     lengths = [max(map(len, row.values())) for row in rows]
@@ -171,6 +175,45 @@ def wide_rows(graphs, monkeypatch):
     return seen
 
 
+def points_used(monkeypatch):
+    """The list to which each point that the wide route evaluates its rows
+    at is appended, in order."""
+    xs = []
+    rows_at = polydet._rows_at
+
+    def spy(packed, x):
+        xs.append(x)
+        return rows_at(packed, x)
+
+    monkeypatch.setattr(polydet, "_rows_at", spy)
+    return xs
+
+
+def moduli_used(monkeypatch):
+    """The list to which each exponent e that the wide route asks
+    _prime_below for is appended."""
+    es = []
+    prime_below = polydet._prime_below
+
+    def spy(e):
+        es.append(e)
+        return prime_below(e)
+
+    monkeypatch.setattr(polydet, "_prime_below", spy)
+    return es
+
+
+def max_matching(adjacent, n):
+    """The most rows that take distinct columns, row i taking one of
+    adjacent[i], by brute force over the sets of taken columns: the
+    reference for _matching_size."""
+    reached = {0}
+    for columns in adjacent:
+        reached |= {used | 1 << c for used in reached for c in columns
+                    if not used >> c & 1}
+    return max(used.bit_count() for used in reached)
+
+
 def full_matrix(rng, degrees):
     """A matrix of IntPolys with no zero entry, the entries of row i of
     degree degrees[i] exactly, so its support orders naturally."""
@@ -228,6 +271,18 @@ class TestDetPoly:
                     [[P(1), 0.0], [P(), P(1)]]):
             with pytest.raises(TypeError):
                 det_poly(bad)
+
+    def test_bool_entries_and_column_keys_rejected(self):
+        # index() takes False as 0 and True as 1: det_poly([{False: 5}])
+        # gave 5 and det_poly([[True]]) gave 1
+        for f in (det_poly, char_poly):
+            for bad in ([{False: 5}], [{0: 1}, {True: 2}]):
+                with pytest.raises(ValueError, match="column index outside"):
+                    f(bad)
+            for bad in ([[True]], [[1, 0], [0, False]], [{0: True}],
+                        [{0: 1}, {1: False}]):
+                with pytest.raises(TypeError, match="bool"):
+                    f(bad)
 
     def test_zero_row(self):
         m = [[P(), P()], [P(1), P(2)]]
@@ -347,6 +402,8 @@ def strong_probable_prime(m, bases):
     while d % 2 == 0:
         d, s = d // 2, s + 1
     for a in bases:
+        if a == m:  # a small modulus that is one of the bases
+            return True
         x = pow(a, d, m)
         if x in (1, m - 1):
             continue
@@ -364,9 +421,10 @@ FIRST_20_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
 
 
 class TestModularRoute:
-    """The wide route works modulo one prime p = 2^e - c > 2B, with B
-    Hadamard's bound on the rows of coefficient 1-norms; each row is
-    packed into one int, and the pivot row is folded below 2p per step."""
+    """The wide route works modulo one prime p = 2^e - c above 2B and
+    above twice the degree bound, with B Hadamard's bound on the rows of
+    coefficient 1-norms; each row is packed into one int, and the pivot
+    row is folded below 2p per step."""
 
     def test_coefficients_equal_to_plus_and_minus_the_bound(self):
         # B = 2^k - 1 lies above half of the largest prime below 2^(k+1),
@@ -386,9 +444,10 @@ class TestModularRoute:
 
     def test_hadamard_matrices_meet_the_bound(self):
         # |det| of a Sylvester-Hadamard matrix of order n is n^(n/2),
-        # Hadamard's bound itself, at n = 16 below the 62-bit floor of e
-        # and at n = 32 (2^80) above it; row i times z^a_i and column j
-        # times z^b_j moves that coefficient, and a row swap flips it
+        # Hadamard's bound itself: 2^32 at n = 16 and 2^80 at n = 32, so
+        # the modulus is only just above 2|det|; row i times z^a_i and
+        # column j times z^b_j moves that coefficient, and a row swap
+        # flips it
         rng = random.Random(43)
         for n in (16, 32):
             h = sylvester(n)
@@ -456,14 +515,7 @@ class TestModularRoute:
         assert _prime_below(_SEARCH_BITS + 1) == ((1 << 1279) - 1, 1)
         assert _prime_below(3217) == ((1 << 3217) - 1, 1)
         assert _prime_below(3218) == ((1 << 4253) - 1, 1)
-        moduli = []
-        prime_below = polydet._prime_below
-
-        def spy(e):
-            moduli.append(prime_below(e))
-            return moduli[-1]
-
-        monkeypatch.setattr(polydet, "_prime_below", spy)
+        es = moduli_used(monkeypatch)
         rng = random.Random(67)
 
         def big():
@@ -476,9 +528,43 @@ class TestModularRoute:
             expect = det_cofactor(m).coeffs
             assert _interpolated_det(rows, 16) == expect
             assert _frontier_det(rows, 16) == expect
-        assert len(moduli) == 2
+        assert len(es) == 2
+        moduli = [_prime_below(e) for e in es]
         assert all(c == 1 and p.bit_length() in _MERSENNE_EXPONENTS
                    and p.bit_length() > _SEARCH_BITS for p, c in moduli)
+
+    def test_modulus_sized_by_the_degree(self, monkeypatch):
+        # diag(1 + z^k) and diag(1 + z^k, 1 + z^60): B = 2 and 4, so 2B
+        # alone would ask for a prime below 2^4 or 2^5, and the points
+        # 0, ..., deg would repeat mod p; the modulus must exceed 2 deg
+        es = moduli_used(monkeypatch)
+        for k in range(1, 61):
+            one = P(1, *(0,) * (k - 1), 1)
+            for m in ([[one]], [[one, P()], [P(), P(1, *(0,) * 59, 1)]]):
+                rows = sparse(m)
+                expect = det_cofactor(m)
+                got = _interpolated_det(rows, len(m))
+                assert got == expect.coeffs
+                p, _ = _prime_below(es[-1])
+                assert p > 2 * expect.degree
+                if expect.degree >= 16:  # 2B needs at most 4 bits here
+                    assert es[-1] == expect.degree.bit_length() + 2
+        three = [[P(1, *(0,) * (k - 1), 1) if i == j else P()
+                  for j in range(3)] for i, k in enumerate((20, 40, 60))]
+        assert _interpolated_det(sparse(three), 3) == \
+            (1, *(0,) * 19, 1, *(0,) * 19, 1, *(0,) * 19, 2, *(0,) * 19,
+             1, *(0,) * 19, 1, *(0,) * 19, 1)
+
+    def test_narrower_modulus_on_the_dense_graphs(self, monkeypatch):
+        # the n = 16 graphs of the dense family: 2B needs fewer than 62
+        # bits, so the modulus is narrower than the old 62-bit floor;
+        # per_point_det keeps that floor and its points, and agrees
+        cases = wide_rows(dense_family()[:5], monkeypatch)
+        es = moduli_used(monkeypatch)
+        for rows, n in cases:
+            assert n == 16
+            assert _interpolated_det(rows, n) == per_point_det(rows, n)
+        assert len(es) == 5 and max(es) < 62
 
     def test_many_small_matrices(self):
         # with three rows or more a slot takes two updates before it is
@@ -504,7 +590,7 @@ class TestModularRoute:
             assert _prime_below(e) == ((1 << e) - c, c)
         # every exponent up to 256, then a spread up to 1100: the search
         # costs about 0.4 s per exponent near 1000
-        for e in [*range(62, 257), 384, 512, 768, 1024, 1100]:
+        for e in [*range(3, 257), 384, 512, 768, 1024, 1100]:
             p, c = _prime_below(e)
             assert p == (1 << e) - c and 0 < c < 1 << 20
             assert strong_probable_prime(p, FIRST_20_PRIMES), e
@@ -512,7 +598,7 @@ class TestModularRoute:
     def test_prime_below_is_the_largest_strong_probable_prime(self):
         # the search goes down the odd numbers below 2^e and must stop
         # at the first one that the first twenty prime bases pass
-        for e in range(62, 257):
+        for e in range(3, 257):
             c = 1
             while not strong_probable_prime((1 << e) - c, FIRST_20_PRIMES):
                 c += 2
@@ -567,22 +653,26 @@ class TestLockstep:
             assert got == per_point_det(rows, n)
             assert_is_det(IntPoly(got), m, deg)
 
-    def test_singular_at_some_points(self):
+    def test_singular_at_some_points(self, monkeypatch):
         # row 0 vanishes at 3 and at B + 1, and column 5 at 2B: the
         # points in each of three batches lose their pivot at one step or
-        # another while the rest of their batch goes on
+        # another while the rest of their batch goes on.  Every row's top
+        # coefficient lies in column 5, so the degree bound is 4n + 3,
+        # the degree itself, and it reaches the third batch
         rng = random.Random(83)
         n = 8
-        m = full_matrix(rng, [3] * n)
+        m = full_matrix(rng, [4] * n)
         m[0] = [e * P(-3, 1) * P(-_BATCH - 1, 1) for e in m[0]]
         for row in m:
             row[5] = row[5] * P(-2 * _BATCH, 1)
-        deg = 3 * n + 2 + n
+        deg = 4 * n + 3
         assert deg >= 2 * _BATCH
+        xs = points_used(monkeypatch)
         rows = sparse(m)
         got = IntPoly(_interpolated_det(rows, n))
+        assert xs == list(range(deg + 1))
         assert got.coeffs == per_point_det(rows, n)
-        assert not got.is_zero
+        assert got.degree == deg
         assert got(3) == got(_BATCH + 1) == got(2 * _BATCH) == 0
         assert_is_det(got, m, deg)
 
@@ -642,6 +732,122 @@ class TestLockstep:
             for perm in (range(n - 1, -1, -1), rng.sample(range(n), n)):
                 moved = simultaneous_permutation(mapped, list(perm))
                 assert det_poly(moved) == expect
+
+
+class TestDegreeBound:
+    """The wide route evaluates at the deg + 1 points 0, ..., deg with
+    deg = sum d_i - n + nu: d_i is the largest entry degree of row i, and
+    nu the size of a maximum matching of the rows to the columns on the
+    support of L, the matrix of the rows' z^d_i coefficients.  Below 0,
+    the determinant is 0 and no point is evaluated."""
+
+    @staticmethod
+    def bound(rows, n):
+        lengths = [max(map(len, row.values())) for row in rows]
+        tops = [[j for j, ent in row.items() if len(ent) == top]
+                for row, top in zip(rows, lengths)]
+        return sum(lengths) - 2 * n + max_matching(tops, n)
+
+    def check(self, m, monkeypatch):
+        """The route on m against cofactors, and the sweep where the
+        dispatch would take it; the points are 0, ..., bound, and the
+        bound is at least the degree.  Returns (determinant, bound)."""
+        n = len(m)
+        rows = sparse(m)
+        expect = det_cofactor(m).coeffs
+        xs = points_used(monkeypatch)
+        got = _interpolated_det(rows, n)
+        monkeypatch.undo()
+        assert got == expect
+        if _open_width(rows, n) <= _SWEEP_WIDTH:
+            assert _frontier_det(rows, n) == expect
+        if not all(rows):
+            assert xs == []
+            return got, None
+        bound = self.bound(rows, n)
+        assert xs == list(range(bound + 1))
+        assert len(got) - 1 <= bound
+        return got, bound
+
+    def test_random_sparse_matrices(self, monkeypatch):
+        rng = random.Random(103)
+        below = 0  # cases whose bound is below the old sum of d_i
+        for _ in range(150):
+            n = rng.randint(1, 12)
+            m = random_matrix(rng, n, density=rng.choice((0.2, 0.4, 0.7)),
+                              max_deg=rng.randint(0, 3))
+            _, bound = self.check(m, monkeypatch)
+            if bound is not None:
+                lengths = [max(map(len, row.values())) for row in sparse(m)]
+                below += bound < sum(lengths) - n
+        assert below >= 20
+
+    def test_top_coefficients_in_one_column(self, monkeypatch):
+        # L has one nonzero column: nu = 1, and deg = 2n - n + 1
+        rng = random.Random(107)
+        for n in (2, 3, 5, 8):
+            m = [[P(rng.choice((-2, -1, 1, 2)), rng.randint(-3, 3),
+                    rng.choice((-1, 1)))]
+                 + [P(rng.randint(-3, 3), rng.choice((-1, 1)))
+                    for _ in range(n - 1)] for _ in range(n)]
+            got, bound = self.check(m, monkeypatch)
+            assert bound == n + 1
+
+    def test_singular_top_with_a_perfect_matching(self, monkeypatch):
+        # L = [[1, 1], [1, 1]] is singular but its support matches: the
+        # bound keeps deg = 2, the degree is 1
+        m = [[P(1, 1), P(0, 1)], [P(0, 1), P(2, 1)]]
+        got, bound = self.check(m, monkeypatch)
+        assert (got, bound) == ((2, 3), 2)
+
+    def test_top_without_a_perfect_matching(self, monkeypatch):
+        # both rows have their top coefficient in column 0 only: nu = 1
+        m = [[P(0, 1), P(1)], [P(0, 1), P(2)]]
+        got, bound = self.check(m, monkeypatch)
+        assert (got, bound) == ((0, 1), 1)
+        # a 4 x 4 with its top coefficients in columns 0 and 1 only
+        m = [[P(1, 2), P(0, 0, 1), P(3), P(1)],
+             [P(0, 1), P(2, 0, 1), P(1), P(0, 1)],
+             [P(0, 0, 3), P(1), P(2), P(1)],
+             [P(0, 0, 1), P(1, 1), P(1), P(5)]]
+        got, bound = self.check(m, monkeypatch)
+        assert bound == 2 + 2 + 2 + 2 - 4 + 2
+
+    def test_identically_zero(self, monkeypatch):
+        # two equal constant rows: L = M has a perfect matching, one point
+        got, bound = self.check([[P(1), P(2)], [P(1), P(2)]], monkeypatch)
+        assert (got, bound) == ((), 0)
+        # constant rows whose support does not match: no point at all
+        m = [[P(1), P(), P()], [P(2), P(), P(1)], [P(3), P(), P(4)]]
+        got, bound = self.check(m, monkeypatch)
+        assert (got, bound) == ((), -1)
+
+    def test_points_on_a_dense_graph(self, monkeypatch):
+        # mixed16_0 of the benchmark's dense family: 38 + 1 points, where
+        # the sum of the largest entry degrees would give 42 + 1
+        [(rows, n)] = wide_rows(dense_family()[:1], monkeypatch)
+        lengths = [max(map(len, row.values())) for row in rows]
+        assert (n, sum(lengths) - n) == (16, 42)
+        xs = points_used(monkeypatch)
+        got = _interpolated_det(rows, n)
+        assert xs == list(range(39))
+        assert len(got) - 1 == 38
+        assert got == per_point_det(rows, n)
+
+    def test_matching_size(self):
+        rng = random.Random(109)
+        for _ in range(300):
+            n = rng.randint(1, 9)
+            adjacent = [rng.sample(range(n), rng.randint(0, min(n, 3)))
+                        for _ in range(n)]
+            assert _matching_size(adjacent, n) == max_matching(adjacent, n)
+        # row i takes column i + 1 first, and the last row's one column
+        # is taken: its augmenting path runs back through all 3000 rows,
+        # beyond the recursion limit of a recursive search
+        n = 3000
+        adjacent = [[i + 1, i] for i in range(n - 1)] + [[n - 1]]
+        assert _matching_size(adjacent, n) == n
+        assert _matching_size(adjacent[:-1] + [[]], n) == n - 1
 
 
 class TestCharPoly:
