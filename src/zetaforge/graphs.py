@@ -19,7 +19,7 @@ class GraphFormatError(ValueError):
 
 
 def _is_int(x) -> bool:
-    """Whether x is an int and not a bool (JSON true/false)."""
+    """Whether x is an int and not a bool: the package's one integer test."""
     return isinstance(x, int) and not isinstance(x, bool)
 
 
@@ -28,7 +28,10 @@ class _Frozen:
     its fields, in order, into the instance dict; two instances of one
     class are equal when their fields are, the repr is the keyword call
     that builds the instance, and the hash is that of the fields (so
-    unhashable when a field is).  Fields cannot be assigned or deleted."""
+    unhashable when a field is).  Fields cannot be assigned or deleted.
+    IntPoly holds its field in a slot and brings its own methods."""
+
+    __slots__ = ()
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

@@ -1,9 +1,12 @@
 """Exact univariate polynomials over the integers.
 
 Coefficients are arbitrary-precision Python ints, stored densely with the
-constant term first and no trailing zeros.  All arithmetic is exact; any
-operation that would leave the ring (a division with remainder, a
-non-integral series coefficient) raises instead of rounding.
+constant term first and no trailing zeros.  A coefficient, a power or an
+int operand must pass graphs._is_int, an int and not a bool: anything
+else raises TypeError instead of being read as 0 or 1 or truncated.  All
+arithmetic is exact; any operation that would leave the ring (a division
+with remainder, a non-integral series coefficient) raises instead of
+rounding.
 
 The square-free split counts the roots 0 and +-1 directly, splits a
 polynomial g(z^k) at the degree of g, and takes every gcd by Brown's
@@ -14,9 +17,11 @@ polynomial modulo Mersenne primes.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from itertools import accumulate
-from operator import add, index, neg, sub
+from operator import add, neg, sub
+
+from .graphs import _Frozen, _is_int
 
 
 class DivisibilityError(ArithmeticError):
@@ -181,14 +186,17 @@ def _div_exact(a, b):
 # ---------------------------------------------------------------------------
 
 
-class IntPoly:
+class IntPoly(_Frozen):
     """Immutable dense polynomial with integer coefficients."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[int] = ()):
-        cs = _norm(tuple(map(index, coeffs)))
-        object.__setattr__(self, "coeffs", cs)
+        cs = tuple(coeffs)
+        if not all(map(_is_int, cs)):
+            raise TypeError("coefficients must be ints, not " + ", ".join(
+                sorted({type(c).__name__ for c in cs if not _is_int(c)})))
+        object.__setattr__(self, "coeffs", _norm(tuple(map(int, cs))))
 
     @classmethod
     def _raw(cls, coeffs: tuple) -> "IntPoly":
@@ -199,12 +207,11 @@ class IntPoly:
     @classmethod
     def term(cls, coeff: int, power: int) -> "IntPoly":
         """coeff * z**power"""
+        if not _is_int(power):
+            raise TypeError(f"power {power!r} is not an int")
         if power < 0:
             raise ValueError("negative polynomial power")
-        coeff = index(coeff)
-        if coeff == 0:
-            return ZERO
-        return cls._raw((0,) * power + (coeff,))
+        return cls((0,) * power + (coeff,))
 
     # -- structure ----------------------------------------------------------
 
@@ -214,10 +221,6 @@ class IntPoly:
         return len(self.coeffs) - 1
 
     @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
     def constant_term(self) -> int:
         return self.coeffs[0] if self.coeffs else 0
 
@@ -225,11 +228,8 @@ class IntPoly:
     def leading_coefficient(self) -> int:
         return self.coeffs[-1] if self.coeffs else 0
 
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.coeffs)
-
-    def __len__(self) -> int:
-        return len(self.coeffs)
+    # __getitem__ reads 0 past the degree, so iterating by it would not end
+    __iter__ = None
 
     def __getitem__(self, k: int) -> int:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
@@ -240,12 +240,6 @@ class IntPoly:
 
     def __hash__(self) -> int:
         return hash(self.coeffs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
         # rebuilt from coeffs: the default would set the slot by setattr
@@ -276,6 +270,8 @@ class IntPoly:
         return IntPoly._raw(_neg(self.coeffs))
 
     def __pow__(self, n: int):
+        if not _is_int(n):
+            return NotImplemented
         if n < 0:
             raise ValueError("negative polynomial power")
         result = ONE
@@ -330,8 +326,8 @@ ONE = IntPoly._raw((1,))
 def _coerce(other):
     if isinstance(other, IntPoly):
         return other.coeffs
-    if isinstance(other, int):
-        return _norm((other,))
+    if _is_int(other):
+        return _norm((int(other),))
     return NotImplemented
 
 
@@ -347,7 +343,7 @@ def exact_div(a: IntPoly, b: IntPoly) -> IntPoly:
 def primitive_part(p: IntPoly) -> IntPoly:
     """p divided by its content, sign-normalized to a positive leading
     coefficient.  The zero polynomial maps to itself."""
-    if p.is_zero:
+    if not p:
         return ZERO
     g = math.gcd(*p.coeffs)
     if p.leading_coefficient < 0:
@@ -462,7 +458,7 @@ def poly_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
     prime can only raise the degree: a lower image restarts, a constant
     one proves the gcd is 1.  The symmetric lift's primitive part is the
     gcd once it divides both inputs exactly."""
-    if a.is_zero:
+    if not a:
         a, b = b, a
     return IntPoly._raw(_gcd(a.coeffs, b.coeffs)[0]) if a else ZERO
 
@@ -536,7 +532,7 @@ def squarefree_factors(p: IntPoly) -> list[tuple[IntPoly, int]]:
     gives exactly the list that Yun's algorithm returns on p, since that
     splitting is unique.
     """
-    if p.is_zero:
+    if not p:
         raise ValueError("zero polynomial has no square-free splitting")
     rest = primitive_part(p).coeffs
     zeros = next(i for i, c in enumerate(rest) if c)

@@ -57,9 +57,9 @@ the matrix, before any arithmetic:
   coefficient is read back from (-p/2, p/2).
 
 Both are exact over Z[z]; they are property-tested against each other and
-against cofactor expansion.  Entries must be ints or IntPolys: a float,
-a Fraction or a bool raises TypeError instead of being truncated or
-read as 0 or 1.
+against cofactor expansion.  Entries must be ints or IntPolys, and an
+int entry goes through IntPoly's constructor: a float, a Fraction or a
+bool raises TypeError instead of being truncated or read as 0 or 1.
 """
 
 from __future__ import annotations
@@ -67,7 +67,6 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 from functools import cache
 from math import isqrt
-from operator import index
 
 from .graphs import _is_int
 from .intpoly import _MERSENNE_EXPONENTS, IntPoly, _addmul, _dot, _norm
@@ -445,14 +444,6 @@ def _sparse(matrix: Sequence[Sequence | Mapping], entry) -> list[dict]:
     return rows
 
 
-def _integer(x) -> int:
-    """The int x; a bool raises TypeError, as a float or a Fraction
-    does, instead of counting as 0 or 1."""
-    if isinstance(x, bool):
-        raise TypeError(f"matrix entry {x!r} is a bool, not an integer")
-    return index(x)
-
-
 def _det(rows, n) -> IntPoly:
     """Determinant of n sparse rows: the sweep when the open width allows
     it, otherwise evaluation and interpolation."""
@@ -467,14 +458,14 @@ def det_poly(matrix: Sequence[Sequence | Mapping]) -> IntPoly:
     """Exact determinant of a square matrix of IntPoly (or int) entries,
     given as dense rows or as {column: entry} rows."""
     rows = _sparse(matrix, lambda e: e.coeffs if isinstance(e, IntPoly)
-                   else _norm((_integer(e),)))
+                   else IntPoly((e,)).coeffs)
     return _det(rows, len(rows))
 
 
 def char_poly(matrix: Sequence[Sequence | Mapping]) -> IntPoly:
     """Monic characteristic polynomial det(x*I - M) of an integer matrix,
     given as dense rows or as {column: entry} rows."""
-    rows = _sparse(matrix, lambda x: _norm((-_integer(x),)))
+    rows = _sparse(matrix, lambda x: (-IntPoly((x,))).coeffs)
     for i, row in enumerate(rows):
         row[i] = (row.get(i, (0,))[0], 1)
     return _det(rows, len(rows))

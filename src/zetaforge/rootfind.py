@@ -14,11 +14,12 @@ frozen or the largest relative correction of a sweep is at most 1e-12.
 
 The float roots are checked: a non-finite root, or roots that miss the
 power sums that Newton's identities give exactly from the coefficients,
-raise NumericalError instead of reaching a verdict.  Each root is then
-refined by Newton's method on its factor in integer fixed point and
-rounded once, so the returned roots are the floats nearest to the exact
-roots, real roots have imaginary part exactly 0.0, and conjugate roots
-are exact conjugates.
+raise NumericalError instead of reaching a verdict.  The roots in one
+sector of the factor's symmetries are then refined by Newton's method in
+integer fixed point and rounded once, and their exact conjugates and
+turns give the rest (unless they collide, which raises), so the returned
+roots are the floats nearest to the exact roots, real roots have
+imaginary part exactly 0.0, and conjugate roots are exact conjugates.
 """
 
 from __future__ import annotations
@@ -309,10 +310,8 @@ def _refined(coeffs: tuple[int, ...], roots: list[complex]) -> list[complex]:
     even and f(iz) = f(z) when 4 divides k, and rounding commutes with
     conjugation and these turns.  So only the roots with an angle in
     [0, pi/turns] are refined, and the others are their exact images.
-    When the images are not deg f distinct roots (iterates astride a
-    sector edge, or two roots refined to one), each root is refined on
-    its own; NumericalError is raised if two of them refine to the same
-    root.
+    NumericalError is raised when the images are not deg f distinct
+    roots (iterates astride a sector edge, or two roots refined to one).
     """
     k = math.gcd(*(i for i, c in enumerate(coeffs) if c))
     g, turns = coeffs[::k], 4 if k % 4 == 0 else 2 if k % 2 == 0 else 1
@@ -325,14 +324,11 @@ def _refined(coeffs: tuple[int, ...], roots: list[complex]) -> list[complex]:
             for _ in range(turns):
                 images.add(complex(p.real + 0.0, p.imag + 0.0))  # no -0.0
                 p = complex(-p.imag, p.real) if turns == 4 else -p
-    if len(images) == len(roots):
-        return list(images)
-    out = [_refine(g, k, z) for z in roots]
-    if len(set(out)) < len(out):
+    if len(images) != len(roots):
         raise NumericalError(
-            f"roots of a degree-{len(coeffs) - 1} factor refine to the "
-            "same point")
-    return out
+            f"roots of a degree-{len(roots)} factor refine to "
+            f"{len(images)} distinct points")
+    return list(images)
 
 
 def _check_power_sums(p: IntPoly, roots) -> None:
@@ -373,7 +369,7 @@ def find_roots(p: IntPoly) -> RootSet:
     that miss the exact power sums (see _check_power_sums) and when
     Newton refinement fails (see _refine).
     """
-    if p.is_zero:
+    if not p:
         raise ValueError("zero polynomial has every point as a root")
     if p.degree == 0:
         return RootSet((), 0.0)

@@ -517,6 +517,13 @@ class TestVerification:
         result = verify_catalog([bad])
         assert not result.ok
 
+    def test_valency_test_against_annulus_is_issue(self, monkeypatch):
+        real = catalog.dimer_rh
+        monkeypatch.setattr(catalog, "dimer_rh", lambda v: not real(v))
+        row = verify_catalog(load_catalog()[:1]).rows[0]
+        assert row.issues == [
+            "valency inequality disagrees with the annulus test"]
+
     def test_each_distinct_dimer_is_verified_once(self, monkeypatch):
         seen = []
         real = catalog._verdict

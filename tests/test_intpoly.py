@@ -44,7 +44,7 @@ def prs_gcd(a, b):
     x, y = primitive_part(a), primitive_part(b)
     if x.degree < y.degree:
         x, y = y, x
-    while not y.is_zero:
+    while y:
         x, y = y, primitive_part(IntPoly(_pseudo_rem(x.coeffs, y.coeffs)))
     return x
 
@@ -254,6 +254,7 @@ class TestArithmetic:
             del p.coeffs
         assert p.coeffs == (1, 0, -2) and hash(p) == hash(P(1, 0, -2))
         assert table[P(1, 0, -2)] == "key" and P(5) not in table
+        assert not hasattr(p, "__dict__")  # slotted: no field can be added
         for q in (p, P(), P(-(1 << 300), 1)):
             back = pickle.loads(pickle.dumps(q))
             assert type(back) is IntPoly and back == q
@@ -273,12 +274,49 @@ class TestArithmetic:
                 IntPoly.term(bad, 2)
         assert IntPoly.term(3, 2).coeffs == (0, 0, 3)
 
+    def test_bools_rejected(self):
+        """A bool is not an int (graphs._is_int) as a coefficient, as a
+        term's coefficient or power, as an exponent or as an operand.
+        index() took True as 1: IntPoly([True, False, True]) was 1 + z^2."""
+        for build in (lambda: IntPoly([True]),
+                      lambda: IntPoly([True, False, True]),
+                      lambda: IntPoly.term(True, 1),
+                      lambda: IntPoly.term(1, True),
+                      lambda: P(1, 1) ** True,
+                      lambda: IntPoly([1.0]),
+                      lambda: P(1) + True,
+                      lambda: False * P(1)):
+            with pytest.raises(TypeError):
+                build()
+        assert P(1) != True and P() != False
+
+    def test_int_subclass_is_stored_as_int(self):
+        class Count(int):
+            pass
+
+        p = IntPoly([Count(3), 0, Count(1)])
+        assert p == P(3, 0, 1) and [type(c) for c in p.coeffs] == [int] * 3
+        q = IntPoly.term(Count(2), Count(2))
+        assert q == P(0, 0, 2) and type(q.coeffs[-1]) is int
+        assert P(1, 1) ** Count(2) == P(1, 2, 1)
+        assert type((P() + Count(2)).coeffs[0]) is int and P(2) == Count(2)
+
+    def test_not_iterable(self):
+        """Indexing reads 0 past the degree, so iteration by indexing
+        would never end: an IntPoly is not iterable and has no length."""
+        with pytest.raises(TypeError):
+            iter(P(1, 2))
+        with pytest.raises(TypeError):
+            len(P(1, 2))
+        assert P(1, 2)[1] == 2 and P(1, 2)[5] == 0
+
     def test_negative_term_power_rejected(self):
         # term(3, -2) used to return the constant 3
         for coeff, power in ((3, -2), (1, -1), (0, -1)):
             with pytest.raises(ValueError, match="negative polynomial power"):
                 IntPoly.term(coeff, power)
         assert IntPoly.term(3, 0) == P(3)
+        assert IntPoly.term(0, 3) == 0 and not IntPoly.term(0, 3)
 
     def test_ring_ops(self):
         a = P(1, 2)
@@ -343,12 +381,18 @@ class TestExactDiv:
         with pytest.raises(DivisibilityError):
             exact_div(P(1, 0, 0, -1), P(1, 0, -1))
 
+    def test_zero_and_higher_degree_divisors(self):
+        with pytest.raises(ZeroDivisionError):
+            exact_div(P(1, 2), P())
+        with pytest.raises(DivisibilityError, match="dividend below divisor"):
+            exact_div(P(1, 2), P(1, 0, 1))
+
     def test_random_products_divide_back(self):
         rng = random.Random(42)
         for _ in range(200):
             a = IntPoly(rng.randint(-5, 5) for _ in range(rng.randint(1, 6)))
             b = IntPoly(rng.randint(-5, 5) for _ in range(rng.randint(1, 6)))
-            if a.is_zero or b.is_zero:
+            if not a or not b:
                 continue
             assert exact_div(a * b, b) == a
 
@@ -733,6 +777,11 @@ class TestSeries:
     def test_requires_unit_constant_term(self):
         with pytest.raises(SeriesError):
             log_derivative_series(P(2, 1), 3)
+
+    def test_negative_horizon_rejected(self):
+        with pytest.raises(ValueError, match="horizon must be nonnegative"):
+            log_derivative_series(P(1, -1), -1)
+        assert log_derivative_series(P(1, -1), 0) == []
 
     def test_mobius_triangle(self):
         assert mobius_invert([0, 0, 6]) == [0, 0, 2]

@@ -38,7 +38,7 @@ def det_cofactor(m):
             return IntPoly(())
         total = IntPoly(())
         for j, head in enumerate(m[0]):
-            if head.is_zero:
+            if not head:
                 continue
             minor = tuple(row[:j] + row[j + 1:] for row in m[1:])
             term = head * expand(minor)
@@ -259,6 +259,9 @@ class TestDetPoly:
         assert det_poly([[2, 1], [1, 2]]) == P(3)
         assert det_poly([[P(), 1], [1, 0]]) == P(-1)
 
+    def test_empty_matrix_has_determinant_one(self):
+        assert det_poly([]) == 1 and char_poly([]) == 1
+
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             det_poly([[P(1), P(2)]])
@@ -283,10 +286,13 @@ class TestDetPoly:
                         [{0: 1}, {1: False}]):
                 with pytest.raises(TypeError, match="bool"):
                     f(bad)
+        # the entry is built by the rule det_poly applies to a bare int
+        with pytest.raises(TypeError, match="bool"):
+            det_poly([[IntPoly([True])]])
 
     def test_zero_row(self):
         m = [[P(), P()], [P(1), P(2)]]
-        assert det_poly(m).is_zero
+        assert not det_poly(m)
 
     def test_matches_cofactor_on_random_small(self):
         rng = random.Random(11)

@@ -524,14 +524,42 @@ def test_refinement_uses_the_symmetries(monkeypatch):
 def test_failed_refinement_raises(monkeypatch):
     cubic = (-6, 11, -6, 1)  # roots 1, 2, 3
     assert rootfind._refined(cubic, [1.01, 2.02, 2.97]) == [1.0, 2.0, 3.0]
-    with pytest.raises(NumericalError, match="same point"):
+    with pytest.raises(NumericalError, match="refine to 2 distinct points"):
         rootfind._refined(cubic, [1.01, 0.99, 2.97])
     with pytest.raises(NumericalError, match="left the root"):
         rootfind._refine(cubic, 1, 1.42 + 0j)  # next to a critical point
+    with pytest.raises(NumericalError, match="critical point"):
+        rootfind._refine((1, -2, 1), 1, 1 + 0j)  # the double root of g
+    with pytest.raises(NumericalError, match="cannot start at 0"):
+        rootfind._refine(cubic, 1, 0j)
     monkeypatch.setattr(rootfind, "_MAX_PREC", rootfind._PREC)
     monkeypatch.setattr(rootfind, "_STEPS", 1)
     with pytest.raises(NumericalError, match="did not settle"):
         rootfind._refine((-2, 0, 1), 1, 1.41 + 0j)
+
+
+def test_colliding_images_raise(monkeypatch):
+    """Images that are not deg f distinct roots raise at once."""
+    monkeypatch.setattr(rootfind, "_refine", lambda g, k, z: 1.0 + 0j)
+    with pytest.raises(NumericalError, match="refine to 1 distinct points"):
+        find_roots(P(-6, 11, -6, 1))
+
+
+def test_float_range_failures_raise():
+    """Roots of modulus 10^310 have no float starting circle, and a root
+    of modulus 10^-200 takes the reversed power sums past float range."""
+    with pytest.raises(NumericalError, match="root moduli beyond float"):
+        find_roots(P(1, 10**310, 1))
+    with pytest.raises(NumericalError, match="out of float range"):
+        find_roots(P(1, 10**200) * P(1, 1, 1))
+
+
+def test_zero_derivative_iterate_moves_off(monkeypatch):
+    """An iterate at a critical point of p is nudged off it, and the
+    iteration still converges."""
+    monkeypatch.setattr(rootfind, "_starts", lambda coeffs: [0j, 2j])
+    low, high = sorted(rootfind._aberth((-1, 0, 1)), key=lambda z: z.real)
+    assert abs(low + 1) < 1e-12 and abs(high - 1) < 1e-12
 
 
 def near_pair(e):
