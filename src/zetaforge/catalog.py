@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import os
 
-from .graphs import MixedGraph, _Frozen, _is_int
+from .graphs import MixedGraph, _Frozen, _fold, _is_int
 from .intpoly import IntPoly
 from .zeta import (_FLAGS, STRONG, TRIVIAL, _times_one_minus_z2, _verdict,
                    classify_moduli)
@@ -154,19 +154,14 @@ def _check_quiver(matrix) -> int:
 def quiver_to_graph(matrix) -> MixedGraph:
     """Decode a quiver adjacency matrix (see _check_quiver): diagonal
     entries are twice the loop count and off-diagonal entry (i, j) counts
-    the arrows i -> j.  As normalize does, min(m_ij, m_ji) of the arrows
-    between i and j become edges and each direction keeps its surplus as
-    arrows."""
+    the arrows i -> j.  The arrows between i and j are folded as
+    normalize folds them, in one pass over the matrix."""
     n = _check_quiver(matrix)
-    edges, arrows = [], []
-    for i, row in enumerate(matrix):
-        edges += [(i, i)] * (row[i] // 2)
-        for j in range(i + 1, n):
-            out, back = row[j], matrix[j][i]
-            paired = min(out, back)
-            edges += [(i, j)] * paired
-            arrows += [(i, j)] * (out - paired) + [(j, i)] * (back - paired)
-    return MixedGraph(n, edges, arrows)
+    loops = [(i, i) for i, row in enumerate(matrix)
+             for _ in range(row[i] // 2)]
+    pairs = ((i, j, row[j], matrix[j][i]) for i, row in enumerate(matrix)
+             for j in range(i + 1, n) if row[j] or matrix[j][i])
+    return _fold(n, loops, pairs)
 
 
 # ---------------------------------------------------------------------------

@@ -89,14 +89,14 @@ class PrimeCensus(_Frozen):
 
 
 def build_darts(g: MixedGraph) -> list[Dart]:
+    """Two mutually inverse darts per edge (a loop's both at its node),
+    then one dart with no inverse per arrow, never a loop."""
     darts: list[Dart] = []
     for i, j in g.edges:
         a = len(darts)
         darts.append(Dart(a, i, j, a + 1))
         darts.append(Dart(a + 1, j, i, a))
     for i, j in g.arrows:
-        if i == j:
-            raise CensusError(f"arrow self-loop at node {i}; normalize() first")
         darts.append(Dart(len(darts), i, j, None))
     return darts
 

@@ -23,7 +23,7 @@ from functools import cache
 from .catalog import (ade_graph, dimer_graph, load_catalog, parse_ade_spec,
                       verify_catalog)
 from .census import HORIZON_LIMIT, CensusError, enumerate_primes, pnt_ratios
-from .graphs import GraphFormatError, MixedGraph, normalize
+from .graphs import GraphFormatError, MixedGraph
 from .rootfind import NumericalError, find_roots
 from .zeta import (_FLAGS, adjacency_spectrum, analyze, plot_points,
                    zeta_inverse)
@@ -133,15 +133,13 @@ def _load_graph(args, parser: _Parser) -> MixedGraph:
     if args.graph is not None:
         try:
             with open(args.graph, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-            g = MixedGraph.from_dict(doc)
+                return MixedGraph.from_dict(json.load(fh))
         except OSError as err:
             raise ValueError(f"cannot read {args.graph}: {err}") from err
         except GraphFormatError as err:
             raise ValueError(f"{args.graph}: {err}") from err
         except ValueError as err:  # also an int past the integer-string limit
             raise ValueError(f"{args.graph}: not valid JSON: {err}") from err
-        return normalize(g)
     if args.ade is not None:
         return _spec_graph("ade", args.ade, args.loops, parser)
     return _spec_graph("dimer", args.dimer, False, parser)

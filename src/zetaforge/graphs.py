@@ -1,12 +1,12 @@
 """Finite partially directed multigraphs and their walk matrices.
 
 A graph mixes undirected edges (loops allowed, multiplicity via repeated
-pairs) with directed arrows.  The normalization convention replaces every
-arrow self-loop by an undirected loop and every mutually reciprocal arrow
-pair by a single edge, so that arrows carry only genuinely one-way
-adjacency.  A graph is immutable and hashable, like every value class of
-the package; its walk matrices are sparse, one Counter of the nonzero
-entries per row.
+pairs) with directed arrows; it stores an arrow self-loop as a loop.  The
+normalization convention (normalize, applied by the graph-file reader)
+replaces every mutually reciprocal arrow pair by a single edge, so that
+arrows carry only genuinely one-way adjacency.  A graph is immutable and
+hashable, like every value class of the package; its walk matrices are
+sparse, one Counter of the nonzero entries per row.
 """
 
 from __future__ import annotations
@@ -52,10 +52,10 @@ class _Frozen:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-def _canonical(pairs, n: int, kind: str, undirected: bool) -> tuple:
-    """The pairs sorted, each edge as (min, max); raises GraphFormatError
-    on a pair that is not a list or tuple of two node indices in [0, n)."""
-    out = []
+def _canonical(pairs, n: int, kind: str):
+    """Yield the pairs as tuples, each edge as (min, max); raises
+    GraphFormatError on a pair that is not a list or tuple of two node
+    indices in [0, n)."""
     for pair in pairs:
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise GraphFormatError(
@@ -66,19 +66,19 @@ def _canonical(pairs, n: int, kind: str, undirected: bool) -> tuple:
                 raise GraphFormatError(f"node index {k!r} is not an integer")
             if not 0 <= k < n:
                 raise GraphFormatError(f"node index {k!r} outside [0, {n})")
-        out.append((j, i) if undirected and j < i else (i, j))
-    out.sort()
-    return tuple(out)
+        yield (j, i) if kind == "edge" and j < i else (i, j)
 
 
 class MixedGraph(_Frozen):
     def __init__(self, node_count: int, edges=(), arrows=()):
         if not _is_int(node_count) or node_count < 1:
             raise GraphFormatError("node_count must be a positive integer")
-        self.__dict__.update(
+        edges = list(_canonical(edges, node_count, "edge"))
+        arrows = list(_canonical(arrows, node_count, "arrow"))
+        self.__dict__.update(  # each arrow self-loop is stored as a loop
             node_count=node_count,
-            edges=_canonical(edges, node_count, "edge", True),
-            arrows=_canonical(arrows, node_count, "arrow", False))
+            edges=tuple(sorted(edges + [a for a in arrows if a[0] == a[1]])),
+            arrows=tuple(sorted(a for a in arrows if a[0] != a[1])))
 
     @property
     def edge_count(self) -> int:
@@ -94,6 +94,7 @@ class MixedGraph(_Frozen):
 
     @classmethod
     def from_dict(cls, doc) -> "MixedGraph":
+        """The normalized graph of a graph-file document."""
         if not isinstance(doc, dict):
             raise GraphFormatError("graph document must be an object")
         try:
@@ -105,7 +106,7 @@ class MixedGraph(_Frozen):
         for name, pairs in (("edges", edges), ("arrows", arrows)):
             if not isinstance(pairs, list):
                 raise GraphFormatError(f"'{name}' must be a list of [i, j] pairs")
-        return cls(nodes, edges, arrows)
+        return normalize(cls(nodes, edges, arrows))
 
     def to_dict(self) -> dict:
         return {"nodes": self.node_count,
@@ -114,12 +115,12 @@ class MixedGraph(_Frozen):
 
 
 class MatrixBundle(_Frozen):
-    """Walk matrices of a normalized graph.
+    """Walk matrices of a graph.
 
     adjacency[i][j] counts length-one walks i->j along edges or arrows,
     with diagonal entries twice the loop count; arrows[i][j] counts arrows
-    only, so its diagonal is empty.  Each row is a Counter that stores
-    only its nonzero entries, so a column outside its support reads 0.
+    only, so its diagonal is empty (no graph holds an arrow self-loop).
+    Each row is a Counter of its nonzero entries: off its support reads 0.
     degree_diag[i] is the undirected degree (loops count twice) minus one.
     """
 
@@ -133,27 +134,29 @@ DegreeProfile = namedtuple("DegreeProfile",
                            "min_degree max_degree is_regular")
 
 
-def normalize(g: MixedGraph) -> MixedGraph:
-    """Fold arrow self-loops into loops and reciprocal arrow pairs into
-    edges: c arrows i->j and c' arrows j->i give min(c, c') edges, and
-    each direction keeps its surplus as arrows.  Edges are untouched."""
-    edges = list(g.edges)
-    counts = Counter(g.arrows)
+def _fold(n: int, edges: list, pairs) -> MixedGraph:
+    """The graph of n nodes with these edges and, per (i, j, c, c') in
+    pairs, c arrows i->j and c' arrows j->i folded as normalize says."""
     arrows = []
-    for (i, j), c in counts.items():
-        if i == j:
-            edges += [(i, i)] * c
-            continue
-        paired = min(c, counts[j, i])  # a missing key reads 0
-        if i < j:
-            edges += [(i, j)] * paired
-        arrows += [(i, j)] * (c - paired)
-    return MixedGraph(g.node_count, edges, arrows)
+    for i, j, out, back in pairs:
+        paired = min(out, back)
+        edges += [(i, j)] * paired
+        arrows += [(i, j)] * (out - paired) + [(j, i)] * (back - paired)
+    return MixedGraph(n, edges, arrows)
+
+
+def normalize(g: MixedGraph) -> MixedGraph:
+    """Fold reciprocal arrow pairs into edges: c arrows i->j and c' arrows
+    j->i give min(c, c') edges, and each direction keeps its surplus as
+    arrows.  Edges are untouched, and normalize is idempotent."""
+    counts = Counter(g.arrows)
+    return _fold(g.node_count, list(g.edges), (
+        (i, j, c, counts[j, i]) if i < j else (j, i, 0, c)
+        for (i, j), c in counts.items() if i < j or (j, i) not in counts))
 
 
 def matrices(g: MixedGraph) -> MatrixBundle:
-    """Extract the walk matrices; the graph must carry no arrow self-loops
-    (normalize() first)."""
+    """Extract the walk matrices."""
     n = g.node_count
     adj = [Counter() for _ in range(n)]
     arr = [Counter() for _ in range(n)]
@@ -164,9 +167,6 @@ def matrices(g: MixedGraph) -> MatrixBundle:
         degrees[i] += 1
         degrees[j] += 1
     for i, j in g.arrows:
-        if i == j:
-            raise GraphFormatError(
-                f"arrow self-loop at node {i}; call normalize() first")
         adj[i][j] += 1
         arr[i][j] += 1
     return MatrixBundle(tuple(adj), tuple(arr), tuple(d - 1 for d in degrees))

@@ -28,7 +28,7 @@ import math
 
 from .graphs import (MixedGraph, _Frozen, degree_profile, is_connected,
                      matrices)
-from .intpoly import IntPoly, _roots_between, exact_div
+from .intpoly import IntPoly, _norm, _roots_between, exact_div
 from .polydet import char_poly, det_poly
 from .rootfind import RootSet, find_roots
 
@@ -45,23 +45,24 @@ _MODULUS_TOL = 1e-8
 
 
 def zeta_inverse(g: MixedGraph) -> IntPoly:
-    """Reciprocal zeta polynomial of a normalized graph; constant term 1."""
+    """Reciprocal zeta polynomial of g, arrows one-way; constant term 1."""
     b = matrices(g)
     rows = []
     power = g.edge_count - g.node_count
+    raw = IntPoly._raw  # the entries are normalized tuples of counts
     for i, (adj, arr, q) in enumerate(zip(b.adjacency, b.arrows,
                                           b.degree_diag)):
         if q < 0:
             # no undirected edge: the row is (1 - z^2) * (e_i - z A_i),
             # and the factor joins the prefactor
-            row = {j: IntPoly((0, -a)) for j, a in adj.items()}
-            row[i] = IntPoly((1,))
+            row = {j: raw((0, -a)) for j, a in adj.items()}
+            row[i] = raw((1,))
             power += 1
         else:
             # arrows count in the adjacency, so its support covers both;
             # the arrows' diagonal is empty (no arrow self-loops)
-            row = {j: IntPoly((0, -a, 0, arr[j])) for j, a in adj.items()}
-            row[i] = IntPoly((1, -adj[i], q))
+            row = {j: raw(_norm((0, -a, 0, arr[j]))) for j, a in adj.items()}
+            row[i] = raw(_norm((1, -adj[i], q)))
         rows.append(row)
     result = _times_one_minus_z2(det_poly(rows), power)
     assert result.constant_term == 1
@@ -71,8 +72,13 @@ def zeta_inverse(g: MixedGraph) -> IntPoly:
 def _times_one_minus_z2(p: IntPoly, power: int) -> IntPoly:
     """p * (1 - z^2)^power; a negative power is an exact division, which
     raises DivisibilityError unless (1 - z^2)^-power divides p."""
-    factor = IntPoly((1, 0, -1)) ** abs(power)
-    return p * factor if power >= 0 else exact_div(p, factor)
+    if not power:
+        return p
+    k = abs(power)
+    coeffs = [0] * (2 * k + 1)  # binomial coefficients at the even powers
+    coeffs[::2] = [(-1) ** m * math.comb(k, m) for m in range(k + 1)]
+    factor = IntPoly._raw(tuple(coeffs))
+    return p * factor if power > 0 else exact_div(p, factor)
 
 
 def directed_zeta_inverse(g: MixedGraph) -> IntPoly:

@@ -190,9 +190,12 @@ class TestDarts:
         assert len(darts) == 1
         assert darts[0].inverse is None
 
-    def test_rejects_arrow_loop(self):
-        with pytest.raises(CensusError):
-            build_darts(MixedGraph(1, arrows=((0, 0),)))
+    def test_arrow_self_loop_gives_loop_darts(self):
+        raw = MixedGraph(2, edges=((0, 1),), arrows=((1, 1),))
+        looped = MixedGraph(2, edges=((0, 1), (1, 1)))
+        assert build_darts(raw) == build_darts(looped)
+        assert zeta_inverse(raw) == zeta_inverse(looped)
+        assert enumerate_primes(raw, 6) == enumerate_primes(looped, 6)
 
 
 class TestClosedWalks:

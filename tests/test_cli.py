@@ -5,6 +5,8 @@ import pytest
 
 from zetaforge import cli, rootfind
 from zetaforge.cli import main
+from zetaforge.graphs import MixedGraph
+from zetaforge.zeta import zeta_inverse
 
 
 # a random mixed multigraph: 15 nodes, 45 edges, 15 arrows
@@ -125,6 +127,16 @@ class TestZetaVerb:
         code, out, _ = run(capsys, "zeta", "--graph", str(path))
         assert code == 0
         assert out.strip() == "1"  # reciprocal pair folds into a tree edge
+
+    def test_graph_file_reads_as_in_the_library(self, capsys, tmp_path):
+        doc = {"nodes": 3, "edges": [[0, 0]],
+               "arrows": [[0, 1], [1, 0], [1, 2], [2, 0]]}
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "zeta", "--graph", str(path))
+        coeffs = zeta_inverse(MixedGraph.from_dict(doc)).coeffs
+        assert code == 0 and coeffs == (1, -2, 1, -1, 0, 1)
+        assert out == ", ".join(map(str, coeffs)) + "\n"
 
 
 class TestRhVerb:

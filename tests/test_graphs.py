@@ -43,6 +43,37 @@ def densify(rows):
     return tuple(tuple(row[j] for j in range(n)) for row in rows)
 
 
+def raw_pairs(rng):
+    """(n, edges, arrows) of a random raw graph on 1-6 nodes whose arrows
+    repeat and include self-loops and reciprocal pairs."""
+    n = rng.randint(1, 6)
+    edges = [(rng.randrange(n), rng.randrange(n))
+             for _ in range(rng.randint(0, 3))]
+    arrows = []
+    for _ in range(rng.randint(0, 8)):
+        i, j = rng.randrange(n), rng.randrange(n)
+        arrows += [(i, j)] * rng.randint(1, 4)
+        if rng.random() < 0.5:
+            arrows += [(j, i)] * rng.randint(1, 4)
+    return n, edges, arrows
+
+
+def per_pair_reference(n, edges, arrows):
+    """The normal form, pair by pair: each arrow self-loop a loop, and
+    each unordered pair {i, j} with a arrows i->j and b arrows j->i
+    min(a, b) edges and both surpluses as arrows."""
+    counts = Counter(arrows)
+    loops = [(i, i) for i in range(n) for _ in range(counts[i, i])]
+    pairs, rest = [], []
+    for i in range(n):
+        for j in range(i + 1, n):
+            a, b = counts[i, j], counts[j, i]
+            pairs += [(i, j)] * min(a, b)
+            rest += [(i, j)] * (a - min(a, b))
+            rest += [(j, i)] * (b - min(a, b))
+    return MixedGraph(n, edges + loops + pairs, rest)
+
+
 class TestConstruction:
     def test_canonical_edges(self):
         g = MixedGraph(3, edges=((2, 1), (0, 2)))
@@ -65,6 +96,22 @@ class TestConstruction:
     def test_round_trip_dict(self):
         g = MixedGraph(3, edges=((0, 1), (1, 1)), arrows=((2, 0),))
         assert MixedGraph.from_dict(g.to_dict()) == g
+
+    def test_arrow_self_loop_is_stored_as_loop(self):
+        g = MixedGraph(2, edges=((0, 1),), arrows=((1, 1),))
+        assert g.arrows == ()
+        assert g == MixedGraph(2, edges=((0, 1), (1, 1)))
+
+    def test_constructor_keeps_reciprocal_arrows(self):
+        g = MixedGraph(2, arrows=((1, 0), (0, 1)))
+        assert (g.edges, g.arrows) == ((), ((0, 1), (1, 0)))
+
+    def test_from_dict_folds_on_load(self):
+        doc = {"nodes": 3, "edges": [[0, 0]],
+               "arrows": [[0, 1], [1, 0], [1, 2], [2, 0]]}
+        g = MixedGraph.from_dict(doc)
+        assert g.edges == ((0, 0), (0, 1))
+        assert g.arrows == ((1, 2), (2, 0))
 
     def test_from_dict_validation(self):
         with pytest.raises(GraphFormatError):
@@ -119,32 +166,38 @@ class TestNormalize:
         matter."""
         rng = random.Random(26)
         for _ in range(500):
-            n = rng.randint(1, 6)
-            edges = [(rng.randrange(n), rng.randrange(n))
-                     for _ in range(rng.randint(0, 3))]
-            arrows = []
-            for _ in range(rng.randint(0, 8)):
-                i, j = rng.randrange(n), rng.randrange(n)
-                arrows += [(i, j)] * rng.randint(1, 4)
-                if rng.random() < 0.5:
-                    arrows += [(j, i)] * rng.randint(1, 4)
-            counts = Counter(arrows)
-            loops = [(i, i) for i in range(n) for _ in range(counts[i, i])]
-            pairs, rest = [], []
-            for i in range(n):
-                for j in range(i + 1, n):
-                    a, b = counts[i, j], counts[j, i]
-                    pairs += [(i, j)] * min(a, b)
-                    rest += [(i, j)] * (a - min(a, b))
-                    rest += [(j, i)] * (b - min(a, b))
-            want = MixedGraph(n, edges + loops + pairs, rest)
+            n, edges, arrows = raw_pairs(rng)
+            want = per_pair_reference(n, edges, arrows)
             g = MixedGraph(n, edges, arrows)
             assert normalize(g) == want
-            # MixedGraph sorts its arrows, so hand normalize them shuffled
-            # in a plain namespace
+            # MixedGraph sorts its arrows and keeps its arrow self-loops
+            # as loops, so hand normalize the one-way arrows shuffled in a
+            # plain namespace
             rng.shuffle(arrows)
-            assert normalize(SimpleNamespace(node_count=n, edges=g.edges,
-                                             arrows=tuple(arrows))) == want
+            assert normalize(SimpleNamespace(
+                node_count=n, edges=g.edges,
+                arrows=tuple(a for a in arrows if a[0] != a[1]))) == want
+
+    def test_no_graph_holds_an_arrow_self_loop(self):
+        """On raw graphs with arrow self-loops and reciprocal pairs, the
+        constructor, normalize and the graph-file reader all give graphs
+        without an arrow (i, i); the constructor keeps reciprocal pairs,
+        and the reader folds them as normalize does."""
+        rng = random.Random(32)
+        for _ in range(300):
+            n, edges, arrows = raw_pairs(rng)
+            g = MixedGraph(n, edges, arrows)
+            folded = normalize(g)
+            assert folded == per_pair_reference(n, edges, arrows)
+            assert MixedGraph.from_dict(g.to_dict()) == folded
+            assert MixedGraph.from_dict({"nodes": n, "edges": edges,
+                                         "arrows": arrows}) == folded
+            for h in (g, folded):
+                assert all(i != j for i, j in h.arrows)
+            loops = [(i, j) for i, j in arrows if i == j]
+            assert g.edges == MixedGraph(n, edges + loops).edges
+            assert g.arrows == tuple(sorted(
+                (i, j) for i, j in arrows if i != j))
 
 
 class TestMatrices:
@@ -168,9 +221,11 @@ class TestMatrices:
         assert densify(b.arrows) == ((0, 0, 0),) * 3
         assert b.degree_diag == (1, 1, 1)
 
-    def test_rejects_arrow_self_loop(self):
-        with pytest.raises(GraphFormatError):
-            matrices(MixedGraph(1, arrows=((0, 0),)))
+    def test_arrow_self_loop_reads_as_loop(self):
+        looped = matrices(MixedGraph(2, edges=((0, 1), (1, 1))))
+        assert matrices(MixedGraph(2, edges=((0, 1),),
+                                   arrows=((1, 1),))) == looped
+        assert [dict(r) for r in looped.arrows] == [{}, {}]
 
     def test_edge_minus_arrow_matrix_symmetric(self):
         rng = random.Random(29)

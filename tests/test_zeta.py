@@ -12,7 +12,7 @@ from zetaforge.graphs import (MixedGraph, degree_profile, matrices,
                               normalize)
 from zetaforge import zeta
 from zetaforge.cli import main
-from zetaforge.intpoly import IntPoly, _roots_between
+from zetaforge.intpoly import DivisibilityError, IntPoly, _roots_between
 from zetaforge.polydet import char_poly
 from zetaforge.zeta import (STRONG, TRIVIAL, VIOLATED, _xi_holds,
                             adjacency_spectrum, analyze,
@@ -79,6 +79,23 @@ class TestZetaInverse:
         for g in dense_family():
             zeta_inverse(g)
         assert calls == {"_frontier_det": 0, "_interpolated_det": 7}
+
+    def test_prefactor_equals_the_power_of_one_minus_z2(self):
+        """(1 - z^2)^k from its binomial coefficients equals the power,
+        for k in -8..120; a p that (1 - z^2)^|k| does not divide still
+        raises DivisibilityError."""
+        rng = random.Random(32)
+        unit = P(1, 0, -1)
+        for k in range(-8, 121):
+            factor = unit ** abs(k)
+            p = IntPoly([1] + [rng.randint(-9, 9) for _ in range(6)])
+            if k >= 0:
+                assert zeta._times_one_minus_z2(p, k) == p * factor
+            else:
+                assert zeta._times_one_minus_z2(p * factor, k) == p
+                with pytest.raises(DivisibilityError):
+                    zeta._times_one_minus_z2(p * factor + P(0, 1), k)
+        assert zeta._times_one_minus_z2(p, 0) is p
 
     def test_disconnected_graph_multiplies(self):
         two_triangles = MixedGraph(6, edges=((0, 1), (1, 2), (0, 2),
