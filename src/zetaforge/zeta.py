@@ -49,7 +49,7 @@ def zeta_inverse(g: MixedGraph) -> IntPoly:
     b = matrices(g)
     rows = []
     power = g.edge_count - g.node_count
-    raw = IntPoly._raw  # the entries are normalized tuples of counts
+    raw = IntPoly._raw  # entries of counts from matrices need no int check
     for i, (adj, arr, q) in enumerate(zip(b.adjacency, b.arrows,
                                           b.degree_diag)):
         if q < 0:
