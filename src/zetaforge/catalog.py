@@ -37,18 +37,15 @@ def ade_graph(family: str, index: int, with_loops: bool = False) -> MixedGraph:
     E index 6, 7 or 8 is the affine diagram with index + 1 nodes.
     with_loops adds two loops to every node.
     """
+    if not _is_int(index):
+        raise TypeError(f"index {index!r} is not an int")
     family = family.upper()
     edges: list[tuple[int, int]] = []
     if family == "A":
         if index < 0:
             raise ValueError("A-family index must be nonnegative")
         n = index + 1
-        if index == 0:
-            edges.append((0, 0))
-        elif index == 1:
-            edges.extend([(0, 1), (0, 1)])
-        else:
-            edges.extend((i, (i + 1) % n) for i in range(n))
+        edges.extend((i, (i + 1) % n) for i in range(n))
     elif family == "D":
         if index < 4:
             raise ValueError("D-family index must be at least 4")

@@ -59,7 +59,7 @@ from bisect import bisect_right
 from itertools import accumulate
 from math import gcd
 
-from .graphs import MixedGraph, _Frozen
+from .graphs import MixedGraph, _Frozen, _is_int
 
 HORIZON_LIMIT = 12
 
@@ -111,6 +111,8 @@ def _successors(darts: list[Dart]) -> list[list[int]]:
 
 
 def _check_horizon(horizon: int):
+    if not _is_int(horizon):
+        raise TypeError(f"horizon {horizon!r} is not an int")
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     if horizon > HORIZON_LIMIT:

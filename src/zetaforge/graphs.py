@@ -6,7 +6,7 @@ normalization convention (normalize, applied by the graph-file reader)
 replaces every mutually reciprocal arrow pair by a single edge, so that
 arrows carry only genuinely one-way adjacency.  A graph is immutable and
 hashable, like every value class of the package; its walk matrices are
-sparse, one Counter of the nonzero entries per row.
+sparse, one plain dict of the nonzero entries per row.
 """
 
 from __future__ import annotations
@@ -120,14 +120,14 @@ class MatrixBundle(_Frozen):
     adjacency[i][j] counts length-one walks i->j along edges or arrows,
     with diagonal entries twice the loop count; arrows[i][j] counts arrows
     only, so its diagonal is empty (no graph holds an arrow self-loop).
-    Each row is a Counter of its nonzero entries: off its support reads 0.
-    degree_diag[i] is the undirected degree (loops count twice) minus one.
+    Each row is a plain dict of its nonzero entries, so an entry off its
+    support is absent: read it with row.get(j, 0).  The rows determine
+    the degrees: sum(adjacency[i].values()) - sum(arrows[i].values()) is
+    node i's undirected degree, loops counted twice.
     """
 
-    def __init__(self, adjacency: tuple[Counter, ...],
-                 arrows: tuple[Counter, ...], degree_diag: tuple[int, ...]):
-        self.__dict__.update(adjacency=adjacency, arrows=arrows,
-                             degree_diag=degree_diag)
+    def __init__(self, adjacency: tuple[dict, ...], arrows: tuple[dict, ...]):
+        self.__dict__.update(adjacency=adjacency, arrows=arrows)
 
 
 DegreeProfile = namedtuple("DegreeProfile",
@@ -158,18 +158,15 @@ def normalize(g: MixedGraph) -> MixedGraph:
 def matrices(g: MixedGraph) -> MatrixBundle:
     """Extract the walk matrices."""
     n = g.node_count
-    adj = [Counter() for _ in range(n)]
-    arr = [Counter() for _ in range(n)]
-    degrees = [0] * n  # undirected degree, loops twice
+    adj = [{} for _ in range(n)]
+    arr = [{} for _ in range(n)]
     for i, j in g.edges:
-        adj[i][j] += 1  # a loop adds 2 on the diagonal
-        adj[j][i] += 1
-        degrees[i] += 1
-        degrees[j] += 1
+        adj[i][j] = adj[i].get(j, 0) + 1  # a loop adds 2 on the diagonal
+        adj[j][i] = adj[j].get(i, 0) + 1
     for i, j in g.arrows:
-        adj[i][j] += 1
-        arr[i][j] += 1
-    return MatrixBundle(tuple(adj), tuple(arr), tuple(d - 1 for d in degrees))
+        adj[i][j] = adj[i].get(j, 0) + 1
+        arr[i][j] = arr[i].get(j, 0) + 1
+    return MatrixBundle(tuple(adj), tuple(arr))
 
 
 def total_degrees(g: MixedGraph) -> list[int]:

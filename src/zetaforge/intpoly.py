@@ -586,6 +586,8 @@ def log_derivative_series(zeta_inverse: IntPoly, horizon: int) -> list[int]:
     """
     if zeta_inverse.constant_term != 1:
         raise SeriesError("constant term must be 1")
+    if not _is_int(horizon):
+        raise TypeError(f"horizon {horizon!r} is not an int")
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
     p = zeta_inverse.coeffs

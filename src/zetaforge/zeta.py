@@ -50,8 +50,8 @@ def zeta_inverse(g: MixedGraph) -> IntPoly:
     rows = []
     power = g.edge_count - g.node_count
     raw = IntPoly._raw  # entries of counts from matrices need no int check
-    for i, (adj, arr, q) in enumerate(zip(b.adjacency, b.arrows,
-                                          b.degree_diag)):
+    for i, (adj, arr) in enumerate(zip(b.adjacency, b.arrows)):
+        q = sum(adj.values()) - sum(arr.values()) - 1  # undirected degree - 1
         if q < 0:
             # no undirected edge: the row is (1 - z^2) * (e_i - z A_i),
             # and the factor joins the prefactor
@@ -60,9 +60,11 @@ def zeta_inverse(g: MixedGraph) -> IntPoly:
             power += 1
         else:
             # arrows count in the adjacency, so its support covers both;
-            # the arrows' diagonal is empty (no arrow self-loops)
-            row = {j: raw(_norm((0, -a, 0, arr[j]))) for j, a in adj.items()}
-            row[i] = raw(_norm((1, -adj[i], q)))
+            # a row holds only its nonzero entries, so an absent one reads
+            # as 0, and the arrows' diagonal is empty (no arrow self-loops)
+            row = {j: raw(_norm((0, -a, 0, arr.get(j, 0))))
+                   for j, a in adj.items()}
+            row[i] = raw(_norm((1, -adj.get(i, 0), q)))
         rows.append(row)
     result = _times_one_minus_z2(det_poly(rows), power)
     assert result.constant_term == 1
@@ -173,9 +175,8 @@ def _xi_holds(denom: IntPoly, q: int, n: int, m: int) -> bool:
         return False
     lhs = _q_reversal(denom, q)
     rhs = denom * (-q ** n if (m + n) & 1 else q ** n)
-    if q > 1:
-        lhs = _times_one_minus_z2(lhs, m - n)
-        rhs = rhs * IntPoly((1, 0, -q * q)) ** (m - n)
+    lhs = _times_one_minus_z2(lhs, m - n)
+    rhs = rhs * IntPoly((1, 0, -q * q)) ** (m - n)
     return lhs == rhs
 
 
@@ -290,8 +291,3 @@ def plot_points(g: MixedGraph) -> list[tuple[float, float, str]]:
         rows.extend([(lam.real, lam.imag, "eigenvalue")] * mult)
     return rows
 
-
-__all__ = ["STRONG", "WEAK", "VIOLATED", "TRIVIAL", "ZetaReport",
-           "zeta_inverse", "directed_zeta_inverse", "adjacency_spectrum",
-           "is_ramanujan", "xi_functional_check", "analyze", "plot_points",
-           "classify_moduli"]

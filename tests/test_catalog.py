@@ -66,6 +66,16 @@ class TestAdeGenerator:
         with pytest.raises(ValueError):
             ade_graph("F", 4)
 
+    def test_bool_index_rejected(self):
+        """True is not read as index 1 (the doubled edge)."""
+        with pytest.raises(TypeError, match="index True is not an int"):
+            ade_graph("A", True)
+
+    def test_float_index_rejected(self):
+        """A float index fails at the check, not as a node_count error."""
+        with pytest.raises(TypeError, match="index 6.0 is not an int"):
+            ade_graph("E", 6.0)
+
     def test_parse_spec(self):
         assert parse_ade_spec("a2") == ("A", 2)
         assert parse_ade_spec("E8") == ("E", 8)
@@ -87,8 +97,10 @@ class TestAdeGenerator:
 class TestDimer:
     def test_pair_matrices(self):
         b = matrices(dimer_graph([3]))
-        assert [dict(r) for r in b.adjacency] == [{1: 3}, {0: 3}]
-        assert b.degree_diag == (2, 2)
+        assert b.adjacency == ({1: 3}, {0: 3})
+        assert b.arrows == ({}, {})
+        assert [sum(a.values()) - sum(p.values()) - 1
+                for a, p in zip(b.adjacency, b.arrows)] == [2, 2]
 
     def test_single_edge_pair(self):
         g = dimer_graph([1])
@@ -167,7 +179,7 @@ class TestQuiverDecode:
             for i in range(n):
                 m[i][i] = 2 * rng.randint(0, 2)
             g = quiver_to_graph(m)
-            assert [[r[j] for j in range(n)]
+            assert [[r.get(j, 0) for j in range(n)]
                     for r in matrices(g).adjacency] == m
             assert normalize(g) == g
             for i in range(n):

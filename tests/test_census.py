@@ -214,6 +214,11 @@ class TestClosedWalks:
         with pytest.raises(ValueError):
             count_closed_paths(WORKED, 0)
 
+    def test_bool_horizon_rejected(self):
+        """True is not read as horizon 1."""
+        with pytest.raises(TypeError, match="horizon True is not an int"):
+            count_closed_paths(WORKED, True)
+
 
 class TestPrimes:
     def test_triangle_classes(self):
@@ -230,6 +235,17 @@ class TestPrimes:
         census = enumerate_primes(MixedGraph(3, edges=((0, 1), (1, 2))), 5)
         assert census.prime_counts == [0] * 5
         assert census.delta == 0
+
+    def test_bool_horizon_rejected(self):
+        """No census with horizon=True comes back."""
+        with pytest.raises(TypeError, match="horizon True is not an int"):
+            enumerate_primes(WORKED, True)
+
+    def test_float_horizon_rejected(self):
+        """A float horizon fails at the check, not inside the packed
+        trace (float has no bit_length)."""
+        with pytest.raises(TypeError, match="horizon 3.0 is not an int"):
+            enumerate_primes(WORKED, 3.0)
 
     def test_worked_graph_matches_mobius(self):
         census = enumerate_primes(WORKED, 4)

@@ -783,6 +783,11 @@ class TestSeries:
             log_derivative_series(P(1, -1), -1)
         assert log_derivative_series(P(1, -1), 0) == []
 
+    def test_bool_horizon_rejected(self):
+        """True is not read as horizon 1."""
+        with pytest.raises(TypeError, match="horizon True is not an int"):
+            log_derivative_series(P(1, -1), True)
+
     def test_mobius_triangle(self):
         assert mobius_invert([0, 0, 6]) == [0, 0, 2]
 

@@ -312,14 +312,19 @@ def edge_free_rich(rng):
     return MixedGraph(n, edges, arrows)
 
 
+def undirected_degree(g, v):
+    """Node v's undirected degree counted from g.edges, loops twice."""
+    return sum((i == v) + (j == v) for i, j in g.edges)
+
+
 def unfactored_zeta_inverse(g):
     """(1 - z^2)^(m - n) det(I - Az + Qz^2 + Pz^3), every row as it
     stands."""
     b = matrices(g)
     rows = []
     for i, (adj, arr) in enumerate(zip(b.adjacency, b.arrows)):
-        row = {j: P(0, -a, 0, arr[j]) for j, a in adj.items()}
-        row[i] = P(1, -adj[i], b.degree_diag[i])
+        row = {j: P(0, -a, 0, arr.get(j, 0)) for j, a in adj.items()}
+        row[i] = P(1, -adj.get(i, 0), undirected_degree(g, i) - 1)
         rows.append(row)
     return zeta._times_one_minus_z2(polydet.det_poly(rows),
                                     g.edge_count - g.node_count)
@@ -340,7 +345,8 @@ class TestEdgeFreeRows:
             z0 = rng.randrange(2, DART_MOD)
             assert zeta_mod(zi, z0) == dart_det(g, z0), g
             b = matrices(g)
-            free = [i for i, q in enumerate(b.degree_diag) if q < 0]
+            free = [i for i in range(g.node_count)
+                    if not undirected_degree(g, i)]
             power = g.edge_count - g.node_count + len(free)
             kinds["divides" if power < 0 else "multiplies"] += 1
             kinds["m >= n"] += g.edge_count >= g.node_count
@@ -509,7 +515,7 @@ def jacobi_eigenvalues(matrix):
     """Eigenvalues of a real symmetric matrix, given as sparse rows, by
     cyclic Jacobi rotations, in ascending order."""
     n = len(matrix)
-    a = [[float(row[j]) for j in range(n)] for row in matrix]
+    a = [[float(row.get(j, 0)) for j in range(n)] for row in matrix]
     for _ in range(100):
         off = sum(a[p][q] ** 2 for p in range(n) for q in range(p + 1, n))
         if off <= 1e-30 * (1.0 + sum(a[p][p] ** 2 for p in range(n))):
