@@ -37,6 +37,8 @@ def ade_graph(family: str, index: int, with_loops: bool = False) -> MixedGraph:
     E index 6, 7 or 8 is the affine diagram with index + 1 nodes.
     with_loops adds two loops to every node.
     """
+    if not isinstance(family, str):
+        raise TypeError(f"family {family!r} is not a str")
     if not _is_int(index):
         raise TypeError(f"index {index!r} is not an int")
     family = family.upper()

@@ -622,8 +622,12 @@ def mobius_invert(counts: list[int]) -> list[int]:
     pi(m) = (1/m) * sum_{d|m} mu(m/d) * N_d.
 
     Raises SeriesError if any pi(m) fails to be a nonnegative integer,
-    which signals inconsistent input rather than a rounding issue.
+    which signals inconsistent input rather than a rounding issue, and
+    TypeError on a count that is not an int (a float or a bool).
     """
+    for count in counts:
+        if not _is_int(count):
+            raise TypeError(f"count {count!r} is not an int")
     horizon = len(counts)
     primes = []
     for m in range(1, horizon + 1):

@@ -7,14 +7,20 @@ exact integer polynomial
 
 with A the full adjacency matrix, P the arrows-only matrix, Q the
 diagonal of undirected degrees minus one, n the node count and m the
-edge count.  A node with no undirected edge has Q_ii = -1 and only
-arrows in its row of A, so that row is (1 - z^2) times the row of
-I - A z: the determinant takes the shorter row, and each such node adds
-one to the prefactor's exponent.  When the exponent is negative the
-prefactor becomes an exact division, whose failure would contradict
-rationality and raises.  On an arrows-only graph the polynomial is
-det(I - A z), the characteristic polynomial of A with its coefficients
-reversed (directed_zeta_inverse).
+edge count.  zeta counts prime cycles by their length alone, so it is
+the same on the series-reduced core (_series_core): leaves stripped,
+and each node with just two edges, or just one arrow in and another
+out, folded into one edge or arrow of the summed length.  The core's
+Bass matrix with lengths (_bass_rows) has the rows of the form above
+when every length is 1; a node with no undirected edge then has Q_ii =
+-1 and only arrows in its row of A, so that row is (1 - z^2) times the
+row of I - A z, and the determinant takes the shorter row.  The
+prefactor is a product of powers of 1 - z^(2l); a negative power is an
+exact division, whose failure would contradict rationality and raises.
+A cycle's core is one loop, and a forest's is empty, with zeta^-1 = 1.
+On an arrows-only graph the polynomial is det(I - A z), the
+characteristic polynomial of A with its coefficients reversed
+(directed_zeta_inverse).
 
 For a (q+1)-regular undirected graph the xi functional equation is
 decided exactly, by the identity between the reversal of the polynomial
@@ -25,10 +31,12 @@ and the polynomial itself that remains once the common factors cancel
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
-from .graphs import (MixedGraph, _Frozen, degree_profile, is_connected,
-                     matrices)
-from .intpoly import IntPoly, _norm, _roots_between, exact_div
+from .graphs import (MatrixBundle, MixedGraph, _Frozen, degree_profile,
+                     is_connected, matrices)
+from .intpoly import (ONE, IntPoly, _add, _norm, _roots_between,
+                      exact_div)
 from .polydet import char_poly, det_poly
 from .rootfind import RootSet, find_roots
 
@@ -45,40 +53,202 @@ _MODULUS_TOL = 1e-8
 
 
 def zeta_inverse(g: MixedGraph) -> IntPoly:
-    """Reciprocal zeta polynomial of g, arrows one-way; constant term 1."""
+    """Reciprocal zeta polynomial of g, arrows one-way; constant term 1.
+
+    The determinant is taken on g's series-reduced core (_series_core):
+    leaves stripped and pass-through nodes folded into edges and arrows
+    with lengths, so that a cycle is one loop and a forest nothing.  Its
+    rows are Bass's with lengths (_bass_rows), and the prefactor a
+    product of powers of 1 - z^(2l), multiplied in before any division.
+    A graph that does not reduce is its own core, every length 1, with
+    the rows and prefactor of (1 - z^2)^(m - n) det(I - Az + Qz^2 + Pz^3)."""
     b = matrices(g)
-    rows = []
-    power = g.edge_count - g.node_count
-    raw = IntPoly._raw  # entries of counts from matrices need no int check
-    for i, (adj, arr) in enumerate(zip(b.adjacency, b.arrows)):
-        q = sum(adj.values()) - sum(arr.values()) - 1  # undirected degree - 1
-        if q < 0:
-            # no undirected edge: the row is (1 - z^2) * (e_i - z A_i),
-            # and the factor joins the prefactor
-            row = {j: raw((0, -a)) for j, a in adj.items()}
-            row[i] = raw((1,))
-            power += 1
-        else:
-            # arrows count in the adjacency, so its support covers both;
-            # a row holds only its nonzero entries, so an absent one reads
-            # as 0, and the arrows' diagonal is empty (no arrow self-loops)
-            row = {j: raw(_norm((0, -a, 0, arr.get(j, 0))))
-                   for j, a in adj.items()}
-            row[i] = raw(_norm((1, -adj.get(i, 0), q)))
-        rows.append(row)
-    result = _times_one_minus_z2(det_poly(rows), power)
+    layers = _series_core(g, b)
+    if layers is None:  # g is its own core, every length 1
+        layers = [{1: pair} for pair in zip(b.adjacency, b.arrows)]
+    rows, balance = _bass_rows(layers)
+    result = det_poly(rows) if rows else ONE
+    for length, power in balance.items():  # the products first
+        if power > 0:
+            result = _times_one_minus_z2(result, power, length)
+    for length, power in balance.items():  # then each division is exact
+        if power < 0:
+            result = _times_one_minus_z2(result, power, length)
     assert result.constant_term == 1
     return result
 
 
-def _times_one_minus_z2(p: IntPoly, power: int) -> IntPoly:
-    """p * (1 - z^2)^power; a negative power is an exact division, which
-    raises DivisibilityError unless (1 - z^2)^-power divides p."""
+def _series_core(g: MixedGraph, b: MatrixBundle) -> list[dict] | None:
+    """The layers of g's series-reduced core, or None when g is its own.
+
+    Three rules apply until none does, each removing one node:
+    - a leaf, whose only link is one non-loop edge, goes with its edge;
+    - a node whose only links are two distinct non-loop edges, to u and
+      w, becomes one edge u-w of the summed length (a loop when u = w);
+    - a node whose only links are one arrow in, from u, and another out,
+      to w, becomes one arrow u->w of the summed length (a loop of one
+      dart when u = w).
+    No closed non-backtracking walk enters a leaf, and one through a
+    pass-through node runs the whole chain, so each rule keeps the prime
+    cycles and their lengths, and with them zeta.  A node left with no
+    link has the identity row and is dropped as well.  A reciprocal arrow
+    pair that a merge makes stays two arrows: the core is no MixedGraph
+    and is never normalized.
+
+    Layer k of the core lists node k's links by length, each as a pair of
+    rows in matrices' form: the links to each node and the arrows among
+    them.  g's walk matrices b screen out a graph on which no rule can
+    start before anything is built."""
+    # a rule's node has no arrow out and at most two edge-ends, or one
+    # arrow out and no edge; the rows count both (not the arrows in)
+    stack = [i for i, (adj, arr) in enumerate(zip(b.adjacency, b.arrows))
+             if sum(adj.values()) <= (1 if arr else 2)]
+    if not stack:
+        return None
+    n = g.node_count
+    ends = [{} for _ in range(n)]  # edge id -> its ends at the node
+    ins = [{} for _ in range(n)]   # arrow ids, as ordered sets
+    outs = [{} for _ in range(n)]
+    edges, arrows = {}, {}         # id -> (tail, head, length)
+    for k, (i, j) in enumerate(g.edges):
+        edges[k] = (i, j, 1)
+        ends[i][k] = ends[i].get(k, 0) + 1  # a loop has two ends
+        ends[j][k] = ends[j].get(k, 0) + 1
+    for k, (i, j) in enumerate(g.arrows, len(edges)):
+        arrows[k] = (i, j, 1)
+        outs[i][k] = ins[j][k] = None
+    fresh = len(edges) + len(arrows)
+    while stack:
+        v = stack.pop()
+        at, into, out = ends[v], ins[v], outs[v]
+        if into or out:
+            if (at or len(into) != 1 or len(out) != 1
+                    or into.keys() == out.keys()):
+                continue
+            (a,), (c,) = into, out
+            u, _, first = arrows.pop(a)
+            _, w, second = arrows.pop(c)
+            del outs[u][a], ins[w][c]
+            arrows[fresh] = (u, w, first + second)
+            outs[u][fresh] = ins[w][fresh] = None
+        elif sum(at.values()) == 1:
+            (e,) = at
+            i, j, _ = edges.pop(e)
+            u = j if i == v else i
+            del ends[u][e]
+            stack.append(u)  # u may have become a leaf or a pass-through
+        elif len(at) == 2 and sum(at.values()) == 2:
+            (e, f) = at
+            i, j, first = edges.pop(e)
+            k, h, second = edges.pop(f)
+            u, w = (j if i == v else i), (h if k == v else k)
+            del ends[u][e], ends[w][f]
+            edges[fresh] = (u, w, first + second)
+            ends[u][fresh] = ends[u].get(fresh, 0) + 1
+            ends[w][fresh] = ends[w].get(fresh, 0) + 1
+        else:
+            continue
+        at.clear()  # v is gone, and a later pop finds no link
+        into.clear()
+        out.clear()
+        fresh += 1
+    keep = [v for v in range(n) if ends[v] or ins[v] or outs[v]]
+    if len(keep) == n:
+        return None
+    index = {v: k for k, v in enumerate(keep)}
+    layers = [{} for _ in keep]
+    for links, directed in ((edges, False), (arrows, True)):
+        for u, w, length in links.values():
+            i, j = index[u], index[w]
+            adj, arr = layers[i].setdefault(length, ({}, {}))
+            adj[j] = adj.get(j, 0) + 1
+            if directed:
+                arr[j] = arr.get(j, 0) + 1
+            else:  # the other end; a loop adds two on the diagonal
+                back = layers[j].setdefault(length, ({}, {}))[0]
+                back[i] = back.get(i, 0) + 1
+    return layers
+
+
+def _bass_rows(layers: list[dict]) -> tuple[list[dict], dict]:
+    """Rows of the Bass matrix of a graph whose links have lengths, given
+    as _series_core's layers, and the power of each binomial 1 - z^(2l)
+    that turns its determinant into zeta^-1.
+
+    Node i's row multiplier L_i is the product of 1 - z^(2l) over the
+    distinct lengths l of its edges, loops included (1 for a node with
+    no edge), and P_l = z^l L_i / (1 - z^(2l)).  Row i is L_i times row i
+    of a rational matrix whose determinant times prod_e (1 - z^(2 l_e)) is
+    zeta^-1 (Bass 1992, with lengths).  Its diagonal starts at L_i, and a
+    links of length l from i to j, c of them arrows, add
+
+        P_l (d z^l - a + c z^(2l))
+
+    to entry (i, j), with d node i's edge-ends of length l on the
+    diagonal and 0 off it; where node i has arrows only of length l, they
+    add -a z^l L_i.  Then zeta^-1 = det P * prod_e (1 - z^(2 l_e)) /
+    prod_i L_i, so the power of 1 - z^(2l) is its edges less its nodes.
+    With every length 1, P_1 = z and L_i = 1 - z^2 (1 at an edge-free
+    node), which gives the entries (0, -a, 0, c) and (1, -a_ii, d - 1)
+    and the power m - n plus the edge-free nodes."""
+    raw = IntPoly._raw  # sums of _cell's entries need no int check
+    rows, half = [], {}  # half: twice each power
+    for i, layer in enumerate(layers):
+        lengths = tuple([length for length, (adj, arr) in layer.items()
+                         if adj != arr])  # the lengths of node i's edges
+        row, base = {}, True  # base: L_i is still to go on the diagonal
+        for length, (adj, arr) in layer.items():
+            if adj != arr:
+                d = sum(adj.values()) - sum(arr.values())
+                half[length] = half.get(length, 0) + d - 2
+                entry = _cell(lengths, length, d, adj.get(i, 0),
+                              arr.get(i, 0), base)
+                row[i] = raw(_add(row[i].coeffs, entry.coeffs)) \
+                    if i in row else entry
+                base, skip = False, i  # the diagonal is done
+            else:  # arrows only: -a z^l L_i, which is _cell's with c = 0
+                arr, skip = {}, None
+            for j, a in adj.items():
+                if j != skip:
+                    entry = _cell(lengths, length, 0, a, arr.get(j, 0), False)
+                    row[j] = raw(_add(row[j].coeffs, entry.coeffs)) \
+                        if j in row else entry
+        if base:  # no edge: L_i = 1
+            row[i] = raw(_add(row[i].coeffs, (1,))) if i in row else ONE
+        rows.append(row)
+    return rows, {length: h // 2 for length, h in half.items()}
+
+
+@lru_cache(maxsize=512)
+def _cell(lengths: tuple, length: int, d: int, a: int, c: int,
+          base: bool) -> IntPoly:
+    """P (d z^l - a + c z^(2l)) of _bass_rows, plus L when base, at a node
+    whose edges have these distinct lengths.  P is z^l times 1 - z^(2k)
+    for each of them but l, which is z^l L when l is not among them, and
+    L = (P / z^l) (1 - z^(2l)) when it is.  A graph's entries repeat
+    within it and across graphs, so each is built once."""
+    p = IntPoly._raw((0,) * length + (1,))
+    for other in lengths:
+        if other != length:
+            p = _times_one_minus_z2(p, 1, other)
+    out = [0] * (len(p.coeffs) + 2 * length)
+    for k, x in enumerate(p.coeffs):
+        out[k - length] += base * x  # p has z^l as a factor
+        out[k] -= a * x
+        out[k + length] += (d - base) * x
+        out[k + 2 * length] += c * x
+    return IntPoly._raw(_norm(out))
+
+
+def _times_one_minus_z2(p: IntPoly, power: int, length: int = 1) -> IntPoly:
+    """p * (1 - z^(2 length))^power; a negative power is an exact division,
+    which raises DivisibilityError unless (1 - z^(2 length))^-power
+    divides p."""
     if not power:
         return p
-    k = abs(power)
-    coeffs = [0] * (2 * k + 1)  # binomial coefficients at the even powers
-    coeffs[::2] = [(-1) ** m * math.comb(k, m) for m in range(k + 1)]
+    k, step = abs(power), 2 * length
+    coeffs = [0] * (step * k + 1)  # binomial coefficients at step's multiples
+    coeffs[::step] = [(-1) ** m * math.comb(k, m) for m in range(k + 1)]
     factor = IntPoly._raw(tuple(coeffs))
     return p * factor if power > 0 else exact_div(p, factor)
 

@@ -76,6 +76,13 @@ class TestAdeGenerator:
         with pytest.raises(TypeError, match="index 6.0 is not an int"):
             ade_graph("E", 6.0)
 
+    def test_non_str_family_rejected(self):
+        """A family that is not a str fails at the check, not as an
+        AttributeError of .upper()."""
+        for family in (6, None, b"A"):
+            with pytest.raises(TypeError, match="is not a str"):
+                ade_graph(family, 6)
+
     def test_parse_spec(self):
         assert parse_ade_spec("a2") == ("A", 2)
         assert parse_ade_spec("E8") == ("E", 8)

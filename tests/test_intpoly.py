@@ -803,6 +803,15 @@ class TestSeries:
         with pytest.raises(SeriesError):
             mobius_invert([0, 1])  # N_2 = 1 is not reachable
 
+    def test_mobius_rejects_non_int_counts(self):
+        """A float or a bool count raises TypeError naming it, rather
+        than passing through or failing as a SeriesError."""
+        for counts, bad in (([3.0], "3.0"), ([6.0, 6], "6.0"),
+                            ([True], "True"), ([True, 2.0], "True"),
+                            ([0, 0, 6.0], "6.0")):
+            with pytest.raises(TypeError, match=f"count {bad} is not an int"):
+                mobius_invert(counts)
+
     def test_mobius_inverts_series(self):
         rng = random.Random(3)
         for _ in range(50):

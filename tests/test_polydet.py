@@ -636,10 +636,12 @@ class TestLockstep:
             self, monkeypatch):
         rng = random.Random(71)
         graphs = dense_family()
-        for _ in range(200):
+        for _ in range(230):
             n = rng.randint(12, 20)
             graphs.append(random_mixed(n, rng, rng.randint(n, 3 * n),
                                        rng.randint(0, n)))
+        # a graph whose core is smaller may leave the wide route, so 230
+        # graphs are drawn to keep more than 150 wide matrices
         cases = wide_rows(graphs, monkeypatch)
         assert len(cases) > 150
         for rows, n in cases:

@@ -244,14 +244,16 @@ class TestDartOracle:
 
         monkeypatch.setattr(polydet, "_interpolated_det", spy)
         rng = random.Random(71)
-        for _ in range(200):
+        for _ in range(240):
             n = rng.randint(12, 20)
             g = random_mixed(n, rng, rng.randint(n, 3 * n), rng.randint(0, n))
             zi = zeta_inverse(g)
             for _ in range(2):
                 z0 = rng.randrange(2, DART_MOD)
                 assert zeta_mod(zi, z0) == dart_det(g, z0), g
-        assert len(wide) > 150  # one determinant per graph
+        # a graph whose core is smaller may leave the wide route, so 240
+        # graphs are drawn to keep more than 150 wide determinants
+        assert len(wide) > 150
 
     def test_relabelled_graphs_on_the_wide_route(self):
         # the wide route sorts rows and columns by degree, which this
@@ -367,6 +369,171 @@ class TestEdgeFreeRows:
         for n in (3, 10, 300, 1000):
             cycle = MixedGraph(n, arrows=[(i, (i + 1) % n) for i in range(n)])
             assert zeta_inverse(cycle) == P(1, *[0] * (n - 1), -1), n
+
+
+def series_rich(rng):
+    """A random mixed graph with pendant trees, subdivided edges and
+    subdivided arrows, seeded and relabelled, and the set of those
+    features it has.  The base has loops, parallel edges and arrows, and
+    about half the graphs are normalized first."""
+    n = rng.randint(1, 6)
+    edges = [(rng.randrange(n), rng.randrange(n))
+             for _ in range(rng.randint(0, 2 * n))]
+    arrows = [(rng.randrange(n), rng.randrange(n))
+              for _ in range(rng.randint(0, n))]
+    if rng.random() < 0.5:
+        g = normalize(MixedGraph(n, edges, arrows))
+        edges, arrows = list(g.edges), list(g.arrows)
+    features = set()
+    for _ in range(rng.randint(0, 4)):
+        kind = rng.choice(("edge", "arrow", "tree"))
+        links = edges if kind == "edge" else arrows
+        if kind == "tree":
+            parent = [rng.randrange(n)]
+            for k in range(rng.randint(1, 5)):
+                edges.append((rng.choice(parent), n))
+                parent.append(n)
+                n += 1
+        elif links:
+            i, j = links.pop(rng.randrange(len(links)))
+            chain = [i, *range(n, n + rng.randint(1, 3)), j]
+            n = chain[-2] + 1
+            links += zip(chain, chain[1:])
+        else:
+            continue
+        features.add(kind)
+    perm = rng.sample(range(n), n)
+    g = MixedGraph(n, [(perm[i], perm[j]) for i, j in edges],
+                   [(perm[i], perm[j]) for i, j in arrows])
+    return g, features
+
+
+def core_of(g):
+    return zeta._series_core(g, matrices(g))
+
+
+def assert_no_rule_applies(layers):
+    """No node of a core is a leaf, a pass-through node or bare."""
+    into = Counter(j for layer in layers for _, arr in layer.values()
+                   for j, c in arr.items() for _ in range(c))
+    for k, layer in enumerate(layers):
+        ends = sum(sum(adj.values()) - sum(arr.values())
+                   for adj, arr in layer.values())
+        loops = sum(adj.get(k, 0) - arr.get(k, 0)
+                    for adj, arr in layer.values())
+        out = sum(sum(arr.values()) for _, arr in layer.values())
+        dart_loops = sum(arr.get(k, 0) for _, arr in layer.values())
+        assert ends or out or into[k], k  # not bare
+        if not out and not into[k]:
+            assert ends > 2 or loops, k  # neither a leaf nor two edges
+        if not ends and out == into[k] == 1:
+            assert dart_loops, k  # its one arrow in is its arrow out
+
+
+class TestSeriesCore:
+    """zeta_inverse runs on the series-reduced core: leaves stripped, and
+    nodes with just two edges, or one arrow in and another out, folded
+    into one edge or arrow of the summed length."""
+
+    def test_random_graphs_with_trees_and_chains(self):
+        """2400 seeded graphs against the unreduced rows and prefactor,
+        which share no code with the core, and every 20th against the
+        dart oracle too."""
+        rng = random.Random(34)
+        kinds = Counter()
+        for t in range(2400):
+            g, features = series_rich(rng)
+            zi = zeta_inverse(g)
+            assert zi == unfactored_zeta_inverse(g), g
+            if t % 20 == 0:
+                z0 = rng.randrange(2, DART_MOD)
+                assert zeta_mod(zi, z0) == dart_det(g, z0), g
+            layers = core_of(g)
+            if layers is not None:
+                assert len(layers) < g.node_count
+                assert_no_rule_applies(layers)
+                kinds["reduced"] += 1
+                kinds.update(features)
+                kinds["empty core"] += not layers
+                kinds["long links"] += any(length > 1 for layer in layers
+                                           for length in layer)
+        assert kinds["reduced"] >= 2000, kinds
+        assert min(kinds[k] for k in ("edge", "arrow", "tree", "empty core",
+                                      "long links")) >= 100, kinds
+
+    def test_cycle_is_one_loop(self):
+        for n in (1, 2, 3, 99, 400):
+            g = ade_graph("A", n - 1)
+            expect = None if n == 1 else [{n: ({0: 2}, {})}]
+            assert core_of(g) == expect
+            assert zeta_inverse(g) == cycle_zeta(n - 1), n
+        relabelled_cycle = relabelled(ade_graph("A", 99), random.Random(3))
+        assert core_of(relabelled_cycle) == [{100: ({0: 2}, {})}]
+        assert zeta_inverse(relabelled_cycle) == cycle_zeta(99)
+
+    def test_node_on_two_parallel_edges(self):
+        """Node 1's two edges to node 0 fold into a loop of length 2 at
+        node 0, beside its own loop of length 1."""
+        g = MixedGraph(2, edges=((0, 0), (0, 1), (0, 1)))
+        assert core_of(g) == [{1: ({0: 2}, {}), 2: ({0: 2}, {})}]
+        assert zeta_inverse(g) == unfactored_zeta_inverse(g)
+
+    def test_directed_cycle_is_one_dart_loop(self):
+        for n in (2, 7, 1000):
+            g = MixedGraph(n, arrows=[(i, (i + 1) % n) for i in range(n)])
+            assert core_of(g) == [{n: ({0: 1}, {0: 1})}]
+            assert zeta_inverse(g) == P(1, *[0] * (n - 1), -1)
+
+    def test_merge_makes_a_reciprocal_arrow_pair(self):
+        """The directed 4-cycle 0->1->2->3->0 with a loop at 0 and at 2
+        folds nodes 1 and 3 into the arrows 0->2 and 2->0 of length 2.
+        They must stay two arrows: an edge would forbid the walk
+        0->2->0, which backtracks on an edge but not on two arrows."""
+        g = MixedGraph(4, edges=((0, 0), (2, 2)),
+                       arrows=((0, 1), (1, 2), (2, 3), (3, 0)))
+        assert core_of(g) == [{1: ({0: 2}, {}), 2: ({1: 1}, {1: 1})},
+                              {1: ({1: 2}, {}), 2: ({0: 1}, {0: 1})}]
+        zi = zeta_inverse(g)
+        assert zi == unfactored_zeta_inverse(g)
+        as_edge = MixedGraph(4, edges=((0, 0), (2, 2), (0, 1), (1, 2)))
+        assert zi != zeta_inverse(as_edge)
+
+    def test_lone_loop_node_is_not_reduced(self):
+        for loops in (1, 2):
+            g = MixedGraph(1, edges=((0, 0),) * loops)
+            assert core_of(g) is None
+        assert zeta_inverse(MixedGraph(1, edges=((0, 0),))) == P(1, -2, 1)
+
+    def test_forest_and_edgeless_node_need_no_determinant(self, monkeypatch):
+        def no_det(rows):
+            raise AssertionError("determinant of an empty core")
+
+        monkeypatch.setattr(zeta, "det_poly", no_det)
+        for g in (MixedGraph(1), MixedGraph(5), SINGLE_EDGE,
+                  ade_graph("E", 8), ade_graph("D", 6),
+                  MixedGraph(7, edges=((0, 1), (1, 2), (3, 4), (4, 5),
+                                       (4, 6)))):
+            assert core_of(g) == []
+            assert zeta_inverse(g) == P(1)
+
+    def test_unit_lengths_give_the_plain_rows(self):
+        """A graph that is its own core gets the rows (0, -a, 0, c) and
+        (1, -a_ii, d - 1), an edge-free node (0, -a) and 1, and the power
+        m - n plus its edge-free nodes."""
+        g = MixedGraph(4, edges=((0, 0), (0, 1), (0, 1), (1, 1), (0, 2)),
+                       arrows=((1, 0), (2, 1), (2, 1), (1, 2), (3, 0), (3, 1),
+                               (2, 3)))
+        b = matrices(g)
+        assert core_of(g) is None
+        rows, power = zeta._bass_rows(
+            [{1: pair} for pair in zip(b.adjacency, b.arrows)])
+        assert [{j: e.coeffs for j, e in row.items()} for row in rows] == [
+            {0: (1, -2, 4), 1: (0, -2), 2: (0, -1)},
+            {0: (0, -3, 0, 1), 1: (1, -2, 3), 2: (0, -1, 0, 1)},
+            {0: (0, -1), 1: (0, -2, 0, 2), 2: (1,), 3: (0, -1, 0, 1)},
+            {0: (0, -1), 1: (0, -1), 3: (1,)}]
+        assert power == {1: 5 - 4 + 1}
+        assert zeta_inverse(g) == unfactored_zeta_inverse(g)
 
 
 class TestSparseWalkRows:
