@@ -97,27 +97,6 @@ def _unpack(x, length, width):
 _KRONECKER_MIN = 16
 
 
-def _dot(terms):
-    """Sum of a * b, negated where flagged, over a list of (a, b, negated)
-    terms of nonzero factors: each factor packed once (Kronecker
-    substitution), the products summed, the sum unpacked once.  A slot
-    holds the coefficient bits of both sides, the bits of the largest
-    min-length and of the term count, and a sign byte."""
-    if not terms:
-        return ()
-    bits = (max(max(map(abs, a)) for a, _, _ in terms).bit_length()
-            + max(max(map(abs, b)) for _, b, _ in terms).bit_length()
-            + max(min(len(a), len(b)) for a, b, _ in terms).bit_length()
-            + len(terms).bit_length())
-    width = bits // 8 + 1
-    total = 0
-    for a, b, negated in terms:
-        term = _pack(a, width) * _pack(b, width)
-        total = total - term if negated else total + term
-    length = max(len(a) + len(b) for a, b, _ in terms) - 1
-    return _norm(_unpack(total, length, width))
-
-
 def _addmul(out, a, b, negated, fresh):
     """Add a * b into the list out, or subtract it when negated; out holds
     at least len(a) + len(b) - 1 entries, all zeros when fresh.  Each
@@ -144,13 +123,23 @@ def _addmul(out, a, b, negated, fresh):
 
 def _mul(a, b):
     """Product.  A short factor goes through the slice kernel _addmul; two
-    long factors are multiplied as one packed product by _dot."""
+    long factors are packed into one int each (Kronecker substitution),
+    multiplied once and unpacked.
+
+    A slot of width bytes holds a coefficient c with |c| < 2**(8*width -
+    1).  Coefficient k of the product is a sum of at most len(b) terms
+    a_i * b_(k-i), so with A, B and L the bit lengths of max|a|, max|b|
+    and len(b), it is below 2**A * 2**B * 2**L in absolute value, and
+    width = (A + B + L) // 8 + 1 keeps 8*width - 1 >= A + B + L."""
     if len(a) < len(b):
         a, b = b, a
     if not b:
         return ()
     if len(b) >= _KRONECKER_MIN:
-        return _dot([(a, b, False)])
+        width = (max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
+                 + len(b).bit_length()) // 8 + 1
+        product = _pack(a, width) * _pack(b, width)
+        return _norm(_unpack(product, len(a) + len(b) - 1, width))
     out = [0] * (len(a) + len(b) - 1)
     _addmul(out, a, b, False, True)
     return _norm(out)

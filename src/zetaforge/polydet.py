@@ -14,19 +14,8 @@ the matrix, before any arithmetic:
   most 2**_SWEEP_WIDTH states per row, so banded and otherwise
   locally-connected matrices, long cycle graphs among them, keep few
   states; the cost is then in the state polynomials, whose degree grows
-  with the rows swept.  From ``_SPLIT`` rows on, the sweep therefore runs
-  from both ends and meets in the middle: top-down over the first
-  h = n // 2 rows and bottom-up over the rest, where a column expires at
-  its first nonzero row instead of its last.  Laplace expansion along the
-  top h rows joins the halves: with T[U] and B[V] the states of the two
-  sweeps on complementary column sets,
-  det = sum over U of T[U] * B[V] * (-1)**(sum of the column indices in
-  V).  Both sweeps count a sign against all n columns, which leaves only
-  that factor.  The join's sum goes to intpoly's packed kernel, which
-  long products use, and each state's sum in a sweep to its slice
-  kernel, which short products use.  Each half's polynomials reach about
-  half the degree, so a long cycle costs about half as much; below
-  ``_SPLIT`` rows a single top-down sweep beats the join;
+  with the rows swept.  Each state's sum of products goes to intpoly's
+  slice kernel, which short products use;
 * evaluation and interpolation for every wider matrix, at the points
   0, 1, ..., deg, with deg = sum d_i - n + nu a bound on the degree: d_i
   is the largest entry degree of row i, and nu the size of a maximum
@@ -69,25 +58,43 @@ from functools import cache
 from math import isqrt
 
 from .graphs import _is_int
-from .intpoly import _MERSENNE_EXPONENTS, IntPoly, _addmul, _dot, _norm
+from .intpoly import _MERSENNE_EXPONENTS, IntPoly, _addmul, _norm
 
 _SWEEP_WIDTH = 11  # at most 2**11 sweep states per row
-_SPLIT = 16  # from this many rows on the sweep runs from both ends
 _BATCH = 16  # evaluation points the wide route eliminates in lockstep
 _SEARCH_BITS = 1100  # the widest modulus found by a prime search
 
 
-def _sweep(rows, expiring):
-    """Division-free expansion of the rows in the given order: the map
-    from each mask of the columns the rows can take to its signed sum of
-    products, as a coefficient list.
+def _spans(rows, n):
+    """The first and the last row in which each column is nonzero, n and
+    -1 for an all-zero column."""
+    first, last = [n] * n, [-1] * n
+    for i, row in enumerate(rows):
+        for c in row:
+            if first[c] > i:
+                first[c] = i
+            last[c] = i
+    return first, last
+
+
+def _frontier_det(rows, n):
+    """Determinant of the sparse rows by one sweep from the top: after
+    each row, the map from each mask of the columns the rows so far can
+    take to its signed sum of products, as a coefficient list.
 
     A row takes one free column c at the sign of the number of free
     columns below c.  A column in expiring[i] has no nonzero entry in the
     rows after row i, so every state from then on must hold it: a product
     that would miss one is never formed, and this is the only merge the
-    states need.
-    """
+    states need."""
+    if not all(rows):
+        return ()  # a zero row
+    _, last = _spans(rows, n)
+    if min(last) < 0:
+        return ()  # an all-zero column
+    expiring = [0] * n
+    for c, i in enumerate(last):
+        expiring[i] |= 1 << c
     states = {0: [1]}
     for row, need in zip(rows, expiring):
         # (bit, mask of the columns below it, entry)
@@ -115,60 +122,10 @@ def _sweep(rows, expiring):
                 states[key] = acc
         if not states:
             break
-    return states
-
-
-def _join(top, bottom, n):
-    """Laplace expansion along the rows of the top sweep: the sum over its
-    states U of top[U] * bottom[V] * (-1)**(sum of the columns in V), with
-    V the columns outside U.  The signs of both sweeps count free columns
-    among all n, which leaves only that factor.  The sign-flagged pairs
-    go to intpoly's packed-product kernel _dot as one sum."""
     full = (1 << n) - 1
-    odd_columns = sum(1 << c for c in range(1, n, 2))
-    pairs = []
-    for used, t in top.items():
-        b = bottom.get(full ^ used)
-        if b is not None:
-            odd = ((full ^ used) & odd_columns).bit_count() & 1
-            pairs.append((t, b, odd))
-    return _dot(pairs)
-
-
-def _spans(rows, n):
-    """The first and the last row in which each column is nonzero, n and
-    -1 for an all-zero column."""
-    first, last = [n] * n, [-1] * n
-    for i, row in enumerate(rows):
-        for c in row:
-            if first[c] > i:
-                first[c] = i
-            last[c] = i
-    return first, last
-
-
-def _frontier_det(rows, n):
-    """Determinant of the sparse rows by the sweep: one top-down sweep
-    below _SPLIT rows, otherwise a top-down sweep over the first n // 2
-    rows and a bottom-up one over the rest, joined by _join.  Bottom-up,
-    a column expires at its first nonzero row."""
-    if not all(rows):
-        return ()  # a zero row
-    first, last = _spans(rows, n)
-    if min(last) < 0:
-        return ()  # an all-zero column
-    opening, closing = [0] * n, [0] * n  # masks by first and by last row
-    for c in range(n):
-        opening[first[c]] |= 1 << c
-        closing[last[c]] |= 1 << c
-    h = n // 2 if n >= _SPLIT else n
-    top = _sweep(rows[:h], closing)
-    if h < n:
-        return _join(top, _sweep(rows[h:][::-1], opening[h:][::-1]), n)
-    full = (1 << n) - 1
-    if top.keys() - {full}:
+    if states.keys() - {full}:
         raise AssertionError("determinant sweep left unresolved columns")
-    return tuple(top.get(full, ()))
+    return tuple(states.get(full, ()))
 
 
 def _open_width(rows, n):

@@ -8,18 +8,18 @@ exact integer polynomial
 with A the full adjacency matrix, P the arrows-only matrix, Q the
 diagonal of undirected degrees minus one, n the node count and m the
 edge count.  zeta counts prime cycles by their length alone, so it is
-the same on the series-reduced core (_series_core): leaves stripped,
-and each node with just two edges, or just one arrow in and another
-out, folded into one edge or arrow of the summed length.  The core's
-Bass matrix with lengths (_bass_rows) has the rows of the form above
-when every length is 1; a node with no undirected edge then has Q_ii =
--1 and only arrows in its row of A, so that row is (1 - z^2) times the
-row of I - A z, and the determinant takes the shorter row.  The
-prefactor is a product of powers of 1 - z^(2l); a negative power is an
-exact division, whose failure would contradict rationality and raises.
-A cycle's core is one loop, and a forest's is empty, with zeta^-1 = 1.
-On an arrows-only graph the polynomial is det(I - A z), the
-characteristic polynomial of A with its coefficients reversed
+the same on the series-reduced core (_series_core): leaves, sinks and
+sources stripped, and each node with just two edges, or just one arrow
+in and another out, folded into one edge or arrow of the summed length.
+The core's Bass matrix with lengths (_bass_rows) has the rows of the
+form above when every length is 1; a node with no undirected edge then
+has Q_ii = -1 and only arrows in its row of A, so that row is (1 - z^2)
+times the row of I - A z, and the determinant takes the shorter row.
+The prefactor is a product of powers of 1 - z^(2l); a negative power is
+an exact division, whose failure would contradict rationality and
+raises.  A cycle's core is one loop, and a forest's is empty, with
+zeta^-1 = 1.  On an arrows-only graph the polynomial is det(I - A z),
+the characteristic polynomial of A with its coefficients reversed
 (directed_zeta_inverse).
 
 For a (q+1)-regular undirected graph the xi functional equation is
@@ -56,10 +56,11 @@ def zeta_inverse(g: MixedGraph) -> IntPoly:
     """Reciprocal zeta polynomial of g, arrows one-way; constant term 1.
 
     The determinant is taken on g's series-reduced core (_series_core):
-    leaves stripped and pass-through nodes folded into edges and arrows
-    with lengths, so that a cycle is one loop and a forest nothing.  Its
-    rows are Bass's with lengths (_bass_rows), and the prefactor a
-    product of powers of 1 - z^(2l), multiplied in before any division.
+    leaves, sinks and sources stripped and pass-through nodes folded into
+    edges and arrows with lengths, so that a cycle is one loop and a
+    forest nothing.  Its rows are Bass's with lengths (_bass_rows), and
+    the prefactor a product of powers of 1 - z^(2l), multiplied in before
+    any division.
     A graph that does not reduce is its own core, every length 1, with
     the rows and prefactor of (1 - z^2)^(m - n) det(I - Az + Qz^2 + Pz^3)."""
     b = matrices(g)
@@ -81,28 +82,33 @@ def zeta_inverse(g: MixedGraph) -> IntPoly:
 def _series_core(g: MixedGraph, b: MatrixBundle) -> list[dict] | None:
     """The layers of g's series-reduced core, or None when g is its own.
 
-    Three rules apply until none does, each removing one node:
+    Four rules apply until none does, each removing one node:
     - a leaf, whose only link is one non-loop edge, goes with its edge;
+    - a sink or a source, with no edge and arrows one way only, goes
+      with its arrows;
     - a node whose only links are two distinct non-loop edges, to u and
       w, becomes one edge u-w of the summed length (a loop when u = w);
     - a node whose only links are one arrow in, from u, and another out,
       to w, becomes one arrow u->w of the summed length (a loop of one
       dart when u = w).
-    No closed non-backtracking walk enters a leaf, and one through a
-    pass-through node runs the whole chain, so each rule keeps the prime
-    cycles and their lengths, and with them zeta.  A node left with no
-    link has the identity row and is dropped as well.  A reciprocal arrow
-    pair that a merge makes stays two arrows: the core is no MixedGraph
-    and is never normalized.
+    No closed non-backtracking walk enters a leaf, a sink or a source,
+    and one through a pass-through node runs the whole chain, so each
+    rule keeps the prime cycles and their lengths, and with them zeta.  A
+    node left with no link has the identity row and is dropped as well.
+    A reciprocal arrow pair that a merge makes stays two arrows: the core
+    is no MixedGraph and is never normalized.
 
     Layer k of the core lists node k's links by length, each as a pair of
     rows in matrices' form: the links to each node and the arrows among
     them.  g's walk matrices b screen out a graph on which no rule can
     start before anything is built."""
     # a rule's node has no arrow out and at most two edge-ends, or one
-    # arrow out and no edge; the rows count both (not the arrows in)
+    # arrow out and no edge, or is a source; the rows count edge-ends and
+    # arrows out, and heads holds the nodes with an arrow in
+    heads = set().union(*b.arrows)
     stack = [i for i, (adj, arr) in enumerate(zip(b.adjacency, b.arrows))
-             if sum(adj.values()) <= (1 if arr else 2)]
+             if sum(adj.values()) <= (1 if arr else 2)
+             or i not in heads and adj == arr]
     if not stack:
         return None
     n = g.node_count
@@ -121,7 +127,12 @@ def _series_core(g: MixedGraph, b: MatrixBundle) -> list[dict] | None:
     while stack:
         v = stack.pop()
         at, into, out = ends[v], ins[v], outs[v]
-        if into or out:
+        if not at and not (into and out):  # a sink or a source
+            for a in [*into, *out]:
+                u, w, _ = arrows.pop(a)
+                del outs[u][a], ins[w][a]
+                stack.append(w if u == v else u)  # the other end
+        elif into or out:
             if (at or len(into) != 1 or len(out) != 1
                     or into.keys() == out.keys()):
                 continue

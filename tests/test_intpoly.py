@@ -7,7 +7,7 @@ import pytest
 
 import zetaforge.intpoly as intpoly
 from zetaforge.intpoly import (_MERSENNE_EXPONENTS, DivisibilityError,
-                               IntPoly, SeriesError, _add, _addmul, _dot,
+                               IntPoly, SeriesError, _add, _addmul,
                                _gcd_mod, _mul, _neg, _norm, _root_split,
                                _roots_between, _sub, _yun,
                                exact_div, log_derivative_series,
@@ -205,20 +205,15 @@ class TestKernels:
         # the packed slots almost with equality: coefficient 30 of every
         # product below is 31 * (2**b - 1)**2, and b runs over enough
         # values that the bound, rounded up to whole bytes, keeps no slack
-        for count in (1, 2, 17, 300):
-            for b in range(1, 25):
-                c = (1 << b) - 1
-                shapes = [((c,) * 31, (c,) * n) for n in (31, 32, 33)]
-                products = [schoolbook_mul(x, y) for x, y in shapes]
-                for flags in ((False,), (True,), (False, True)):
-                    terms = [shapes[k % 3] + (flags[k % len(flags)],)
-                             for k in range(count)]
-                    expect = ()
-                    for k, (_, _, negated) in enumerate(terms):
-                        step = _sub if negated else _add
-                        expect = step(expect, products[k % 3])
-                    assert _dot(terms) == expect, (count, b, flags)
-        assert _dot([]) == ()
+        assert 31 >= intpoly._KRONECKER_MIN
+        for b in range(1, 25):
+            c = (1 << b) - 1
+            for n in (31, 32, 33):
+                x, y = (c,) * 31, (c,) * n
+                expect = schoolbook_mul(x, y)
+                assert _mul(x, y) == _mul(y, x) == expect, (b, n)
+                assert _mul(_neg(x), y) == _mul(x, _neg(y)) == _neg(expect)
+                assert _mul(_neg(x), _neg(y)) == expect
 
     def test_powers_of_one_minus_z_squared(self):
         base = P(1, 0, -1)

@@ -281,8 +281,9 @@ class TestDartOracle:
             assert zeta_mod(zi, z0) == dart_det(g, z0)
 
     def test_banded_shapes(self):
-        # the cycles and loop-decorated diagrams whose walk matrices take
-        # the two-ended frontier sweep; the oracle never touches it
+        # the cycles, which fold to one loop, and the loop-decorated
+        # diagrams, whose walk matrices take the frontier sweep; the
+        # oracle never touches either
         graphs = [ade_graph("A", n - 1) for n in (99, 100, 201, 299, 401,
                                                   1000)]
         graphs += [ade_graph("D", n, with_loops=True)
@@ -413,7 +414,8 @@ def core_of(g):
 
 
 def assert_no_rule_applies(layers):
-    """No node of a core is a leaf, a pass-through node or bare."""
+    """No node of a core is a leaf, a sink, a source, a pass-through
+    node or bare."""
     into = Counter(j for layer in layers for _, arr in layer.values()
                    for j, c in arr.items() for _ in range(c))
     for k, layer in enumerate(layers):
@@ -424,6 +426,8 @@ def assert_no_rule_applies(layers):
         out = sum(sum(arr.values()) for _, arr in layer.values())
         dart_loops = sum(arr.get(k, 0) for _, arr in layer.values())
         assert ends or out or into[k], k  # not bare
+        if not ends:
+            assert out and into[k], k  # neither a sink nor a source
         if not out and not into[k]:
             assert ends > 2 or loops, k  # neither a leaf nor two edges
         if not ends and out == into[k] == 1:
@@ -483,6 +487,25 @@ class TestSeriesCore:
             g = MixedGraph(n, arrows=[(i, (i + 1) % n) for i in range(n)])
             assert core_of(g) == [{n: ({0: 1}, {0: 1})}]
             assert zeta_inverse(g) == P(1, *[0] * (n - 1), -1)
+
+    def test_sinks_and_sources_go_with_their_arrows(self):
+        """A triangle with 80 sinks, or 80 one-arrow sources, hung on it
+        is one loop of length 3; so is one with a source sending an
+        arrow to each triangle node, or a tree hung on it by an arrow:
+        an undirected one, whose root is a sink once its leaves are
+        stripped, or a directed one, whose nodes become sinks in turn."""
+        triangle = ((0, 1), (1, 2), (2, 0))
+        tree = ((3, 4), (3, 5), (4, 6), (4, 7))
+        for g in (MixedGraph(83, edges=triangle,
+                             arrows=[(0, k) for k in range(3, 83)]),
+                  MixedGraph(83, edges=triangle,
+                             arrows=[(k, k % 3) for k in range(3, 83)]),
+                  MixedGraph(4, edges=triangle,
+                             arrows=((3, 0), (3, 1), (3, 2))),
+                  MixedGraph(8, edges=triangle + tree, arrows=((1, 3),)),
+                  MixedGraph(8, edges=triangle, arrows=((1, 3),) + tree)):
+            assert core_of(g) == [{3: ({0: 2}, {})}], g
+            assert zeta_inverse(g) == P(1, 0, 0, -2, 0, 0, 1)
 
     def test_merge_makes_a_reciprocal_arrow_pair(self):
         """The directed 4-cycle 0->1->2->3->0 with a loop at 0 and at 2
