@@ -24,6 +24,7 @@ from .catalog import (ade_graph, dimer_graph, load_catalog, parse_ade_spec,
                       verify_catalog)
 from .census import HORIZON_LIMIT, CensusError, enumerate_primes, pnt_ratios
 from .graphs import GraphFormatError, MixedGraph
+from .intpoly import log_derivative_series
 from .rootfind import NumericalError, find_roots
 from .zeta import (_FLAGS, adjacency_spectrum, analyze, plot_points,
                    zeta_inverse)
@@ -208,11 +209,21 @@ def _cmd_primes(args, parser) -> tuple[str, int]:
         parser.error(f"horizon -L must be in 1..{HORIZON_LIMIT}")
     g = _load_graph(args, parser)
     census = enumerate_primes(g, args.horizon)
+    # the traces against the series of 1/zeta, a route that shares no
+    # code with them
+    zi = zeta_inverse(g)
+    series = log_derivative_series(zi, args.horizon)
+    for m, (traced, expected) in enumerate(zip(census.closed_counts,
+                                               series), 1):
+        if traced != expected:
+            raise CensusError(f"closed-walk count mismatch at length {m}: "
+                              f"traces {traced}, series of 1/zeta "
+                              f"{expected}")
     ratios = {}
     # with no prime there is no ratio, so R_G is not computed
     if census.delta:
         try:
-            r_g = find_roots(zeta_inverse(g)).min_modulus()
+            r_g = find_roots(zi).min_modulus()
             ratios = pnt_ratios(census, r_g)
         except NumericalError as err:
             # the counts are exact; only the ratios need R_G

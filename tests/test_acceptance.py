@@ -21,6 +21,8 @@ from zetaforge.zeta import (STRONG, adjacency_spectrum, analyze,
                             directed_zeta_inverse, is_ramanujan,
                             xi_functional_check, zeta_inverse)
 
+from lyndon import lyndon_prime_counts
+
 
 def P(*coeffs):
     return IntPoly(coeffs)
@@ -196,14 +198,15 @@ def test_criterion_6_census_oracle():
         series = log_derivative_series(zeta_inverse(g), 6)
         ok = ok and census.closed_counts == series
         ok = ok and census.prime_counts == mobius_invert(series)
+        ok = ok and census.prime_counts == lyndon_prime_counts(g, 6)
     worked = MixedGraph(2, edges=((0, 1), (1, 1)), arrows=((1, 0),))
     census = enumerate_primes(worked, 4)
     ok = ok and census.closed_counts == [2, 4, 8, 12]
     ok = ok and census.closed_counts == \
         log_derivative_series(zeta_inverse(worked), 4)
     elapsed = time.time() - start
-    report(6, f"brute-force census equals series and Moebius inversion on "
-              f"all catalog graphs, L<=6 ({elapsed:.1f}s < 30s)",
+    report(6, f"census and brute-force search equal series and Moebius "
+              f"inversion on all catalog graphs, L<=6 ({elapsed:.1f}s < 30s)",
            ok and elapsed < 30.0)
 
 
@@ -334,9 +337,11 @@ def test_criterion_10_census_reach():
     census = enumerate_primes(g, 10)
     ok = census.closed_counts == log_derivative_series(zeta_inverse(g), 10)
     ok = ok and census.prime_counts == mobius_invert(census.closed_counts)
+    ok = ok and census.prime_counts == lyndon_prime_counts(g, 10)
     elapsed = time.time() - start
     report(10, f"census of E6 with two loops per node to L=10 equals the "
-               f"series and its Moebius inversion ({elapsed:.1f}s < 10s)",
+               f"series, its Moebius inversion and the brute-force search "
+               f"({elapsed:.1f}s < 10s)",
            ok and elapsed < 10.0)
 
 

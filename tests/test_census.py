@@ -7,14 +7,17 @@ from math import gcd
 import pytest
 
 from zetaforge import census as census_module
-from zetaforge.catalog import ade_graph, dimer_graph
+from zetaforge.catalog import (ade_graph, dimer_graph, load_catalog,
+                               quiver_to_graph)
 from zetaforge.census import (HORIZON_LIMIT, CensusError, CensusLimitError,
-                              _lyndon_closed_walks, _successors, build_darts,
-                              count_closed_paths, enumerate_primes,
-                              pnt_ratios)
+                              _successors, build_darts, count_closed_paths,
+                              enumerate_primes, pnt_ratios)
 from zetaforge.graphs import MixedGraph, normalize
 from zetaforge.intpoly import log_derivative_series, mobius_invert
 from zetaforge.zeta import analyze, zeta_inverse
+
+import lyndon
+from lyndon import lyndon_closed_walks, lyndon_prime_counts
 
 WORKED = MixedGraph(2, edges=((0, 1), (1, 1)), arrows=((1, 0),))
 
@@ -293,6 +296,18 @@ class TestAgainstReference:
             self.assert_matches(g, 7)
             assert enumerate_primes(g, 7).prime_counts == [0] * 7
 
+    def test_catalog_family_against_the_search(self):
+        """The 41 catalog quivers and their dimer graphs at L = 8: the
+        traces' inversion equals the Lyndon search."""
+        with_primes = 0
+        for rec in load_catalog():
+            for g in (quiver_to_graph(rec.quiver),
+                      dimer_graph(list(rec.valencies))):
+                primes = enumerate_primes(g, 8).prime_counts
+                assert primes == lyndon_prime_counts(g, 8), rec.id
+                with_primes += any(primes)
+        assert with_primes == 82
+
     def test_miscount_raises(self, monkeypatch):
         true_counts = count_closed_paths(WORKED, 4)
 
@@ -308,11 +323,11 @@ class TestAgainstReference:
 
 class TestTableCount:
     """Once a node's remaining depth is at most its own (from depth
-    horizon // 2 on), the census counts the subtrees of its children
-    above the floor from tables and visits only the child equal to the
-    floor.  The plain search is the oracle: its count of a length does
-    not depend on the horizon, so one run of it checks every smaller
-    horizon.  Where it is too slow to reach the guard, the Moebius
+    horizon // 2 on), the Lyndon search of tests/lyndon.py counts the
+    subtrees of its children above the floor from tables and visits only
+    the child equal to the floor.  The plain search is the oracle: its
+    count of a length does not depend on the horizon, so one run of it
+    checks every smaller horizon.  Where it is too slow to reach the guard, the Moebius
     inversion of the closed-walk traces checks the longer lengths; the
     two agree wherever both run."""
 
@@ -324,7 +339,7 @@ class TestTableCount:
         assert traced[:searched] == expect, g
         expect += traced[searched:]
         for h in range(1, HORIZON_LIMIT + 1):
-            assert _lyndon_closed_walks(darts, succ, h) == expect[:h], (g, h)
+            assert lyndon_closed_walks(darts, succ, h) == expect[:h], (g, h)
         return expect
 
     def test_random_mixed_graphs(self):
@@ -369,7 +384,7 @@ class TestTableCount:
         self.assert_series(ade_graph("D", 4, with_loops=True), 12)
 
     def test_no_lyndon_word_is_extended_past_half_the_horizon(self):
-        # down to depth horizon // 2 the census visits every node that the
+        # down to depth horizon // 2 the search visits every node that the
         # plain search visits; deeper, only children equal to the floor,
         # which keep the period p < t, so no Lyndon word (p = t).  Both
         # parities of the horizon are covered by 2..11.
@@ -381,8 +396,8 @@ class TestTableCount:
                 __file__, lyndon_dfs, darts, succ, HORIZON_LIMIT // 2 + 1))
             for h in range(2, HORIZON_LIMIT):
                 low = h // 2
-                nodes = visited_nodes(census_module.__file__,
-                                      _lyndon_closed_walks, darts, succ, h)
+                nodes = visited_nodes(lyndon.__file__, lyndon_closed_walks,
+                                      darts, succ, h)
                 shallow = {t: n for t, n in plain.items() if t <= low}
                 assert Counter(t for t, _ in nodes if t <= low) == shallow, (
                     g, h)

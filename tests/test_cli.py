@@ -3,7 +3,8 @@ import sys
 
 import pytest
 
-from zetaforge import cli, rootfind
+from zetaforge import census, cli, rootfind
+from zetaforge.catalog import ade_graph
 from zetaforge.cli import main
 from zetaforge.graphs import MixedGraph
 from zetaforge.zeta import zeta_inverse
@@ -282,6 +283,24 @@ class TestPrimesVerb:
                            "--format", "json")
         assert code == 0 and len(calls) == 1
         assert json.loads(out)["pnt_ratios"].keys() == {"10"}
+
+    def test_integral_miscount_exits_3(self, capsys, monkeypatch):
+        """N_L + L at the horizon L is the count of one more prime class
+        of length L, so its Moebius inversion is integral and the census
+        accepts it; the series of 1/zeta catches it."""
+        true_counts = census.count_closed_paths
+
+        def miscount(g, horizon):
+            counts = true_counts(g, horizon)
+            counts[-1] += horizon
+            return counts
+
+        monkeypatch.setattr(census, "count_closed_paths", miscount)
+        assert census.enumerate_primes(ade_graph("A", 2), 6).prime_counts == [
+            0, 0, 2, 0, 0, 1]
+        code, out, err = run(capsys, "primes", "--ade", "A2", "-L", "6")
+        assert (code, out) == (3, "")
+        assert "closed-walk count mismatch at length 6" in err
 
     def test_triangle_table(self, capsys):
         code, out, _ = run(capsys, "primes", "--ade", "A2", "-L", "6")

@@ -132,6 +132,15 @@ def test_primes_needs_no_spectrum(calls, capsys):
     assert calls["adjacency_spectrum"] == 0
 
 
+@pytest.mark.parametrize("spec", ["A2", "A9"])
+def test_primes_one_zeta_inverse(spec, calls, capsys):
+    """One zeta polynomial serves the count check and, when there is a
+    prime (the triangle has one at length 3, the 10-cycle none within
+    6), R_G."""
+    assert cli.main(["primes", "--ade", spec, "-L", "6"]) == 0
+    assert calls == {"zeta_inverse": 1}
+
+
 def test_rh_csv_rejected_before_analysis(calls, capsys):
     assert cli.main(["rh", "--ade", "A5", "--format", "csv"]) == 1
     assert "invalid choice" in capsys.readouterr().err
