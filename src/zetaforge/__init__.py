@@ -16,8 +16,8 @@ from .graphs import (DegreeProfile, GraphFormatError, MatrixBundle,
                      MixedGraph, bipartition, degree_profile, is_connected,
                      matrices, normalize, total_degrees)
 from .intpoly import (DivisibilityError, IntPoly, SeriesError, exact_div,
-                      log_derivative_series, mobius_invert, poly_gcd,
-                      squarefree_factors)
+                      least_positive_root, log_derivative_series,
+                      mobius_invert, poly_gcd, squarefree_factors)
 from .polydet import char_poly, det_poly
 from .rootfind import NumericalError, RootSet, find_roots
 from .zeta import (STRONG, TRIVIAL, VIOLATED, WEAK, ZetaReport,
@@ -29,7 +29,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "IntPoly", "DivisibilityError", "SeriesError", "exact_div", "poly_gcd",
-    "squarefree_factors", "log_derivative_series", "mobius_invert",
+    "squarefree_factors", "least_positive_root", "log_derivative_series",
+    "mobius_invert",
     "det_poly", "char_poly",
     "RootSet", "NumericalError", "find_roots",
     "MixedGraph", "MatrixBundle", "DegreeProfile", "GraphFormatError",

@@ -24,6 +24,12 @@ cost grows exponentially with the horizon.  The traces cost only a
 horizon of packed steps; HORIZON_LIMIT stays at 12, the -L range the
 command line has always accepted, until a larger cap is measured (the
 trace integers and the series coefficients grow with the horizon).
+
+pnt_ratios sets the counts against R_G, which the primes verb takes from
+intpoly.least_positive_root: zeta^-1 = det(I - zT) for the dart matrix
+T >= 0, so R_G = 1/rho(T) is the least positive root of zeta^-1
+(Perron-Frobenius), and R_G <= 1 once there is a prime, since then
+rho(T) >= 1.
 """
 
 from __future__ import annotations

@@ -24,8 +24,8 @@ from .catalog import (ade_graph, dimer_graph, load_catalog, parse_ade_spec,
                       verify_catalog)
 from .census import HORIZON_LIMIT, CensusError, enumerate_primes, pnt_ratios
 from .graphs import GraphFormatError, MixedGraph
-from .intpoly import log_derivative_series
-from .rootfind import NumericalError, find_roots
+from .intpoly import least_positive_root, log_derivative_series
+from .rootfind import NumericalError
 from .zeta import (_FLAGS, adjacency_spectrum, analyze, plot_points,
                    zeta_inverse)
 
@@ -205,6 +205,12 @@ def _cmd_rh(args, parser) -> tuple[str, int]:
 
 
 def _cmd_primes(args, parser) -> tuple[str, int]:
+    """The census table to the horizon -L: the closed-walk counts N_m
+    and prime counts pi(m) from the dart-matrix traces, each N_m checked
+    against the series of 1/zeta, and the ratios pi(m) m R_G^m / delta,
+    with R_G the least positive root of zeta^-1 (see census), which
+    least_positive_root isolates exactly and rounds once.  No root
+    search runs, so the ratios are printed whenever there is a prime."""
     if not 1 <= args.horizon <= HORIZON_LIMIT:
         parser.error(f"horizon -L must be in 1..{HORIZON_LIMIT}")
     g = _load_graph(args, parser)
@@ -219,15 +225,9 @@ def _cmd_primes(args, parser) -> tuple[str, int]:
             raise CensusError(f"closed-walk count mismatch at length {m}: "
                               f"traces {traced}, series of 1/zeta "
                               f"{expected}")
-    ratios = {}
     # with no prime there is no ratio, so R_G is not computed
-    if census.delta:
-        try:
-            r_g = find_roots(zi).min_modulus()
-            ratios = pnt_ratios(census, r_g)
-        except NumericalError as err:
-            # the counts are exact; only the ratios need R_G
-            print(f"zetaforge: no pnt ratios: {err}", file=sys.stderr)
+    ratios = (pnt_ratios(census, least_positive_root(zi)) if census.delta
+              else {})
     rows = [(m, census.closed_counts[m - 1], census.prime_counts[m - 1],
              _fmt_float(ratios[m]) if m in ratios else "-")
             for m in range(1, args.horizon + 1)]

@@ -75,7 +75,9 @@ def zeta_inverse(g: MixedGraph) -> IntPoly:
     for length, power in balance.items():  # then each division is exact
         if power < 0:
             result = _times_one_minus_z2(result, power, length)
-    assert result.constant_term == 1
+    if result.constant_term != 1:  # an explicit raise survives python -O
+        raise AssertionError(f"zeta^-1 has constant term "
+                             f"{result.constant_term}, not 1")
     return result
 
 

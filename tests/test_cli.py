@@ -3,10 +3,12 @@ import sys
 
 import pytest
 
+from test_rootfind import decimal_root
 from zetaforge import census, cli, rootfind
 from zetaforge.catalog import ade_graph
 from zetaforge.cli import main
 from zetaforge.graphs import MixedGraph
+from zetaforge.intpoly import squarefree_factors
 from zetaforge.zeta import zeta_inverse
 
 
@@ -249,15 +251,27 @@ class TestNumericalVerdicts:
             assert code == 0 and "R_G: inf" in out.splitlines()
 
     def test_primes_keeps_its_counts_when_the_roots_fail(self, capsys):
-        """D14 with loops fails the power-sum check: the exact counts are
-        still printed, without the pnt ratios that need R_G."""
+        """D14 with loops fails find_roots' power-sum check, where primes
+        once printed "-" for every ratio.  R_G is isolated exactly now:
+        exit 0, nothing on stderr, the same counts, and each ratio the one
+        that the 60-digit decimal root on its square-free factor gives."""
         code, out, err = run(capsys, "primes", "--ade", "D14", "--loops",
                              "-L", "3")
-        assert code == 0
-        assert "no pnt ratios" in err and "power sum" in err
+        assert (code, err) == (0, "")
         rows = [line.split() for line in out.splitlines()[2:]]
-        assert [row[-1] for row in rows] == ["-"] * 3
         assert [int(row[2]) for row in rows] == [60, 60, 120]
+        zi = zeta_inverse(ade_graph("D", 14, with_loops=True))
+        factor = next(f for f, _ in squarefree_factors(zi) if f.degree > 1)
+        r_g = decimal_root(factor, complex(0.200662960196)).real
+        ratios = {m: pi * m * r_g ** m for m, pi in zip((1, 2, 3),
+                                                        (60, 60, 120))}
+        assert [row[-1] for row in rows] == [f"{ratios[m]:.12g}"
+                                             for m in (1, 2, 3)]
+        code, out, err = run(capsys, "primes", "--ade", "D14", "--loops",
+                             "-L", "3", "--format", "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["pnt_ratios"] == {
+            str(m): ratio for m, ratio in ratios.items()}
 
 
 class TestPrimesVerb:
@@ -265,13 +279,13 @@ class TestPrimesVerb:
         """A cycle of 10 nodes has no prime within the horizon 6, so it has
         no ratio, and R_G is not computed."""
         calls = []
-        find_roots = cli.find_roots
+        least_positive_root = cli.least_positive_root
 
         def spy(poly):
             calls.append(poly)
-            return find_roots(poly)
+            return least_positive_root(poly)
 
-        monkeypatch.setattr(cli, "find_roots", spy)
+        monkeypatch.setattr(cli, "least_positive_root", spy)
         code, out, err = run(capsys, "primes", "--ade", "A9", "-L", "6",
                              "--format", "json")
         assert (code, err, calls) == (0, "", [])
@@ -283,6 +297,31 @@ class TestPrimesVerb:
                            "--format", "json")
         assert code == 0 and len(calls) == 1
         assert json.loads(out)["pnt_ratios"].keys() == {"10"}
+
+    def test_primes_calls_no_rootfind_function(self, capsys):
+        """R_G comes from intpoly alone: a profiler hook sees no function
+        of rootfind run in a primes call, with a prime or without, and cli
+        does not import find_roots.  The hook does see rh's calls."""
+        called = []
+
+        def hook(frame, event, arg):
+            if (event == "call"
+                    and frame.f_code.co_filename == rootfind.__file__):
+                called.append(frame.f_code.co_name)
+
+        previous = sys.getprofile()
+        sys.setprofile(hook)
+        try:
+            codes = [run(capsys, "primes", *source, "-L", "6")[0]
+                     for source in (("--ade", "D14", "--loops"),
+                                    ("--ade", "A9"), ("--dimer", "3,4,5"))]
+            primes_called = list(called)
+            codes.append(run(capsys, "rh", "--ade", "A2")[0])
+        finally:
+            sys.setprofile(previous)
+        assert (codes, primes_called) == ([0] * 4, [])
+        assert "find_roots" in called
+        assert not hasattr(cli, "find_roots")
 
     def test_integral_miscount_exits_3(self, capsys, monkeypatch):
         """N_L + L at the horizon L is the count of one more prime class

@@ -6,13 +6,20 @@ from fractions import Fraction
 import pytest
 
 import zetaforge.intpoly as intpoly
+from test_rootfind import decimal_root
+from test_same_output import DIMERS, random_graph
+from zetaforge.catalog import ade_graph, dimer_graph
+from zetaforge.census import enumerate_primes
+from zetaforge.graphs import MixedGraph, degree_profile
 from zetaforge.intpoly import (_MERSENNE_EXPONENTS, DivisibilityError,
                                IntPoly, SeriesError, _add, _addmul,
-                               _gcd_mod, _mul, _neg, _norm, _root_split,
-                               _roots_between, _sub, _yun,
-                               exact_div, log_derivative_series,
-                               mobius_invert, poly_gcd, primitive_part,
-                               squarefree_factors)
+                               _gcd_mod, _least_interval, _mul, _neg,
+                               _norm, _root_split, _roots_between, _sub,
+                               _yun, exact_div, least_positive_root,
+                               log_derivative_series, mobius_invert,
+                               poly_gcd, primitive_part, squarefree_factors)
+from zetaforge.rootfind import NumericalError, find_roots
+from zetaforge.zeta import zeta_inverse
 
 
 def P(*coeffs):
@@ -461,6 +468,28 @@ class TestRootsBetween:
             want = sum(m for r, m in roots.items() if lo < r < hi)
             assert _roots_between(a, lo, hi) == want, (a, lo, hi)
 
+    def test_dyadic_endpoints(self):
+        """With a scale s the endpoints are lo / 2^s and hi / 2^s: seeded
+        products of factors 2^t z - r, whose roots r / 2^t sit at, next
+        to and away from both endpoints."""
+        rng = random.Random(37)
+        for _ in range(200):
+            s = rng.randint(1, 6)
+            lo = rng.randint(-40, 40)
+            hi = lo + rng.randint(1, 20)
+            pool = [Fraction(x, 1 << s)
+                    for x in (lo - 1, lo, lo + 1, hi - 1, hi, hi + 1)]
+            pool.append(Fraction(rng.randint(-90, 90), 1 << rng.randint(0, 8)))
+            roots = {rng.choice(pool): rng.randint(1, 3)
+                     for _ in range(rng.randint(0, 5))}
+            a = (rng.choice((1, -3)),)
+            for r, m in roots.items():
+                for _ in range(m):
+                    a = _mul(a, (-r.numerator, r.denominator))
+            want = sum(m for r, m in roots.items()
+                       if Fraction(lo, 1 << s) < r < Fraction(hi, 1 << s))
+            assert _roots_between(a, lo, hi, s) == want, (a, lo, hi, s)
+
 
 class TestGcdSquarefree:
     def test_gcd_of_powers(self):
@@ -814,3 +843,218 @@ class TestSeries:
             counts = [sum(d * pi[d - 1] for d in range(1, m + 1)
                           if m % d == 0) for m in range(1, 7)]
             assert mobius_invert(counts) == pi
+
+
+def digest_grid_graphs():
+    """(name, graph) for the graphs of tests/test_same_output.py's grid,
+    in its order: A0-A44, A60, A99, A100, A0-A30 with loops, D4-D19 and
+    E6-E8 with and without loops, the seven dimers and the 60 seeded
+    random mixed graphs."""
+    out = [(f"A{k}", ade_graph("A", k)) for k in (*range(45), 60, 99, 100)]
+    out += [(f"A{k} loops", ade_graph("A", k, with_loops=True))
+            for k in range(31)]
+    for family, index in ([("D", k) for k in range(4, 20)]
+                          + [("E", k) for k in (6, 7, 8)]):
+        out += [(f"{family}{index}", ade_graph(family, index)),
+                (f"{family}{index} loops",
+                 ade_graph(family, index, with_loops=True))]
+    out += [(f"dimer {spec}", dimer_graph([int(v) for v in spec.split(",")]))
+            for spec in DIMERS]
+    rng = random.Random(26)
+    out += [(f"mixed{k:02d}", MixedGraph.from_dict(random_graph(rng)))
+            for k in range(60)]
+    return out
+
+
+# A26-A30 and D14-D19 with loops: find_roots fails its power-sum check on
+# them, so primes printed "-" for every ratio before R_G was isolated
+ROOT_SEARCH_FAILS = ([f"A{k} loops" for k in range(26, 31)]
+                     + [f"D{k} loops" for k in range(14, 20)])
+
+
+def sturm_count(p, x):
+    """The number of distinct real roots of p in (0, x], by Sturm's
+    theorem in rational arithmetic: no code shared with the isolator."""
+    def rem(a, b):
+        a = list(a)
+        while len(a) >= len(b):
+            q = a[-1] / b[-1]
+            for j in range(len(b)):
+                a[len(a) - len(b) + j] -= q * b[j]
+            a.pop()
+            while a and not a[-1]:
+                a.pop()
+        return a
+
+    seq = [[Fraction(c) for c in p.coeffs],
+           [Fraction(i * c) for i, c in enumerate(p.coeffs)][1:]]
+    while len(seq[-1]) > 1 and (r := rem(seq[-2], seq[-1])):
+        seq.append([-c for c in r])
+
+    def variations(t):
+        values = [v for v in (sum(c * t ** i for i, c in enumerate(s))
+                              for s in seq) if v]
+        return sum((u > 0) != (v > 0) for u, v in zip(values, values[1:]))
+
+    return variations(Fraction(0)) - variations(x)
+
+
+class TestLeastPositiveRoot:
+    def test_equals_find_roots_on_the_digest_grid(self):
+        """On the 110 grid graphs with a prime within the horizon 6 where
+        find_roots succeeds, R_G equals its smallest pole modulus bit for
+        bit; it fails on the 11 graphs of ROOT_SEARCH_FAILS alone."""
+        equal, failed = 0, []
+        for name, g in digest_grid_graphs():
+            if not enumerate_primes(g, 6).delta:
+                continue
+            zi = zeta_inverse(g)
+            try:
+                r_min = find_roots(zi).min_modulus()
+            except NumericalError:
+                failed.append(name)
+                continue
+            assert least_positive_root(zi) == r_min, name
+            equal += 1
+        assert (equal, failed) == (110, ROOT_SEARCH_FAILS)
+
+    def test_equals_find_roots_on_random_mixed_graphs(self):
+        """Seeded random mixed graphs with arrow self-loops and reciprocal
+        pairs; a graph with no cycle has zeta^-1 = 1 and no root."""
+        rng = random.Random(73)
+        cycles = 0
+        for _ in range(400):
+            zi = zeta_inverse(MixedGraph.from_dict(random_graph(rng)))
+            r_g = least_positive_root(zi)
+            if zi.degree == 0:
+                assert r_g is None
+                continue
+            assert r_g == find_roots(zi).min_modulus(), zi
+            cycles += 1
+        assert cycles > 350
+
+    def test_decimal_and_sturm_references_where_find_roots_fails(self):
+        """R_G is the float nearest to the root that 60-digit decimal
+        Newton finds on its square-free factor, and Sturm counts put the
+        least positive root of every factor at R_G or above it: none in
+        (0, R_G (1 - 2^-50)] and one in (0, R_G (1 + 2^-50)]."""
+        graphs = dict(digest_grid_graphs())
+        for name in ROOT_SEARCH_FAILS:
+            zi = zeta_inverse(graphs[name])
+            r_g = least_positive_root(zi)
+            below = Fraction(r_g) * (1 - Fraction(1, 2 ** 50))
+            above = Fraction(r_g) * (1 + Fraction(1, 2 ** 50))
+            holding = []
+            for f, _ in squarefree_factors(zi):
+                assert sturm_count(f, below) == 0, name
+                if sturm_count(f, above):
+                    holding.append(f)
+            assert len(holding) == 1, name
+            assert decimal_root(holding[0], complex(r_g)) == r_g, name
+
+    def test_kotani_sunada_bounds(self):
+        """1/q <= R_G <= 1/p, to one ulp, on seeded undirected multigraphs
+        (loops and parallel edges) of minimum degree p + 1 >= 2 and
+        maximum degree q + 1 (Kotani and Sunada 2000)."""
+        rng = random.Random(41)
+        tested = 0
+        while tested < 150:
+            n = rng.randint(1, 7)
+            g = MixedGraph(n, edges=tuple(
+                (rng.randrange(n), rng.randrange(n))
+                for _ in range(rng.randint(n, 3 * n))))
+            profile = degree_profile(g)
+            if profile.min_degree < 2:
+                continue
+            p, q = profile.min_degree - 1, profile.max_degree - 1
+            r_g = least_positive_root(zeta_inverse(g))
+            assert math.nextafter(1 / q, 0) <= r_g, (g, r_g)
+            assert r_g <= math.nextafter(1 / p, 1), (g, r_g)
+            tested += 1
+
+    def test_dimer_345_has_r_g_one_quarter(self):
+        """Its zeta^-1 has the factor 1 - 16 z^2 (u = z^2), whose rational
+        root 1/16 the bisection meets as a midpoint."""
+        assert least_positive_root(zeta_inverse(dimer_graph([3, 4, 5]))) == 0.25
+
+    def test_root_at_a_bisection_midpoint(self):
+        """(1 - 2u)(1 - u - u^2) has roots 1/2 and 0.618... in (0, 1), so
+        the first split lands on the root 1/2 exactly; as g(z^2) the
+        answer is the float nearest to sqrt(1/2)."""
+        g = P(1, -2) * P(1, -1, -1)
+        assert _least_interval(g.coeffs) == ((1, 2), (1, 2))
+        assert least_positive_root(g) == 0.5
+        spread = P(1, 0, -3, 0, 1, 0, 2)  # g(z^2)
+        assert least_positive_root(spread) == math.sqrt(0.5)
+
+    def test_roots_halfway_between_floats_round_to_even(self):
+        """1 + 2^-53 lies halfway between 1 and the float above it, and
+        1 + 3 * 2^-53 halfway between two floats whose even one is
+        1 + 2^-51; float() rounds a linear factor's root the same way."""
+        for odd, want in ((1, 1.0), (3, 1 + 2 ** -51)):
+            linear = P(-(2 ** 53 + odd), 2 ** 53)
+            assert least_positive_root(linear) == want
+            assert least_positive_root(linear * P(1, 0, 1)) == want
+            assert least_positive_root(linear * P(2, 0, 1)) == want
+
+    def test_thousand_cycle_gives_one(self):
+        """(1 - z^1000)^2 is split as (u - 1)^2 with u = z^1000 and pinned
+        by exact signs of u - 1, never spread: R_G is 1.0, where the
+        smallest pole modulus that find_roots gives is one ulp below."""
+        zi = zeta_inverse(ade_graph("A", 999))
+        assert zi == P(-1, *[0] * 999, 1) ** 2
+        assert least_positive_root(zi) == 1.0
+        assert find_roots(zi).min_modulus() == math.nextafter(1.0, 0)
+
+    def test_doubled_perron_root(self):
+        """Two disjoint copies of E6 with loops square zeta^-1, so the
+        Perron root has multiplicity 2; R_G is one copy's."""
+        e6 = ade_graph("E", 6, with_loops=True)
+        n = e6.node_count
+        two = MixedGraph(2 * n, edges=tuple(
+            (i + c * n, j + c * n) for c in range(2) for i, j in e6.edges))
+        zi = zeta_inverse(two)
+        assert zi == zeta_inverse(e6) ** 2
+        r_g = least_positive_root(zeta_inverse(e6))
+        assert least_positive_root(zi) == r_g
+        above = Fraction(r_g) * (1 + Fraction(1, 2 ** 50))
+        assert [m for f, m in squarefree_factors(zi)
+                if sturm_count(f, above)] == [2]
+        assert r_g == 0.20211947281334475
+
+    def test_no_positive_root_gives_none(self):
+        """No root in (0, 1], and none above: a constant, a root at 0,
+        roots at -1 and complex ones, with and without sign variations
+        (1 - z + z^2 has two, and no real root)."""
+        for p in (P(5), P(0, 3), P(1, 1) ** 3 * P(1, 1, 1), P(1, -1, 1),
+                  P(1, -1, 1) * P(0, 0, 1) * P(2, 1), P(1, 0, 1) ** 2):
+            assert least_positive_root(p) is None, p
+
+    def test_roots_above_one(self):
+        """The search goes on past 1, up to Cauchy's bound."""
+        assert least_positive_root(P(-3, 1) * P(-5, 1) * P(1, 0, 1)) == 3.0
+        assert least_positive_root(P(-5, 0, 1)) == math.sqrt(5)
+        assert least_positive_root(P(7, -1) * P(1, -1, 1)) == 7.0
+        assert least_positive_root(P(0, 0, -2, 1) * P(1, 1)) == 2.0
+
+    def test_roots_beyond_the_floats_near_zero(self):
+        """A root below half the least subnormal float rounds to 0.0, and
+        one among the subnormals to its subnormal."""
+        for power, want in ((1100, 0.0), (1074, 5e-324), (1070, 2.0 ** -1070)):
+            assert least_positive_root(P(1, -(2 ** power)) * P(1, 0, 1)) == want
+
+    def test_any_guess_reaches_the_nearest_float(self, monkeypatch):
+        """The Newton guess is only a candidate: from a guess at the
+        smallest float, at 1e300, at 1.0 or a few floats off, the exact
+        signs walk and bisect to the same float."""
+        cases = [P(1, -1, -1) * P(3, 0, 1), P(1, 0, -3, 0, 1, 0, 2),
+                 zeta_inverse(ade_graph("D", 5, with_loops=True)),
+                 P(-(2 ** 53 + 3), 2 ** 53) * P(1, 0, 1)]
+        wants = [least_positive_root(p) for p in cases]
+        guess = intpoly._newton_guess
+        for bad in (lambda x: 5e-324, lambda x: 1e300, lambda x: 1.0,
+                    lambda x: math.nextafter(x, 0),
+                    lambda x: x + 7 * math.ulp(x)):
+            monkeypatch.setattr(intpoly, "_newton_guess",
+                                lambda *args: bad(guess(*args)))
+            assert [least_positive_root(p) for p in cases] == wants

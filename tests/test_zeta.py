@@ -1,5 +1,8 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from collections.abc import Mapping
 
@@ -48,6 +51,30 @@ class TestZetaInverse:
 
     def test_tree_is_unit(self):
         assert zeta_inverse(SINGLE_EDGE) == P(1)
+
+    def test_constant_term_check_survives_python_o(self, monkeypatch,
+                                                   tmp_path):
+        """A determinant whose product with the prefactor does not start
+        at 1 raises AssertionError from an explicit raise, which python
+        -O keeps (an assert statement would be stripped there)."""
+        monkeypatch.setattr(zeta, "det_poly", lambda rows: P(2, 1))
+        with pytest.raises(AssertionError, match="constant term 2, not 1"):
+            zeta_inverse(ade_graph("D", 4, with_loops=True))
+        script = tmp_path / "bad_det.py"
+        script.write_text(
+            "from zetaforge import zeta\n"
+            "from zetaforge.catalog import ade_graph\n"
+            "from zetaforge.intpoly import IntPoly\n"
+            "zeta.det_poly = lambda rows: IntPoly([2, 1])\n"
+            "try:\n"
+            "    zeta.zeta_inverse(ade_graph('D', 4, with_loops=True))\n"
+            "except AssertionError as err:\n"
+            "    print(err)\n")
+        src = os.path.dirname(os.path.dirname(zeta.__file__))
+        out = subprocess.run([sys.executable, "-O", str(script)],
+                             env={**os.environ, "PYTHONPATH": src},
+                             capture_output=True, text=True, check=True)
+        assert out.stdout == "zeta^-1 has constant term 2, not 1\n"
         path4 = MixedGraph(4, edges=((0, 1), (1, 2), (2, 3)))
         assert zeta_inverse(path4) == P(1)
 
