@@ -13,17 +13,16 @@ polynomial g(z^k) at the degree of g, and takes every gcd by Brown's
 multi-modular algorithm, whose Euclid runs on one packed int per
 polynomial modulo Mersenne primes.
 
-The least positive root (least_positive_root, R_G for a reciprocal zeta
+The least root in (0, 1] (least_positive_root, R_G for a reciprocal zeta
 polynomial) is isolated on each square-free factor by Descartes counts
 on dyadic intervals (Collins-Akritas 1976) and rounded to the nearest
-float by exact signs at the midpoints between floats (_nearest_float),
-so it is exact up to that one rounding and never fails to converge.
+float by bisection with exact signs (_nearest_float), so it is exact up
+to that one rounding and never fails to converge.
 """
 
 from __future__ import annotations
 
 import math
-import struct
 from collections.abc import Iterable
 from itertools import accumulate
 from operator import add, neg, sub
@@ -582,24 +581,22 @@ def _yun(pp: IntPoly) -> list[tuple[IntPoly, int]]:
 
 
 def least_positive_root(p: IntPoly) -> float | None:
-    """The least positive real root of a nonzero polynomial, rounded to
-    the nearest float (a root halfway between two floats to the even
-    one, as float() rounds), or None when p has no positive root.  It
-    raises OverflowError only for a root beyond float range.
+    """The least root of a nonzero polynomial in (0, 1], rounded to the
+    nearest float (a root halfway between two floats to the even one, as
+    float() rounds), or None when p has no root there.  R_G, the least
+    positive root of a reciprocal zeta polynomial, lies there whenever
+    the graph has a prime, since the spectral radius of its dart matrix
+    is then at least 1.
 
     Each square-free factor f = g(z^k), k the gcd of its exponents, has
-    only simple roots, and z -> z^k keeps the order of the positive
-    reals, so the least positive root of f is the k-th root of g's.  A
-    linear g gives it in closed form.  Any other g is searched by
-    Descartes counts (_least_interval), first on (0, 1), where the
-    reciprocal zeta polynomial of a graph with a cycle has R_G, then up
-    to a bound on every root.  The root is then rounded by exact signs
-    of g(z^k) at dyadic z (_nearest_float), never by expanding g(z^k),
-    so the 1000-cycle's (1 - z^1000)^2 gives exactly 1.0.  No step can
-    fail the way a float root search can: the Newton step proposes a
-    candidate, and exact signs accept or reject it.
+    only simple roots, and z -> z^k keeps the order of (0, 1], so the
+    least root of f there is the k-th root of g's.  That root of g is
+    isolated by Descartes counts (_least_interval) and rounded by exact
+    signs of g(z^k) at dyadic z (_nearest_float), never by expanding
+    g(z^k), so the 1000-cycle's (1 - z^1000)^2 gives exactly 1.0.  No
+    step can fail the way a float root search can.
     """
-    best = None
+    best = math.inf
     for f, _ in squarefree_factors(p):
         f = f.coeffs
         f = f[next(i for i, c in enumerate(f) if c):]  # the root 0 is not
@@ -607,171 +604,91 @@ def least_positive_root(p: IntPoly) -> float | None:
             continue
         k = math.gcd(*[i for i, c in enumerate(f) if c])
         g = f[::k]
-        if len(g) == 2:  # a linear g, solved in closed form
-            interval = ((-g[0], g[1]),) * 2 if g[0] < 0 else None
-        else:
-            interval = _least_interval(g)
-        if interval is None:
-            continue
-        lo, hi = interval
-        if lo != hi:
-            z = _nearest_float(g, k, lo, hi)
-        elif k == 1:
-            z = lo[0] / lo[1]  # the rational root itself, rounded once
-        else:  # the root of the linear factor that the rational root gives
-            z = _nearest_float((-lo[0], lo[1]), k, (0, 1), (2 * lo[0], lo[1]))
-        if best is None or z < best:
-            best = z
-    return best
+        interval = _least_interval(g)
+        if interval is not None:
+            best = min(best, _nearest_float(g, k, *interval, below=best))
+    return None if best == math.inf else best
 
 
-def _least_interval(g: tuple) -> tuple[tuple, tuple] | None:
-    """The least positive root u of a square-free g with g(0) != 0 and
-    g(1) != 0 (squarefree_factors splits off the factors u - 1 and
-    u + 1, so every other factor meets both), as an open interval
-    (lo, hi) of dyadic rationals, each a (numerator, denominator) pair,
-    holding u and no other root, with no root in (0, lo] either; or
-    (u, u) when u is a dyadic rational met on the way; or None when g
-    has no positive root.
+def _least_interval(g: tuple) -> tuple[int, int, int] | None:
+    """The least root u in (0, 1] of a square-free g with g(0) != 0, as
+    (lo, hi, s) with lo < hi when the open interval (lo, hi) / 2^s holds
+    u and no other root, or with lo = hi = u 2^s when u is a dyadic
+    rational met on the way; no root lies in (0, lo / 2^s] either.  None
+    when g has no root in (0, 1].
 
-    A left-first bisection on Descartes counts (_roots_between): a count
-    of 0 drops an interval, a count of 1 isolates its one root, and a
-    larger count splits it at its midpoint, where an exact sign tells
-    whether the midpoint is itself a root.  It searches (0, 1), then
-    (1, 2^b) with 2^b above every root's modulus (Cauchy's bound
-    1 + max |g_i / g_d|).  Every interval is (lo, hi) / 2^s, stacked as
-    (lo, hi, s), and a stacked (u, u, s) is the root u."""
+    A left-first bisection on Descartes counts (_roots_between) of
+    (0, 1): a count of 0 drops an interval, a count of 1 isolates its
+    one root, and a larger count splits it at its midpoint, where an
+    exact sign tells whether the midpoint is itself a root.  Every
+    interval is stacked as (lo, hi, s), and a stacked (u, u, s) is the
+    root u.  The point 1 comes last: g(1) = 0 when squarefree_factors
+    has multiplied the factor u - 1 into g."""
     signs = [c > 0 for c in g if c]
     if all(x == y for x, y in zip(signs, signs[1:])):
         return None  # no sign variation: no positive root
-    b = (max(map(abs, g[:-1])) // abs(g[-1]) + 2).bit_length()
-    stack = [(1, 1 << b, 0), (0, 1, 0)]
+    stack = [(1, 1, 0), (0, 1, 0)]
     while stack:
         lo, hi, s = stack.pop()
-        count = 1 if lo == hi else _roots_between(g, lo, hi, s)
+        if lo < hi:
+            count = _roots_between(g, lo, hi, s)
+        else:  # a midpoint found to be a root, or the point 1
+            count = 1 if s or not sum(g) else 0
         if count == 1:
-            return (lo, 1 << s), (hi, 1 << s)
+            return lo, hi, s
         if count:
             mid = lo + hi  # at scale s + 1
             stack.append((mid, 2 * hi, s + 1))
-            if not _sign_at(g, mid, 1 << s + 1):
+            if not _sign_at(g, mid, s + 1):
                 stack.append((mid, mid, s + 1))
             stack.append((2 * lo, mid, s + 1))
     return None
 
 
-def _sign_at(g, num: int, den: int) -> int:
-    """Sign of g(num / den) for den > 0, exactly: the sign of
-    den^deg(g) * g(num / den), by Horner's rule scaled to integers."""
-    acc, power = g[-1], 1
+def _sign_at(g, num: int, shift: int) -> int:
+    """Sign of g(num / 2^shift), exactly: the sign of 2^(shift deg(g))
+    g(num / 2^shift), by Horner's rule scaled to integers."""
+    acc, power = g[-1], 0
     for c in g[-2::-1]:
-        power *= den
-        acc = acc * num + c * power
+        power += shift
+        acc = acc * num + (c << power)
     return (acc > 0) - (acc < 0)
 
 
-_GUESS_BITS = 128  # fraction bits of _newton_guess's fixed point
-_GUESS_STEPS = 200  # its steps at most: at most _GUESS_BITS bisections
-
-
-def _float_bits(x: float) -> int:
-    """The bit pattern of a float as an int: increasing in x >= 0.0."""
-    return struct.unpack("<q", struct.pack("<d", x))[0]
-
-
-def _bits_float(i: int) -> float:
-    return struct.unpack("<d", struct.pack("<q", i))[0]
-
-
-def _nearest_float(g, k: int, lo: tuple, hi: tuple) -> float:
-    """The float nearest to the root z > 0 of g(z^k) with z^k in (lo, hi),
-    for rationals 0 <= lo < hi, each a (numerator, denominator) pair with
-    a positive denominator, between which g has one root u, simple, and
-    no other, and g(lo) != 0.  A root halfway between two floats
+def _nearest_float(g, k: int, lo: int, hi: int, s: int,
+                   below: float) -> float:
+    """The float nearest to the root z of g(z^k) whose k-th power is the
+    root u of g that _least_interval gives as (lo, hi, s), when it is
+    less than the float below; else a float at least below, found as
+    soon as the bisection shows that.  A root halfway between two floats
     goes to the even one, as float() rounds.
 
-    A float c is the answer when g(m^k) has the sign of g(lo) at m the
-    midpoint between c and the float below it, and the other sign at the
-    midpoint between c and the float above: the root then lies between
-    the two midpoints.  Each sign is exact, by _sign_at on the numerator
-    and denominator of m^k, and a midpoint m with m^k outside (lo, hi)
-    takes the sign of its side of u.  A midpoint where g(m^k) = 0 is the
-    root itself, rounded by float().  The first candidate comes from
-    Newton's method on g (_newton_guess).  Each failed candidate bounds
-    the answer on one side, and the next candidate steps from it toward
-    the root in strides of 1, 2, 4, ... floats, or bisects the floats
-    still possible (the bit patterns of positive floats are in the
-    order of their values), so a candidate off by j floats costs about
-    2 log2 j more sign pairs, and none costs more than about 130.
-    """
-    (ln, ld), (hn, hd) = lo, hi
-    side = _sign_at(g, ln, ld)
-
-    def sign(i: int, j: int) -> tuple[int, int, int]:
-        """The sign at the midpoint m of the floats with bits i and j,
-        and m as a numerator and a denominator."""
-        (a, b), (c, d) = (_bits_float(i).as_integer_ratio(),
-                          _bits_float(j).as_integer_ratio())
-        num, den = a * d + c * b, 2 * b * d  # b and d are powers of 2
-        un, ud = num ** k, den ** k
-        if un * ld <= ln * ud:
-            return side, num, den
-        if un * hd >= hn * ud:
-            return -side, num, den
-        return _sign_at(g, un, ud), num, den
-
-    low, high = 1, _float_bits(math.inf)  # the answer's bits are in here
-    i = _float_bits(_newton_guess(g, k, lo, hi, side))
-    stride = 1
-    while True:
-        if low == high:  # the answer is below the least positive float
-            return 0.0
-        if not low <= i < high:
-            i = (low + high) // 2
-        s_below, below, below_den = sign(i - 1, i)
-        s_above, above, above_den = sign(i, i + 1)
-        if not s_below:
-            return below / below_den
-        if not s_above:
-            return above / above_den
-        if s_below == side != s_above:
-            return _bits_float(i)
-        if s_below != side:  # the root is below the candidate
-            high, i = i, i - stride
-        else:  # above it
-            low, i = i + 1, i + stride
-        stride *= 2
-
-
-def _newton_guess(g, k: int, lo: tuple, hi: tuple, side: int) -> float:
-    """A guess at the k-th root of the root u of g in (lo, hi), where g
-    has the sign side just above lo: Newton's method in fixed point with
-    _GUESS_BITS fraction bits, from the middle of (lo, hi), that keeps a
-    bracket of u by the signs it meets and bisects the bracket when a
-    step would leave it.  Floats alone stall far from u when roots
-    cluster, as the real roots near 1/5 of D_n with loops do."""
-    one = 1 << _GUESS_BITS
-    a = lo[0] * one // lo[1]
-    b = -(-hi[0] * one // hi[1])
-    cs = [c << _GUESS_BITS for c in reversed(g)]
-    x = (a + b) // 2
-    for _ in range(_GUESS_STEPS):
-        v = d = 0
-        for c in cs:
-            d = (d * x >> _GUESS_BITS) + v
-            v = (v * x >> _GUESS_BITS) + c
-        if not v:
-            break
-        if (v > 0) - (v < 0) == side:
-            a = x
+    Bisection of (0, 1] by exact signs: g has the sign of g(0) on
+    [0, u), since u is its least positive root, and the other sign just
+    above u.  A dyadic m takes the sign of g(0) when m^k <= lo / 2^s,
+    the other sign when m^k >= hi / 2^s (hi may be the next root), and
+    else the sign of g(m^k) by _sign_at.  A dyadic u = lo / 2^s = hi /
+    2^s is the one root of the linear lo - 2^s u, searched on (0, 1).
+    A midpoint where g(m^k) = 0 is the root itself, rounded by float().
+    Rounding to the nearest float is monotone, so once both ends of the
+    interval round to the same float, so does z."""
+    if lo == hi:
+        g, lo, hi, s = (lo, -1 << s), 0, 1, 0
+    side = 1 if g[0] > 0 else -1
+    a, b, t = 0, 1, 0  # z lies in (a, b] / 2^t
+    while below > a / (1 << t) != b / (1 << t):
+        m, t = a + b, t + 1
+        um, shift = m ** k, t * k  # m^k = um / 2^shift
+        if um << s <= lo << shift:
+            sign = side
+        elif um << s >= hi << shift:
+            sign = -side
         else:
-            b = x
-        step = (v << _GUESS_BITS) // d if d else b - a  # b - a leaves
-        if abs(step) <= x >> 64:
-            x -= step
-            break
-        x = x - step if a < x - step < b else (a + b) // 2
-    return (x / one) ** (1.0 / k)
+            sign = _sign_at(g, um, shift)
+        if not sign:
+            return m / (1 << t)
+        a, b = (m, 2 * b) if sign == side else (2 * a, m)
+    return a / (1 << t)
 
 
 # ---------------------------------------------------------------------------

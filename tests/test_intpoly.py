@@ -7,7 +7,7 @@ import pytest
 
 import zetaforge.intpoly as intpoly
 from test_rootfind import decimal_root
-from test_same_output import DIMERS, random_graph
+from test_same_output import grid_graphs, random_graph
 from zetaforge.catalog import ade_graph, dimer_graph
 from zetaforge.census import enumerate_primes
 from zetaforge.graphs import MixedGraph, degree_profile
@@ -847,29 +847,14 @@ class TestSeries:
 
 def digest_grid_graphs():
     """(name, graph) for the graphs of tests/test_same_output.py's grid,
-    in its order: A0-A44, A60, A99, A100, A0-A30 with loops, D4-D19 and
-    E6-E8 with and without loops, the seven dimers and the 60 seeded
-    random mixed graphs."""
-    out = [(f"A{k}", ade_graph("A", k)) for k in (*range(45), 60, 99, 100)]
-    out += [(f"A{k} loops", ade_graph("A", k, with_loops=True))
-            for k in range(31)]
-    for family, index in ([("D", k) for k in range(4, 20)]
-                          + [("E", k) for k in (6, 7, 8)]):
-        out += [(f"{family}{index}", ade_graph(family, index)),
-                (f"{family}{index} loops",
-                 ade_graph(family, index, with_loops=True))]
-    out += [(f"dimer {spec}", dimer_graph([int(v) for v in spec.split(",")]))
-            for spec in DIMERS]
-    rng = random.Random(26)
-    out += [(f"mixed{k:02d}", MixedGraph.from_dict(random_graph(rng)))
-            for k in range(60)]
-    return out
+    in its order, each named by the options that select it."""
+    return [(" ".join(options), graph) for options, graph, _ in grid_graphs()]
 
 
 # A26-A30 and D14-D19 with loops: find_roots fails its power-sum check on
 # them, so primes printed "-" for every ratio before R_G was isolated
-ROOT_SEARCH_FAILS = ([f"A{k} loops" for k in range(26, 31)]
-                     + [f"D{k} loops" for k in range(14, 20)])
+ROOT_SEARCH_FAILS = ([f"--ade A{k} --loops" for k in range(26, 31)]
+                     + [f"--ade D{k} --loops" for k in range(14, 20)])
 
 
 def sturm_count(p, x):
@@ -982,17 +967,18 @@ class TestLeastPositiveRoot:
         the first split lands on the root 1/2 exactly; as g(z^2) the
         answer is the float nearest to sqrt(1/2)."""
         g = P(1, -2) * P(1, -1, -1)
-        assert _least_interval(g.coeffs) == ((1, 2), (1, 2))
+        assert _least_interval(g.coeffs) == (1, 1, 1)
         assert least_positive_root(g) == 0.5
         spread = P(1, 0, -3, 0, 1, 0, 2)  # g(z^2)
         assert least_positive_root(spread) == math.sqrt(0.5)
 
     def test_roots_halfway_between_floats_round_to_even(self):
-        """1 + 2^-53 lies halfway between 1 and the float above it, and
-        1 + 3 * 2^-53 halfway between two floats whose even one is
-        1 + 2^-51; float() rounds a linear factor's root the same way."""
-        for odd, want in ((1, 1.0), (3, 1 + 2 ** -51)):
-            linear = P(-(2 ** 53 + odd), 2 ** 53)
+        """1/2 + 2^-54 lies halfway between 1/2 and the float above it,
+        and 1/2 + 3 * 2^-54 halfway between two floats whose even one is
+        1/2 + 2^-52, as float() rounds them."""
+        for odd, want in ((1, 0.5), (3, 0.5 + 2 ** -52)):
+            assert (2 ** 53 + odd) / 2 ** 54 == want
+            linear = P(-(2 ** 53 + odd), 2 ** 54)
             assert least_positive_root(linear) == want
             assert least_positive_root(linear * P(1, 0, 1)) == want
             assert least_positive_root(linear * P(2, 0, 1)) == want
@@ -1022,39 +1008,31 @@ class TestLeastPositiveRoot:
                 if sturm_count(f, above)] == [2]
         assert r_g == 0.20211947281334475
 
-    def test_no_positive_root_gives_none(self):
-        """No root in (0, 1], and none above: a constant, a root at 0,
-        roots at -1 and complex ones, with and without sign variations
-        (1 - z + z^2 has two, and no real root)."""
+    def test_no_root_in_the_unit_interval_gives_none(self):
+        """A constant, a root at 0, roots at -1, complex roots with and
+        without sign variations (1 - z + z^2 has two, and no real root),
+        and real roots above 1 alone."""
         for p in (P(5), P(0, 3), P(1, 1) ** 3 * P(1, 1, 1), P(1, -1, 1),
-                  P(1, -1, 1) * P(0, 0, 1) * P(2, 1), P(1, 0, 1) ** 2):
+                  P(1, -1, 1) * P(0, 0, 1) * P(2, 1), P(1, 0, 1) ** 2,
+                  P(-3, 1) * P(-5, 1) * P(1, 0, 1), P(-5, 0, 1),
+                  P(7, -1) * P(1, -1, 1), P(0, 0, -2, 1) * P(1, 1)):
             assert least_positive_root(p) is None, p
 
-    def test_roots_above_one(self):
-        """The search goes on past 1, up to Cauchy's bound."""
-        assert least_positive_root(P(-3, 1) * P(-5, 1) * P(1, 0, 1)) == 3.0
-        assert least_positive_root(P(-5, 0, 1)) == math.sqrt(5)
-        assert least_positive_root(P(7, -1) * P(1, -1, 1)) == 7.0
-        assert least_positive_root(P(0, 0, -2, 1) * P(1, 1)) == 2.0
+    def test_root_one_inside_a_factor(self):
+        """squarefree_factors multiplies the factor z - 1 into the factor
+        of the same multiplicity, so the root 1 can share a factor with
+        roots above 1 alone, or with a smaller root, also as g(z^k)."""
+        for p, want in ((P(-1, 1) * P(-5, 0, 1), 1.0),
+                        (P(-1, 1) * P(-3, 1), 1.0),
+                        (P(-1, 0, 1) * P(-5, 0, 1), 1.0),
+                        (P(-1, 0, 0, 1) * P(-3, 0, 0, 1), 1.0),
+                        (P(-1, 1) * P(-1, 2) * P(-5, 1), 0.5),
+                        (P(-1, 0, 1) * P(-1, 0, 4) * P(-5, 0, 1), 0.5)):
+            assert len(squarefree_factors(p)) == 1, p
+            assert least_positive_root(p) == want, p
 
     def test_roots_beyond_the_floats_near_zero(self):
         """A root below half the least subnormal float rounds to 0.0, and
         one among the subnormals to its subnormal."""
         for power, want in ((1100, 0.0), (1074, 5e-324), (1070, 2.0 ** -1070)):
             assert least_positive_root(P(1, -(2 ** power)) * P(1, 0, 1)) == want
-
-    def test_any_guess_reaches_the_nearest_float(self, monkeypatch):
-        """The Newton guess is only a candidate: from a guess at the
-        smallest float, at 1e300, at 1.0 or a few floats off, the exact
-        signs walk and bisect to the same float."""
-        cases = [P(1, -1, -1) * P(3, 0, 1), P(1, 0, -3, 0, 1, 0, 2),
-                 zeta_inverse(ade_graph("D", 5, with_loops=True)),
-                 P(-(2 ** 53 + 3), 2 ** 53) * P(1, 0, 1)]
-        wants = [least_positive_root(p) for p in cases]
-        guess = intpoly._newton_guess
-        for bad in (lambda x: 5e-324, lambda x: 1e300, lambda x: 1.0,
-                    lambda x: math.nextafter(x, 0),
-                    lambda x: x + 7 * math.ulp(x)):
-            monkeypatch.setattr(intpoly, "_newton_guess",
-                                lambda *args: bad(guess(*args)))
-            assert [least_positive_root(p) for p in cases] == wants

@@ -28,6 +28,8 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 
 from zetaforge import cli
+from zetaforge.catalog import ade_graph, dimer_graph
+from zetaforge.graphs import MixedGraph
 
 DIGEST_FILE = os.path.join(os.path.dirname(__file__), "same_output.sha256")
 
@@ -56,20 +58,42 @@ def random_graph(rng):
     return {"nodes": n, "edges": edges, "arrows": arrows}
 
 
+def grid_graphs():
+    """(options, graph, data) for the graphs of the grid, in order: the
+    options that select the graph on the command line, the graph, and
+    for a seeded random graph the dict that sources writes to the file
+    its options name (None for the others)."""
+    out = [(["--ade", f"A{k}"], ade_graph("A", k), None)
+           for k in (*range(45), 60, 99, 100)]
+    out += [(["--ade", f"A{k}", "--loops"],
+             ade_graph("A", k, with_loops=True), None) for k in range(31)]
+    for family, index in ([("D", k) for k in range(4, 20)]
+                          + [("E", k) for k in (6, 7, 8)]):
+        for loops in (False, True):
+            out.append((["--ade", f"{family}{index}"] + ["--loops"] * loops,
+                        ade_graph(family, index, with_loops=loops), None))
+    out += [(["--dimer", spec],
+             dimer_graph([int(v) for v in spec.split(",")]), None)
+            for spec in DIMERS]
+    rng = random.Random(26)
+    for k in range(60):
+        data = random_graph(rng)
+        out.append((["--graph", f"mixed{k:02d}.json"],
+                    MixedGraph.from_dict(data), data))
+    return out
+
+
 def sources(directory):
     """The graph options of the grid, in order; the random graphs are
     written to directory."""
-    out = [["--ade", f"A{k}"] for k in (*range(45), 60, 99, 100)]
-    out += [["--ade", f"A{k}", "--loops"] for k in range(31)]
-    for spec in [f"D{k}" for k in range(4, 20)] + ["E6", "E7", "E8"]:
-        out += [["--ade", spec], ["--ade", spec, "--loops"]]
-    out += [["--dimer", spec] for spec in DIMERS]
-    rng = random.Random(26)
-    for k in range(60):
-        path = os.path.join(directory, f"mixed{k:02d}.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(random_graph(rng), fh)
-        out.append(["--graph", path])
+    out = []
+    for options, _, data in grid_graphs():
+        if data is not None:
+            path = os.path.join(directory, options[1])
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(data, fh)
+            options = [options[0], path]
+        out.append(options)
     return out
 
 
