@@ -49,7 +49,6 @@ TRIVIAL = "Trivial"
 _FLAGS = {STRONG: "S", WEAK: "W", VIOLATED: "N", TRIVIAL: "T"}
 
 _ANNULUS_EPS = 1e-9   # open-annulus slack: boundary poles do not violate
-_MODULUS_TOL = 1e-8
 
 
 def zeta_inverse(g: MixedGraph) -> IntPoly:
@@ -367,12 +366,11 @@ class ZetaReport(_Frozen):
     """Pole analysis and classification verdicts for one graph.
 
     classification is Strong/Weak/Violated per the open pole-free annuli
-    (R, sqrt(R)) and (R, 1/sqrt(q)), with R the smallest pole modulus,
-    or Trivial when the reciprocal zeta is constant (forests).  q and p
-    are max/min total degree minus one; ramanujan and xi_functional_ok
-    are None when the graph is not regular undirected.  kotani_sunada_ok
-    records the degree bound 1/q <= R <= 1/p, tested only on undirected
-    graphs (where the theorem lives) and vacuously true otherwise.
+    (R, sqrt(R)) and (R, 1/sqrt(q)), R = r_g the least positive pole, or
+    Trivial for a constant reciprocal zeta (forests).  q and p are
+    max/min total degree minus one; ramanujan and xi_functional_ok are
+    None unless the graph is regular undirected.  kotani_sunada_ok tests
+    1/q <= R <= 1/p exactly on undirected graphs, and is True otherwise.
     """
 
     def __init__(self, zeta_inverse: IntPoly, poles: RootSet, r_g: float,
@@ -404,7 +402,8 @@ class ZetaReport(_Frozen):
 
 
 def classify_moduli(moduli: list[float], r_g: float, q: int) -> str:
-    """Strong/Weak/Violated from pole moduli (open annuli, 1e-9 slack)."""
+    """Strong/Weak/Violated from pole moduli; the 1e-9 slack keeps poles
+    on |z| = R other than R, or on |z| = sqrt(R), out of the annuli."""
     if not moduli:
         return TRIVIAL
     lo = r_g + _ANNULUS_EPS
@@ -420,15 +419,16 @@ def classify_moduli(moduli: list[float], r_g: float, q: int) -> str:
 
 def _verdict(g: MixedGraph, found: dict):
     """(zeta polynomial, poles, R, degree profile, classification) of g,
-    with no spectrum and no xi check.  found maps the polynomials whose
-    roots the caller has found to their poles; g's are taken from it or
-    added to it."""
+    with no spectrum and no xi check; R is the least positive pole, the
+    Perron root.  found maps the polynomials whose roots the caller has
+    found to their poles; g's are taken from it or added to it."""
     zi = zeta_inverse(g)
     poles = found.get(zi)
     if poles is None:
         poles = found[zi] = find_roots(zi)
     moduli = poles.moduli()
-    r_g = min(moduli, default=float("inf"))
+    r_g = min((z.real for z, _ in poles if not z.imag and z.real > 0),
+              default=float("inf"))
     profile = degree_profile(g)
     classification = classify_moduli(moduli, r_g, profile.max_degree - 1)
     return zi, poles, r_g, profile, classification
@@ -444,8 +444,7 @@ def analyze(g: MixedGraph) -> ZetaReport:
         # degree-bound theorem for undirected graphs: 1/q <= R <= 1/p;
         # arrows break both bounds (a directed triple-cycle has R = 1/3
         # with total degree 6), so the test is skipped for them
-        ks_ok = ((q < 1 or 1.0 / q - _MODULUS_TOL <= r_g)
-                 and (p < 1 or r_g <= 1.0 / p + _MODULUS_TOL))
+        ks_ok = (q < 1 or 1.0 / q <= r_g) and (p < 1 or r_g <= 1.0 / p)
     else:
         ks_ok = True
 

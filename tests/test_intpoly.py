@@ -8,7 +8,8 @@ import pytest
 import zetaforge.intpoly as intpoly
 from test_rootfind import decimal_root
 from test_same_output import grid_graphs, random_graph
-from zetaforge.catalog import ade_graph, dimer_graph
+from zetaforge.catalog import (ade_graph, dimer_graph, load_catalog,
+                               quiver_to_graph)
 from zetaforge.census import enumerate_primes
 from zetaforge.graphs import MixedGraph, degree_profile
 from zetaforge.intpoly import (_MERSENNE_EXPONENTS, DivisibilityError,
@@ -19,7 +20,7 @@ from zetaforge.intpoly import (_MERSENNE_EXPONENTS, DivisibilityError,
                                log_derivative_series, mobius_invert,
                                poly_gcd, primitive_part, squarefree_factors)
 from zetaforge.rootfind import NumericalError, find_roots
-from zetaforge.zeta import zeta_inverse
+from zetaforge.zeta import analyze, zeta_inverse
 
 
 def P(*coeffs):
@@ -886,35 +887,41 @@ def sturm_count(p, x):
 
 class TestLeastPositiveRoot:
     def test_equals_find_roots_on_the_digest_grid(self):
-        """On the 110 grid graphs with a prime within the horizon 6 where
-        find_roots succeeds, R_G equals its smallest pole modulus bit for
-        bit; it fails on the 11 graphs of ROOT_SEARCH_FAILS alone."""
+        """On every grid graph and catalog quiver where find_roots
+        succeeds, R_G is the least positive pole that analyze reports (inf
+        for a forest); on the 150 of them with a prime within the horizon
+        6 it is also their smallest pole modulus bit for bit.  find_roots
+        fails on the 11 graphs of ROOT_SEARCH_FAILS alone."""
+        quivers = [(f"quiver {rec.id}", quiver_to_graph(rec.quiver))
+                   for rec in load_catalog()]
         equal, failed = 0, []
-        for name, g in digest_grid_graphs():
-            if not enumerate_primes(g, 6).delta:
-                continue
-            zi = zeta_inverse(g)
+        for name, g in digest_grid_graphs() + quivers:
             try:
-                r_min = find_roots(zi).min_modulus()
+                report = analyze(g)
             except NumericalError:
                 failed.append(name)
                 continue
-            assert least_positive_root(zi) == r_min, name
-            equal += 1
-        assert (equal, failed) == (110, ROOT_SEARCH_FAILS)
+            r_g = least_positive_root(report.zeta_inverse)
+            assert report.r_g == (math.inf if r_g is None else r_g), name
+            if enumerate_primes(g, 6).delta:
+                assert r_g == report.poles.min_modulus(), name
+                equal += 1
+        assert (equal, failed) == (150, ROOT_SEARCH_FAILS)
 
     def test_equals_find_roots_on_random_mixed_graphs(self):
         """Seeded random mixed graphs with arrow self-loops and reciprocal
-        pairs; a graph with no cycle has zeta^-1 = 1 and no root."""
+        pairs; a graph with no cycle has zeta^-1 = 1, no root and an
+        infinite R_G."""
         rng = random.Random(73)
         cycles = 0
         for _ in range(400):
-            zi = zeta_inverse(MixedGraph.from_dict(random_graph(rng)))
-            r_g = least_positive_root(zi)
-            if zi.degree == 0:
-                assert r_g is None
+            report = analyze(MixedGraph.from_dict(random_graph(rng)))
+            r_g = least_positive_root(report.zeta_inverse)
+            if report.zeta_inverse.degree == 0:
+                assert r_g is None and report.r_g == math.inf
                 continue
-            assert r_g == find_roots(zi).min_modulus(), zi
+            assert r_g == report.r_g == report.poles.min_modulus(), \
+                report.zeta_inverse
             cycles += 1
         assert cycles > 350
 
@@ -938,7 +945,7 @@ class TestLeastPositiveRoot:
             assert decimal_root(holding[0], complex(r_g)) == r_g, name
 
     def test_kotani_sunada_bounds(self):
-        """1/q <= R_G <= 1/p, to one ulp, on seeded undirected multigraphs
+        """1/q <= R_G <= 1/p, exactly, on seeded undirected multigraphs
         (loops and parallel edges) of minimum degree p + 1 >= 2 and
         maximum degree q + 1 (Kotani and Sunada 2000)."""
         rng = random.Random(41)
@@ -953,8 +960,8 @@ class TestLeastPositiveRoot:
                 continue
             p, q = profile.min_degree - 1, profile.max_degree - 1
             r_g = least_positive_root(zeta_inverse(g))
-            assert math.nextafter(1 / q, 0) <= r_g, (g, r_g)
-            assert r_g <= math.nextafter(1 / p, 1), (g, r_g)
+            assert 1 / q <= r_g <= 1 / p, (g, r_g)
+            assert analyze(g).kotani_sunada_ok is True, g
             tested += 1
 
     def test_dimer_345_has_r_g_one_quarter(self):
@@ -986,11 +993,16 @@ class TestLeastPositiveRoot:
     def test_thousand_cycle_gives_one(self):
         """(1 - z^1000)^2 is split as (u - 1)^2 with u = z^1000 and pinned
         by exact signs of u - 1, never spread: R_G is 1.0, where the
-        smallest pole modulus that find_roots gives is one ulp below."""
+        smallest pole modulus that find_roots gives is one ulp below.
+        analyze reads R_G off the least positive pole, so it gives 1.0
+        too, on the 1000-cycle and on the 31- and 41-cycles, whose
+        smallest pole modulus is also one ulp below 1."""
         zi = zeta_inverse(ade_graph("A", 999))
         assert zi == P(-1, *[0] * 999, 1) ** 2
         assert least_positive_root(zi) == 1.0
         assert find_roots(zi).min_modulus() == math.nextafter(1.0, 0)
+        for n in (30, 40, 999):
+            assert analyze(ade_graph("A", n)).r_g == 1.0, n
 
     def test_doubled_perron_root(self):
         """Two disjoint copies of E6 with loops square zeta^-1, so the
