@@ -916,12 +916,12 @@ class TestLeastPositiveRoot:
         cycles = 0
         for _ in range(400):
             report = analyze(MixedGraph.from_dict(random_graph(rng)))
-            r_g = least_positive_root(report.zeta_inverse)
-            if report.zeta_inverse.degree == 0:
+            zi = report.zeta_inverse
+            r_g = least_positive_root(zi)
+            if zi.degree == 0:
                 assert r_g is None and report.r_g == math.inf
                 continue
-            assert r_g == report.r_g == report.poles.min_modulus(), \
-                report.zeta_inverse
+            assert r_g == report.r_g == report.poles.min_modulus(), zi
             cycles += 1
         assert cycles > 350
 
