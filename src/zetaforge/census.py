@@ -5,9 +5,9 @@ inverse darts, a loop two inverse darts at the same node, an arrow a
 single dart with no inverse.  A closed walk of length m is backtrackless
 and tailless when no dart is followed (cyclically, wrap-around included)
 by its own inverse.  Closed-walk counts N_m are traces of powers of the
-dart transition matrix, stepped as packed columns of big ints.  Prime
-classes are grouped under cyclic rotation only, so a cycle and its
-reversal are distinct classes.
+dart transition matrix, stepped as packed columns of big ints through
+one sum per node.  Prime classes are grouped under cyclic rotation only,
+so a cycle and its reversal are distinct classes.
 
 A prime class of length m holds m distinct rotations of a primitive
 closed walk, and each closed walk is a power of exactly one primitive
@@ -79,15 +79,6 @@ def build_darts(g: MixedGraph) -> list[Dart]:
     return darts
 
 
-def _successors(darts: list[Dart]) -> list[list[int]]:
-    """Darts that may follow each dart, in increasing id order."""
-    by_tail: dict[int, list[int]] = {}
-    for d in darts:
-        by_tail.setdefault(d.tail, []).append(d.id)
-    return [[e for e in by_tail.get(d.head, []) if e != d.inverse]
-            for d in darts]
-
-
 def _check_horizon(horizon: int):
     if not _is_int(horizon):
         raise TypeError(f"horizon {horizon!r} is not an int")
@@ -104,26 +95,32 @@ def count_closed_paths(g: MixedGraph, horizon: int) -> list[int]:
     position distinguished.  Exact integers via transition-matrix traces.
 
     Column f of T^m is one int with a slot of w bits per start dart d,
-    holding the number of walks of m darts from d to f.  The m - 1 darts
-    after d are each one of at most s successors, and the last is f, so
-    no slot exceeds s**(horizon - 1); w = bits of that bound (at least
-    1) holds every slot without a carry.  A step sums the packed columns
-    of f's predecessors, and N_m is the sum over f of slot f of column f.
+    holding the number of walks of m darts from d to f.  Dart e precedes
+    f when it enters f's tail and is not f's inverse (Hashimoto 1989): a
+    step sums the columns of the darts entering each node, and f's new
+    column is its tail's sum less its inverse's column, if any.  The m - 1
+    darts after d are each one of at most s successors, so no slot of a
+    sum exceeds s**(m - 1); w = bits of s**(horizon - 1) (at least 1)
+    holds every slot, and taking out a column that a sum holds never
+    borrows.  N_m is the sum over f of slot f of column f.
     """
     _check_horizon(horizon)
-    succ = _successors(build_darts(g))
-    size = len(succ)
-    pred: list[list[int]] = [[] for _ in range(size)]
-    for e, nxt in enumerate(succ):
-        for f in nxt:
-            pred[f].append(e)
-    top = max(map(len, succ), default=0)
+    darts = build_darts(g)
+    entering: list[list[int]] = [[] for _ in range(g.node_count)]
+    leaving = [0] * g.node_count
+    for d in darts:
+        entering[d.head].append(d.id)
+        leaving[d.tail] += 1
+    top = max((leaving[d.head] - (d.inverse is not None) for d in darts),
+              default=0)
     w = max(1, (top ** (horizon - 1)).bit_length())
     mask = (1 << w) - 1
-    cols = [1 << w * f for f in range(size)]
+    links = [(d.tail, d.inverse) for d in darts]
+    cols = [1 << w * f for f in range(len(darts))]
     counts = []
     for _ in range(horizon):
-        cols = [sum([cols[e] for e in pr]) for pr in pred]
+        sums = [sum([cols[e] for e in into]) for into in entering]
+        cols = [sums[t] if i is None else sums[t] - cols[i] for t, i in links]
         counts.append(sum(c >> w * f & mask for f, c in enumerate(cols)))
     return counts
 

@@ -206,11 +206,12 @@ def _cmd_rh(args, parser) -> tuple[str, int]:
 
 def _cmd_primes(args, parser) -> tuple[str, int]:
     """The census table to the horizon -L: the closed-walk counts N_m
-    and prime counts pi(m) from the dart-matrix traces, each N_m checked
-    against the series of 1/zeta, and the ratios pi(m) m R_G^m / delta,
-    with R_G the least positive root of zeta^-1 (see census), which
-    least_positive_root isolates exactly and rounds once.  No root
-    search runs, so the ratios are printed whenever there is a prime."""
+    and prime counts pi(m) from the dart-matrix traces (node sums), each
+    N_m checked against the series of 1/zeta, and the ratios pi(m) m
+    R_G^m / delta, with R_G the least positive root of zeta^-1 (see
+    census), which least_positive_root isolates exactly on the square-free
+    part and rounds once.  No root search runs, so the ratios are printed
+    whenever there is a prime."""
     if not 1 <= args.horizon <= HORIZON_LIMIT:
         parser.error(f"horizon -L must be in 1..{HORIZON_LIMIT}")
     g = _load_graph(args, parser)

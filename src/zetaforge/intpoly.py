@@ -14,10 +14,10 @@ multi-modular algorithm, whose Euclid runs on one packed int per
 polynomial modulo Mersenne primes.
 
 The least root in (0, 1] (least_positive_root, R_G for a reciprocal zeta
-polynomial) is isolated on each square-free factor by Descartes counts
-on dyadic intervals (Collins-Akritas 1976) and rounded to the nearest
-float by bisection with exact signs (_nearest_float), so it is exact up
-to that one rounding and never fails to converge.
+polynomial) is isolated on the square-free part by Descartes counts on
+dyadic intervals (Collins-Akritas 1976), narrowed by Illinois steps and
+rounded by bisection, both on exact values (_nearest_float), so it is
+exact up to that one rounding and never fails to converge.
 """
 
 from __future__ import annotations
@@ -588,106 +588,123 @@ def least_positive_root(p: IntPoly) -> float | None:
     the graph has a prime, since the spectral radius of its dart matrix
     is then at least 1.
 
-    Each square-free factor f = g(z^k), k the gcd of its exponents, has
-    only simple roots, and z -> z^k keeps the order of (0, 1], so the
-    least root of f there is the k-th root of g's.  That root of g is
-    isolated by Descartes counts (_least_interval) and rounded by exact
-    signs of g(z^k) at dyadic z (_nearest_float), never by expanding
-    g(z^k), so the 1000-cycle's (1 - z^1000)^2 gives exactly 1.0.  No
-    step can fail the way a float root search can.
+    The primitive part of p less its root 0 is g(z^k), k the gcd of its
+    exponents, and z -> z^k keeps the order of (0, 1].  The roots 1 and
+    -1 of g are divided out (a root 1 gives 1.0 if none is smaller), one
+    gcd with the derivative leaves the square-free part v, and the least
+    root of v in (0, 1) is isolated (_least_interval) and its k-th root
+    rounded (_nearest_float), never expanding v(z^k): the 1000-cycle's
+    (1 - z^1000)^2 gives 1.0.  No step fails as a float root search can.
     """
-    best = math.inf
-    for f, _ in squarefree_factors(p):
-        f = f.coeffs
-        f = f[next(i for i, c in enumerate(f) if c):]  # the root 0 is not
-        if len(f) < 2:
-            continue
-        k = math.gcd(*[i for i, c in enumerate(f) if c])
-        g = f[::k]
-        interval = _least_interval(g)
-        if interval is not None:
-            best = min(best, _nearest_float(g, k, *interval, below=best))
-    return None if best == math.inf else best
+    f = primitive_part(p).coeffs
+    f = f[min(i for i, c in enumerate(f) if c):]  # ValueError if p is 0
+    k = math.gcd(*[i for i, c in enumerate(f) if c]) or 1
+    ones, g = _root_split(f[::k], 1)
+    g = _root_split(g, -1)[1]
+    if len(g) > 1:
+        g = _gcd(g, IntPoly._raw(g).derivative().coeffs)[1]
+        if interval := _least_interval(g):
+            return _nearest_float(g, k, *interval)
+    return 1.0 if ones else None
 
 
 def _least_interval(g: tuple) -> tuple[int, int, int] | None:
-    """The least root u in (0, 1] of a square-free g with g(0) != 0, as
+    """The least root u in (0, 1) of a square-free g with g(0) != 0, as
     (lo, hi, s) with lo < hi when the open interval (lo, hi) / 2^s holds
     u and no other root, or with lo = hi = u 2^s when u is a dyadic
     rational met on the way; no root lies in (0, lo / 2^s] either.  None
-    when g has no root in (0, 1].
+    when g has no root in (0, 1).
 
     A left-first bisection on Descartes counts (_roots_between) of
     (0, 1): a count of 0 drops an interval, a count of 1 isolates its
     one root, and a larger count splits it at its midpoint, where an
-    exact sign tells whether the midpoint is itself a root.  Every
+    exact value tells whether the midpoint is itself a root.  Every
     interval is stacked as (lo, hi, s), and a stacked (u, u, s) is the
-    root u.  The point 1 comes last: g(1) = 0 when squarefree_factors
-    has multiplied the factor u - 1 into g."""
+    root u."""
     signs = [c > 0 for c in g if c]
     if all(x == y for x, y in zip(signs, signs[1:])):
         return None  # no sign variation: no positive root
-    stack = [(1, 1, 0), (0, 1, 0)]
+    stack = [(0, 1, 0)]
     while stack:
         lo, hi, s = stack.pop()
-        if lo < hi:
-            count = _roots_between(g, lo, hi, s)
-        else:  # a midpoint found to be a root, or the point 1
-            count = 1 if s or not sum(g) else 0
+        count = _roots_between(g, lo, hi, s) if lo < hi else 1
         if count == 1:
             return lo, hi, s
         if count:
             mid = lo + hi  # at scale s + 1
             stack.append((mid, 2 * hi, s + 1))
-            if not _sign_at(g, mid, s + 1):
+            if not _scaled_value(g, mid, s + 1):
                 stack.append((mid, mid, s + 1))
             stack.append((2 * lo, mid, s + 1))
     return None
 
 
-def _sign_at(g, num: int, shift: int) -> int:
-    """Sign of g(num / 2^shift), exactly: the sign of 2^(shift deg(g))
-    g(num / 2^shift), by Horner's rule scaled to integers."""
+def _scaled_value(g, num: int, shift: int) -> int:
+    """2^(shift deg(g)) g(num / 2^shift), exactly, by Horner's rule
+    scaled to integers; one bit more of shift shifts it by deg(g) bits."""
     acc, power = g[-1], 0
     for c in g[-2::-1]:
         power += shift
         acc = acc * num + (c << power)
-    return (acc > 0) - (acc < 0)
+    return acc
 
 
-def _nearest_float(g, k: int, lo: int, hi: int, s: int,
-                   below: float) -> float:
+def _nearest_float(g, k: int, lo: int, hi: int, s: int) -> float:
     """The float nearest to the root z of g(z^k) whose k-th power is the
-    root u of g that _least_interval gives as (lo, hi, s), when it is
-    less than the float below; else a float at least below, found as
-    soon as the bisection shows that.  A root halfway between two floats
-    goes to the even one, as float() rounds.
+    root u of g that _least_interval gives as (lo, hi, s); a tie goes to
+    the even float, as float() rounds.
 
-    Bisection of (0, 1] by exact signs: g has the sign of g(0) on
-    [0, u), since u is its least positive root, and the other sign just
-    above u.  A dyadic m takes the sign of g(0) when m^k <= lo / 2^s,
-    the other sign when m^k >= hi / 2^s (hi may be the next root), and
-    else the sign of g(m^k) by _sign_at.  A dyadic u = lo / 2^s = hi /
-    2^s is the one root of the linear lo - 2^s u, searched on (0, 1).
-    A midpoint where g(m^k) = 0 is the root itself, rounded by float().
-    Rounding to the nearest float is monotone, so once both ends of the
-    interval round to the same float, so does z."""
+    Illinois steps (Dowell and Jarratt 1971) on exact values of g narrow
+    (lo, hi) to 2^-56 of lo: the chord point, on a grid 2^-64 of it or of
+    the bracket, whichever is coarser, and strictly inside, replaces the
+    end of its sign, and an end kept twice running has its value halved;
+    the midpoint stands in until hi has a value and after three steps
+    that do not halve the bracket.  A bisection of (0, 1] then pins z:
+    g has the sign of g(0) on [0, u) and the other on (u, hi / 2^s), so
+    m^k <= lo / 2^s and m^k >= hi / 2^s need no evaluation, and a zero
+    of g(m^k) is z (a dyadic u is the root of the linear lo - 2^s u).
+    Rounding is monotone: once both ends round to one float, so does z."""
+    side, step = g[0] > 0, len(g) - 1  # scale s + 1 shifts a value by step
+    fa, fb, stalls, last, span = 0, 0, 0, None, hi - lo  # fa, fb: 0 if unknown
+    while lo < hi and (hi - lo) << 56 > lo:
+        if fb and stalls < 3:
+            fa = fa or _scaled_value(g, lo, s)
+            num, den = hi * fa - lo * fb, fa - fb  # the chord point num / den
+            e = 64 - max((num // den).bit_length(), (hi - lo).bit_length())
+            e = max(hi - lo == 1, e)
+            m = (2 * (num << e) + den) // (2 * den)
+        else:
+            e, m = 1, lo + hi
+        lo, hi, s, span = lo << e, hi << e, s + e, span << e
+        fa, fb, m = fa << e * step, fb << e * step, min(max(m, lo + 1), hi - 1)
+        value = _scaled_value(g, m, s)
+        left = (value > 0) == side
+        if left == last:  # the other end is kept twice running
+            fa, fb = (fa, fb // 2) if left else (fa // 2, fb)
+        if left or not value:  # both ends at a root met exactly
+            lo, fa = m, value
+        if not left or not value:
+            hi, fb = m, value
+        last = left
+        stalls = 0 if 2 * (hi - lo) <= span else stalls + 1
+        span = span if stalls else hi - lo
     if lo == hi:
-        g, lo, hi, s = (lo, -1 << s), 0, 1, 0
-    side = 1 if g[0] > 0 else -1
-    a, b, t = 0, 1, 0  # z lies in (a, b] / 2^t
-    while below > a / (1 << t) != b / (1 << t):
+        g, lo, hi, s, side = (lo, -1 << s), 0, 1, 0, True
+    j = min(s, (lo ^ hi).bit_length()) if k == 1 else s
+    a, b, t = lo >> j, (lo >> j) + 1, s - j  # z in (a, b] / 2^t, aligned
+    while a / (1 << t) != b / (1 << t):
         m, t = a + b, t + 1
         um, shift = m ** k, t * k  # m^k = um / 2^shift
         if um << s <= lo << shift:
-            sign = side
+            left = True
         elif um << s >= hi << shift:
-            sign = -side
+            left = False
         else:
-            sign = _sign_at(g, um, shift)
-        if not sign:
-            return m / (1 << t)
-        a, b = (m, 2 * b) if sign == side else (2 * a, m)
+            value = _scaled_value(g, um, shift)
+            if not value:
+                return m / (1 << t)
+            left = (value > 0) == side
+        a, b = (m, 2 * b) if left else (2 * a, m)
     return a / (1 << t)
 
 

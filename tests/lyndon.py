@@ -39,14 +39,23 @@ below each prefix word[:(horizon - 1) // 2], and that prefix's W, kept
 along the path as it grows, is applied once per prefix.  No class is
 stored.
 
-The search shares nothing with the traces but the successor lists, so
+The search shares nothing with the traces but the darts of build_darts, so
 its counts check the Moebius inversion of the traces.
 """
 
 from bisect import bisect_right
 from itertools import accumulate
 
-from zetaforge.census import _successors, build_darts
+from zetaforge.census import build_darts
+
+
+def _successors(darts):
+    """Darts that may follow each dart, in increasing id order."""
+    by_tail = {}
+    for d in darts:
+        by_tail.setdefault(d.tail, []).append(d.id)
+    return [[e for e in by_tail.get(d.head, []) if e != d.inverse]
+            for d in darts]
 
 
 def lyndon_closed_walks(darts, succ, horizon):

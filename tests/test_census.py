@@ -10,14 +10,14 @@ from zetaforge import census as census_module
 from zetaforge.catalog import (ade_graph, dimer_graph, load_catalog,
                                quiver_to_graph)
 from zetaforge.census import (HORIZON_LIMIT, CensusError, CensusLimitError,
-                              _successors, build_darts, count_closed_paths,
+                              build_darts, count_closed_paths,
                               enumerate_primes, pnt_ratios)
 from zetaforge.graphs import MixedGraph, normalize
 from zetaforge.intpoly import log_derivative_series, mobius_invert
 from zetaforge.zeta import analyze, zeta_inverse
 
 import lyndon
-from lyndon import lyndon_closed_walks, lyndon_prime_counts
+from lyndon import _successors, lyndon_closed_walks, lyndon_prime_counts
 
 WORKED = MixedGraph(2, edges=((0, 1), (1, 1)), arrows=((1, 0),))
 
@@ -426,9 +426,15 @@ class TestPackedTraces:
             closed = self.assert_matches(MixedGraph(1, edges=((0, 0),) * k))
             # the 2k darts of k loops: T = J - P with P the inverse
             # involution has eigenvalues 2k - 1, 1 (k times) and -1
-            # (k - 1 times)
+            # (k - 1 times).  Every walk ends at the one node, so at L =
+            # 12 the node sum's slots reach the bound s**(L - 1) that
+            # sizes them, s = 2k - 1
             assert closed == [(2 * k - 1) ** m + k + (-1) ** m * (k - 1)
                               for m in range(1, HORIZON_LIMIT + 1)]
+        for k in range(2, 7):
+            # k parallel edges into one node: its sum holds k columns, and
+            # each dart takes out its inverse's
+            self.assert_matches(MixedGraph(2, edges=((0, 1),) * k))
 
     def test_arrow_cycles(self):
         # k parallel arrows around a c-cycle: each walk of m darts reaches
@@ -442,6 +448,12 @@ class TestPackedTraces:
                 closed = self.assert_matches(g)
                 assert closed == [c * k ** m if m % c == 0 else 0
                                   for m in range(1, HORIZON_LIMIT + 1)]
+        # a node with arrows in and no dart out: its node sum is formed and
+        # never read, and the arrows into it lie on no closed walk
+        sink = MixedGraph(3, edges=((0, 1), (1, 1)),
+                          arrows=((0, 2), (1, 2), (1, 2)))
+        assert self.assert_matches(sink) == self.assert_matches(
+            MixedGraph(2, edges=((0, 1), (1, 1))))
 
 
 class TestRatios:

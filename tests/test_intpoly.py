@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 import zetaforge.intpoly as intpoly
+from test_census import census_workload_graphs
 from test_rootfind import decimal_root
 from test_same_output import grid_graphs, random_graph
 from zetaforge.catalog import (ade_graph, dimer_graph, load_catalog,
@@ -885,6 +886,82 @@ def sturm_count(p, x):
     return variations(Fraction(0)) - variations(x)
 
 
+def random_root_poly(rng, i):
+    """A seeded random nonzero polynomial for the least-root property
+    test, of kind i % 5: a lacunary c z^j g(z^k) with repeated factors
+    and roots at 1 and -1; a product of repeated random factors spread to
+    g(z^k); a dyadic root times a random factor; a root halfway between
+    two floats near 1/2, or one 2^-e off it, times 1 + z^2 and powers of
+    z - 1; or repeated roots 1/a next to the roots of a cubic."""
+    kind = i % 5
+    if kind == 0:
+        return lacunary_poly(rng, 1 + i % 4)[0]
+    if kind == 1:
+        p = P(rng.choice((-2, 1, 3)))
+        for _ in range(rng.randint(1, 4)):
+            low = [rng.randint(-20, 20) for _ in range(rng.randint(1, 4))]
+            factor = P(*low) + P(0, 0, 0, 0, rng.choice((-1, 1)))
+            p = p * factor ** rng.randint(1, 2)
+        k = rng.randint(1, 4)
+        spread = [0] * (k * p.degree + 1)
+        spread[::k] = p.coeffs
+        return IntPoly(spread)
+    if kind == 2:
+        e = rng.randint(1, 60)
+        return P(-rng.randrange(1, 2 ** e), 2 ** e) * P(
+            *[rng.randint(-5, 5) for _ in range(rng.randint(1, 4))], 1)
+    if kind == 3:
+        e = rng.randint(54, 70)
+        tie = (2 ** 53 + 2 * rng.randrange(2 ** 20) + 1) << e - 54
+        return (P(-tie - rng.choice((0, 0, 1, -1)), 2 ** e) * P(1, 0, 1)
+                * P(-1, 1) ** rng.randint(0, 2))
+    a = rng.randint(2, 50)
+    return P(1, -a) ** rng.randint(1, 2) * P(a * a + rng.randint(-3, 3), -1, 0,
+                                             rng.choice((-2, -1, 1, 2)))
+
+
+def bisection_root(p):
+    """The least root of p in (0, 1] as least_positive_root rounded it
+    before its Illinois steps, the reference of the property test: each
+    square-free factor g(z^k) of p, its least root in (0, 1) isolated by
+    _least_interval and the point 1 tested, bisected on (0, 1] by exact
+    signs of g(z^k), each term of g scaled to an integer on its own,
+    until both ends round to one float."""
+    roots = []
+    for f, _ in squarefree_factors(p):
+        f = f.coeffs
+        f = f[next(i for i, c in enumerate(f) if c):]
+        if len(f) < 2:
+            continue
+        k = math.gcd(*[i for i, c in enumerate(f) if c])
+        g = f[::k]
+        if not sum(g):
+            roots.append(1.0)
+        interval = _least_interval(g)
+        if interval is None:
+            continue
+        lo, hi, s = interval
+        if lo == hi:
+            g, lo, hi, s = (lo, -2 ** s), 0, 1, 0
+        a, b, t = 0, 1, 0  # the root lies in (a, b] / 2^t
+        while a / 2 ** t != b / 2 ** t:
+            m, a, b, t = a + b, 2 * a, 2 * b, t + 1
+            u, shift = m ** k, t * k  # m^k = u / 2^shift
+            if u << s <= lo << shift:
+                a = m
+            elif u << s >= hi << shift:
+                b = m
+            elif not (value := sum(c * u ** i << shift * (len(g) - 1 - i)
+                                   for i, c in enumerate(g))):
+                a = b = m
+            elif (value > 0) == (g[0] > 0):
+                a = m
+            else:
+                b = m
+        roots.append(a / 2 ** t)
+    return min(roots, default=None)
+
+
 class TestLeastPositiveRoot:
     def test_equals_find_roots_on_the_digest_grid(self):
         """On every grid graph and catalog quiver where find_roots
@@ -1048,3 +1125,73 @@ class TestLeastPositiveRoot:
         one among the subnormals to its subnormal."""
         for power, want in ((1100, 0.0), (1074, 5e-324), (1070, 2.0 ** -1070)):
             assert least_positive_root(P(1, -(2 ** power)) * P(1, 0, 1)) == want
+
+    def test_seeded_polynomials_against_the_references(self):
+        """On 1200 seeded random polynomials (random_root_poly: repeated
+        factors, g(z^k) spreads, roots at 1, dyadic roots and roots at or
+        next to a tie), least_positive_root equals the per-factor
+        bisection of bisection_root, float for float.  On every eighth,
+        the Sturm counts of the polynomial less its root 0 put no root in
+        (0, R (1 - 2^-50)] and one in (0, R (1 + 2^-50)], and R is the
+        float nearest to the root that 60-digit decimal Newton finds on
+        the square-free part, or, when the root is halfway between R and
+        a neighbour, float() of it; with no R, Sturm finds no root in
+        (0, 1].  The zero polynomial has no least root, and a lacunary
+        g(z^1000) whose g has a root far below every float still gives
+        the float nearest its 1000th root."""
+        rng = random.Random(39)
+        polys = [random_root_poly(rng, i) for i in range(1200)]
+        rooted = 0
+        for p in polys:
+            r_g = least_positive_root(p)
+            assert r_g == bisection_root(p), p
+            rooted += r_g is not None
+        assert rooted > 1000
+        for p in polys[::8]:
+            r_g = least_positive_root(p)
+            q = IntPoly(p.coeffs[min(i for i, c in enumerate(p.coeffs) if c):])
+            if r_g is None:
+                assert sturm_count(q, Fraction(1)) == 0, p
+                continue
+            below = Fraction(r_g) * (1 - Fraction(1, 2 ** 50))
+            above = Fraction(r_g) * (1 + Fraction(1, 2 ** 50))
+            assert sturm_count(q, below) == 0 and sturm_count(q, above), p
+            halfway = [(Fraction(r_g) + Fraction(math.nextafter(r_g, x))) / 2
+                       for x in (0, 2)]
+            ties = [x for x in halfway if not q(x)]
+            if ties:  # decimal Newton misses a tie by a few digits
+                assert float(ties[0]) == r_g, p
+                continue
+            v = exact_div(q, poly_gcd(q, q.derivative()))
+            assert decimal_root(v, complex(r_g)) == r_g, p
+        with pytest.raises(ValueError):
+            least_positive_root(P())
+        # three arrows per step of a directed 1000-cycle: u = z^1000 has
+        # the root 3^-1000, and z the root 1/3
+        assert least_positive_root(P(1, *[0] * 999, -3 ** 1000)) == 1 / 3
+
+    def test_rounding_evaluations_on_the_census_workload(self, monkeypatch):
+        """_nearest_float makes at most 20 exact evaluations
+        (_scaled_value calls, of g at u or at m^k) on each of the census
+        workload's six zeta^-1, where the bisection by exact signs of
+        g(z^k) made 56 to 58."""
+        count, made = [0], []
+        scaled_value = intpoly._scaled_value
+        nearest_float = intpoly._nearest_float
+
+        def counting(*args):
+            count[0] += 1
+            return scaled_value(*args)
+
+        def rounding(*args):
+            before = count[0]
+            result = nearest_float(*args)
+            made.append(count[0] - before)
+            return result
+
+        monkeypatch.setattr(intpoly, "_scaled_value", counting)
+        monkeypatch.setattr(intpoly, "_nearest_float", rounding)
+        for g, _ in census_workload_graphs():
+            zi = zeta_inverse(g)
+            assert least_positive_root(zi) == bisection_root(zi), g
+        assert len(made) == 6 and max(made) <= 20, made

@@ -8,9 +8,10 @@ from collections.abc import Mapping
 
 import pytest
 
+from lyndon import _successors
 from zetaforge import polydet
 from zetaforge.catalog import ade_graph, dimer_graph
-from zetaforge.census import _successors, build_darts
+from zetaforge.census import build_darts
 from zetaforge.graphs import (MixedGraph, degree_profile, matrices,
                               normalize)
 from zetaforge import zeta
