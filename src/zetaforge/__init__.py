@@ -2,16 +2,16 @@
 
 Exact reciprocal zeta polynomials via the three-matrix determinant,
 pole analysis with Riemann-hypothesis classification, Ramanujan and
-functional-equation checks, brute-force prime-geodesic censuses, and
-generators plus a verified reference catalog of brane-tiling graphs.
+functional-equation checks, prime-geodesic censuses from dart-matrix
+traces, and generators plus a verified reference catalog of brane-tiling
+graphs.
 """
 
 from .catalog import (CatalogError, CatalogRecord, ade_graph, dimer_graph,
                       dimer_rh, dimer_zeta_closed, load_catalog,
                       quiver_to_graph, verify_catalog)
-from .census import (CensusError, CensusLimitError, Dart, PrimeCensus,
-                     build_darts, count_closed_paths, enumerate_primes,
-                     pnt_ratios)
+from .census import (CensusError, Dart, PrimeCensus, build_darts,
+                     count_closed_paths, enumerate_primes, pnt_ratios)
 from .graphs import (DegreeProfile, GraphFormatError, MatrixBundle,
                      MixedGraph, bipartition, degree_profile, is_connected,
                      matrices, normalize, total_degrees)
@@ -39,7 +39,7 @@ __all__ = [
     "ZetaReport", "zeta_inverse", "directed_zeta_inverse",
     "adjacency_spectrum", "is_ramanujan", "xi_functional_check", "analyze",
     "plot_points", "STRONG", "WEAK", "VIOLATED", "TRIVIAL",
-    "Dart", "PrimeCensus", "CensusError", "CensusLimitError", "build_darts",
+    "Dart", "PrimeCensus", "CensusError", "build_darts",
     "count_closed_paths", "enumerate_primes", "pnt_ratios",
     "CatalogRecord", "CatalogError", "ade_graph", "dimer_graph",
     "dimer_zeta_closed", "dimer_rh", "quiver_to_graph", "load_catalog",

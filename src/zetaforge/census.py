@@ -21,9 +21,9 @@ log-derivative series of zeta^-1 is an independent check on them: the
 primes verb compares the two on every call.  The tests also check the
 counts against an explicit Lyndon-word search (tests/lyndon.py), whose
 cost grows exponentially with the horizon.  The traces cost only a
-horizon of packed steps; HORIZON_LIMIT stays at 12, the -L range the
-command line has always accepted, until a larger cap is measured (the
-trace integers and the series coefficients grow with the horizon).
+horizon of packed steps, so any horizon of at least 1 is counted; only
+the command line bounds its -L (cli.HORIZON_LIMIT), to keep the float
+ratios in range.
 
 pnt_ratios sets the counts against R_G, which the primes verb takes from
 intpoly.least_positive_root: zeta^-1 = det(I - zT) for the dart matrix
@@ -39,15 +39,9 @@ from math import gcd
 from .graphs import MixedGraph, _Frozen, _is_int
 from .intpoly import SeriesError, mobius_invert
 
-HORIZON_LIMIT = 12
-
 
 class CensusError(RuntimeError):
     """Inconsistent census state or unusable request."""
-
-
-class CensusLimitError(CensusError):
-    """Requested horizon beyond HORIZON_LIMIT."""
 
 
 class Dart(_Frozen):
@@ -79,17 +73,6 @@ def build_darts(g: MixedGraph) -> list[Dart]:
     return darts
 
 
-def _check_horizon(horizon: int):
-    if not _is_int(horizon):
-        raise TypeError(f"horizon {horizon!r} is not an int")
-    if horizon < 1:
-        raise ValueError("horizon must be at least 1")
-    if horizon > HORIZON_LIMIT:
-        raise CensusLimitError(
-            f"horizon {horizon} beyond the horizon limit "
-            f"({HORIZON_LIMIT})")
-
-
 def count_closed_paths(g: MixedGraph, horizon: int) -> list[int]:
     """Closed backtrackless tailless walk counts N_1..N_horizon, start
     position distinguished.  Exact integers via transition-matrix traces.
@@ -104,7 +87,10 @@ def count_closed_paths(g: MixedGraph, horizon: int) -> list[int]:
     holds every slot, and taking out a column that a sum holds never
     borrows.  N_m is the sum over f of slot f of column f.
     """
-    _check_horizon(horizon)
+    if not _is_int(horizon):
+        raise TypeError(f"horizon {horizon!r} is not an int")
+    if horizon < 1:
+        raise ValueError("horizon must be at least 1")
     darts = build_darts(g)
     entering: list[list[int]] = [[] for _ in range(g.node_count)]
     leaving = [0] * g.node_count

@@ -22,7 +22,7 @@ from functools import cache
 
 from .catalog import (ade_graph, dimer_graph, load_catalog, parse_ade_spec,
                       verify_catalog)
-from .census import HORIZON_LIMIT, CensusError, enumerate_primes, pnt_ratios
+from .census import CensusError, enumerate_primes, pnt_ratios
 from .graphs import GraphFormatError, MixedGraph
 from .intpoly import least_positive_root, log_derivative_series
 from .rootfind import NumericalError
@@ -34,6 +34,12 @@ EXIT_USAGE = 1
 EXIT_INPUT = 2
 EXIT_NUMERIC = 3
 EXIT_VERIFY = 4
+
+# the one bound on the census horizon -L: pi(m) m <= N_m < darts^m and
+# R_G >= 1/s > 1/darts (s the most successors of a dart), so below 10^10
+# darts and for m <= 30 a pnt ratio's factors stay below 10^300 and R_G^m
+# above 10^-300, and its float product neither overflows nor underflows
+HORIZON_LIMIT = 30
 
 
 class _Parser(argparse.ArgumentParser):

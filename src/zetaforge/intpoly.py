@@ -596,8 +596,10 @@ def least_positive_root(p: IntPoly) -> float | None:
     rounded (_nearest_float), never expanding v(z^k): the 1000-cycle's
     (1 - z^1000)^2 gives 1.0.  No step fails as a float root search can.
     """
+    if not p:
+        raise ValueError("zero polynomial has every point as a root")
     f = primitive_part(p).coeffs
-    f = f[min(i for i, c in enumerate(f) if c):]  # ValueError if p is 0
+    f = f[min(i for i, c in enumerate(f) if c):]
     k = math.gcd(*[i for i, c in enumerate(f) if c]) or 1
     ones, g = _root_split(f[::k], 1)
     g = _root_split(g, -1)[1]

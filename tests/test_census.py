@@ -9,9 +9,9 @@ import pytest
 from zetaforge import census as census_module
 from zetaforge.catalog import (ade_graph, dimer_graph, load_catalog,
                                quiver_to_graph)
-from zetaforge.census import (HORIZON_LIMIT, CensusError, CensusLimitError,
-                              build_darts, count_closed_paths,
+from zetaforge.census import (CensusError, build_darts, count_closed_paths,
                               enumerate_primes, pnt_ratios)
+from zetaforge.cli import HORIZON_LIMIT
 from zetaforge.graphs import MixedGraph, normalize
 from zetaforge.intpoly import log_derivative_series, mobius_invert
 from zetaforge.zeta import analyze, zeta_inverse
@@ -20,6 +20,10 @@ import lyndon
 from lyndon import _successors, lyndon_closed_walks, lyndon_prime_counts
 
 WORKED = MixedGraph(2, edges=((0, 1), (1, 1)), arrows=((1, 0),))
+
+# the Lyndon search's horizon: its cost grows exponentially with it, where
+# the traces run to the command line's HORIZON_LIMIT
+LYNDON_HORIZON = 12
 
 
 def reference_census(g, horizon):
@@ -212,10 +216,11 @@ class TestClosedWalks:
         assert count_closed_paths(MixedGraph(2, edges=((0, 1),)), 6) == [0] * 6
 
     def test_horizon_guard(self):
-        with pytest.raises(CensusLimitError):
-            count_closed_paths(WORKED, 13)
         with pytest.raises(ValueError):
             count_closed_paths(WORKED, 0)
+        # the library takes any horizon; only the command line bounds -L
+        assert count_closed_paths(WORKED, 60) == log_derivative_series(
+            zeta_inverse(WORKED), 60)
 
     def test_bool_horizon_rejected(self):
         """True is not read as horizon 1."""
@@ -253,6 +258,19 @@ class TestPrimes:
     def test_worked_graph_matches_mobius(self):
         census = enumerate_primes(WORKED, 4)
         assert census.prime_counts == mobius_invert(census.closed_counts)
+
+    def test_series_at_the_horizon_limit(self):
+        """The traces at L = HORIZON_LIMIT equal the series of 1/zeta on
+        the census workload graphs and on seeded mixed graphs."""
+        rng = random.Random(2030)
+        graphs = ([g for g, _ in census_workload_graphs()]
+                  + [random_mixed_graph(rng) for _ in range(50)])
+        for g in graphs:
+            census = enumerate_primes(g, HORIZON_LIMIT)
+            series = log_derivative_series(zeta_inverse(g), HORIZON_LIMIT)
+            assert census.closed_counts == series, g
+            assert census.prime_counts == mobius_invert(series), g
+        assert sum(1 for g in graphs if g.arrows) > 10
 
     def test_oracle_equivalence_samples(self):
         for g in (WORKED, ade_graph("A", 3), dimer_graph([3]),
@@ -327,18 +345,18 @@ class TestTableCount:
     subtrees of its children above the floor from tables and visits only
     the child equal to the floor.  The plain search is the oracle: its
     count of a length does not depend on the horizon, so one run of it
-    checks every smaller horizon.  Where it is too slow to reach the guard, the Moebius
-    inversion of the closed-walk traces checks the longer lengths; the
-    two agree wherever both run."""
+    checks every smaller horizon.  Where it is too slow to reach
+    LYNDON_HORIZON, the Moebius inversion of the closed-walk traces checks
+    the longer lengths; the two agree wherever both run."""
 
-    def assert_matches(self, g, searched=HORIZON_LIMIT):
+    def assert_matches(self, g, searched=LYNDON_HORIZON):
         darts = build_darts(g)
         succ = _successors(darts)
         expect = lyndon_dfs(darts, succ, searched)
-        traced = mobius_invert(count_closed_paths(g, HORIZON_LIMIT))
+        traced = mobius_invert(count_closed_paths(g, LYNDON_HORIZON))
         assert traced[:searched] == expect, g
         expect += traced[searched:]
-        for h in range(1, HORIZON_LIMIT + 1):
+        for h in range(1, LYNDON_HORIZON + 1):
             assert lyndon_closed_walks(darts, succ, h) == expect[:h], (g, h)
         return expect
 
@@ -393,8 +411,8 @@ class TestTableCount:
             darts = build_darts(g)
             succ = _successors(darts)
             plain = Counter(t for t, _ in visited_nodes(
-                __file__, lyndon_dfs, darts, succ, HORIZON_LIMIT // 2 + 1))
-            for h in range(2, HORIZON_LIMIT):
+                __file__, lyndon_dfs, darts, succ, LYNDON_HORIZON // 2 + 1))
+            for h in range(2, LYNDON_HORIZON):
                 low = h // 2
                 nodes = visited_nodes(lyndon.__file__, lyndon_closed_walks,
                                       darts, succ, h)
@@ -408,7 +426,8 @@ class TestTableCount:
 
 class TestPackedTraces:
     """count_closed_paths steps packed columns of T^m; the row-at-a-time
-    traces are the oracle, at every horizon up to the guard."""
+    traces are the oracle, at every horizon up to the command line's
+    HORIZON_LIMIT."""
 
     def assert_matches(self, g):
         expect = closed_paths_by_rows(g, HORIZON_LIMIT)
@@ -427,8 +446,8 @@ class TestPackedTraces:
             # the 2k darts of k loops: T = J - P with P the inverse
             # involution has eigenvalues 2k - 1, 1 (k times) and -1
             # (k - 1 times).  Every walk ends at the one node, so at L =
-            # 12 the node sum's slots reach the bound s**(L - 1) that
-            # sizes them, s = 2k - 1
+            # HORIZON_LIMIT the node sum's slots reach the bound s**(L - 1)
+            # that sizes them, s = 2k - 1
             assert closed == [(2 * k - 1) ** m + k + (-1) ** m * (k - 1)
                               for m in range(1, HORIZON_LIMIT + 1)]
         for k in range(2, 7):

@@ -1,4 +1,5 @@
 import json
+import math
 import sys
 
 import pytest
@@ -8,7 +9,8 @@ from zetaforge import census, cli, rootfind
 from zetaforge.catalog import ade_graph
 from zetaforge.cli import main
 from zetaforge.graphs import MixedGraph
-from zetaforge.intpoly import squarefree_factors
+from zetaforge.intpoly import (log_derivative_series, mobius_invert,
+                               squarefree_factors)
 from zetaforge.zeta import zeta_inverse
 
 
@@ -349,8 +351,25 @@ class TestPrimesVerb:
         assert row3.split()[1] == "6" and row3.split()[2] == "2"
 
     def test_horizon_validation(self, capsys):
-        code, _, _ = run(capsys, "primes", "--ade", "A2", "-L", "13")
-        assert code == 1
+        for horizon in ("31", "0"):
+            code, _, _ = run(capsys, "primes", "--ade", "A2", "-L", horizon)
+            assert code == 1, horizon
+
+    def test_horizon_limit(self, capsys):
+        """At L = 30 the counts of D4 with loops equal the series of
+        1/zeta and its inversion, and all 30 ratios are finite."""
+        assert cli.HORIZON_LIMIT == 30
+        code, out, err = run(capsys, "primes", "--ade", "D4", "--loops",
+                             "-L", "30", "--format", "json")
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        series = log_derivative_series(
+            zeta_inverse(ade_graph("D", 4, with_loops=True)), 30)
+        assert doc["closed_counts"] == series
+        assert doc["prime_counts"] == mobius_invert(series)
+        ratios = doc["pnt_ratios"]
+        assert sorted(map(int, ratios)) == list(range(1, 31))
+        assert all(map(math.isfinite, ratios.values()))
 
     def test_csv(self, capsys):
         code, out, _ = run(capsys, "primes", "--ade", "A2", "-L", "3",
@@ -553,7 +572,7 @@ class TestRepeatedCalls:
             ["zeta", "--graph", str(path), "--format", "csv"],
             ["zeta", "--graph", str(tmp_path / "missing.json")],
             ["rh", "--dimer", "3,4", "--format", "json"],
-            ["primes", "--ade", "A2", "-L", "13"],
+            ["primes", "--ade", "A2", "-L", "31"],
             ["primes", "--ade", "D4", "--loops", "-L", "4"],
             ["primes", "--ade", "A9", "-L", "5", "--format", "csv"],
             ["zeta", "--graph", str(path), "--loops"],

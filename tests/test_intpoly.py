@@ -1164,7 +1164,7 @@ class TestLeastPositiveRoot:
                 continue
             v = exact_div(q, poly_gcd(q, q.derivative()))
             assert decimal_root(v, complex(r_g)) == r_g, p
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="zero polynomial"):
             least_positive_root(P())
         # three arrows per step of a directed 1000-cycle: u = z^1000 has
         # the root 3^-1000, and z the root 1/3
